@@ -2,14 +2,14 @@
 
 Run from the repository root:
 
-    python3 bench/run.py --workload greedy-large --seed 0 --seconds 30 --trace 0
+    python3 bench/run.py --workload greedy-large --seed 0 --seconds 20 --trace 0
     python3 bench/run.py --workload all           # every workload, one process each
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``. With ``--trace 0`` the metrics are
-the end-to-end ones (set-up, pass time, peak memory); with ``--trace 1``
-untraced and traced passes alternate and the metrics are the per-layer ones
-plus the tracing overhead. The line before it is the full report: every
+the end-to-end ones (set-up, pass time over reference time, peak memory);
+with ``--trace 1`` untraced and traced passes alternate and the metrics are
+the per-layer ones plus the tracing overhead. The line before it is the full report: every
 named workload metric with its value, median, quartiles and sample count,
 the counts, the failed checks and the run context. See bench/README.md.
 """
@@ -20,6 +20,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import os
 import platform
 import resource
@@ -36,7 +37,6 @@ T_START = perf_counter()
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODULES = ("cli", "generator", "jsonio", "model", "timing", "solvers", "milp", "gantt")
-SETUP_REPS, SETUP_SECONDS = 5, 2.0  # set up at least this often and this long
 
 from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, Checks, Stopwatch  # noqa: E402
@@ -98,20 +98,26 @@ def fresh_flexshop() -> dict[str, Any]:
 
 
 def git_commit() -> str | None:
-    git = ROOT / ".git"
+    """HEAD of the checkout, or None when it is no git repository (git looks no higher)."""
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)}
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, check=False)
     except OSError:
-        pass
-    return None
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def pass_count(workload: str, seconds: float, traced: bool) -> int:
+    """Passes a run makes: enough to fill `seconds` at the workload's nominal pass time.
+
+    The count depends only on the arguments, never on how fast the code runs,
+    so the per-unit fastest time is always taken over the same number of
+    passes. A traced run alternates untraced and traced passes and makes at
+    least two of each, so traced counts are always compared.
+    """
+    n = max(2, math.ceil(seconds / WORKLOADS[workload].nominal_pass_s))
+    return 2 * max(2, n // 2) if traced else n
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -121,55 +127,50 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def timing_summary(passes: list[dict], stage: str | None) -> dict[str, float]:
+def timing_summary(passes: list[dict], stage: str | None, field: str = "times") -> dict[str, float]:
     """Time of `stage` (every stage when None) over the passes.
 
     ``value`` sums, over the stage's timed units (one instance in one stage),
     each unit's fastest time in any pass: slowdowns on a shared machine only
     ever add time, so the fastest repeat is the steadiest estimate of the
-    work. Median, quartiles and count describe the per-pass totals.
+    work. Median, quartiles and count describe the per-pass totals. With
+    ``field="ref"`` the same is taken of the reference work run before each
+    unit.
     """
-    keys = [k for k in passes[0]["times"] if stage is None or k.split("/")[0] == stage]
-    return {"value": sum(min(p["times"][k] for p in passes) for k in keys),
-            **summary([sum(p["times"][k] for k in keys) for p in passes])}
+    keys = [k for k in passes[0][field] if stage is None or k.split("/")[0] == stage]
+    return {"value": sum(min(p[field][k] for p in passes) for k in keys),
+            **summary([sum(p[field][k] for k in keys) for p in passes])}
 
 
 def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
-    """Set up several times, then time passes for `args.seconds`; return (result, report)."""
+    """Set up a fixed number of times, then time a fixed number of passes; return (result, report)."""
     setups: list[float] = []
-    while len(setups) < SETUP_REPS or sum(setups) < SETUP_SECONDS:
+    for _ in range(WORKLOADS[args.workload].setup_reps):
         gc.collect()  # drop the previous set-up's modules, so peak memory does not grow with the count
         t0 = perf_counter()
         fs = fresh_flexshop()
-        wl = WORKLOADS[args.workload](fs, args.seed, args.gen_offset, tmp)
+        wl = WORKLOADS[args.workload](fs, args.seed, tmp)
         setups.append(perf_counter() - t0)
     to_first_pass = perf_counter() - T_START
 
     tracer = Tracer(fs) if args.trace else None
     checks = Checks()
     passes: list[dict[str, Any]] = []
-    t0 = perf_counter()
-    while True:
-        traced = tracer is not None and len(passes) % 2 == 1
+    for i in range(pass_count(args.workload, args.seconds, tracer is not None)):
+        traced = tracer is not None and i % 2 == 1
         watch = Stopwatch(tracer if traced else None)
         gc.collect()
         counts = wl.run_pass(watch, checks)
         layers = tracer.reduce() if traced else {}
         passes.append({"traced": traced, "seconds": sum(watch.times.values()),
-                       "times": watch.times, "counts": counts, "layers": layers})
+                       "times": watch.times, "ref": watch.ref, "counts": counts, "layers": layers})
         if len(passes) > 1:
             checks.expect(counts == passes[0]["counts"],
                           f"counts differ between passes: {passes[0]['counts']} then {counts}")
-        if traced and len(passes) > 2:
+        if traced and i > 1:
             first = passes[1]["layers"]
             checks.expect(all(layers.get(k) == first.get(k) for k in TRACED_COUNTS),
                           "traced call counts differ between traced passes")
-        next_traced = tracer is not None and len(passes) % 2 == 1
-        expected = [p["seconds"] for p in passes if p["traced"] == next_traced] or [passes[-1]["seconds"]]
-        both_kinds = tracer is None or len(passes) >= 2
-        # end at the pass boundary nearest to the deadline
-        if both_kinds and perf_counter() - t0 + statistics.median(expected) / 2 > args.seconds:
-            break
 
     plain = [p for p in passes if not p["traced"]]
     traced_passes = [p for p in passes if p["traced"]]
@@ -179,13 +180,17 @@ def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
             named[name] = {"unit": unit, **timing_summary(plain, None if source == "pass" else source)}
         else:
             named[name] = {"unit": unit, "value": passes[0]["counts"][source]}
-    named["setup_s"] = {"unit": "s", "value": min(setups), **summary(setups)}
+    named["setup_s"] = {"unit": "s", "value": statistics.median(setups), **summary(setups)}
     named["peak_rss_mb"] = {"unit": "MB", "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     named["fail_share"] = {"unit": "ratio", "value": len(checks.failures) / checks.attempted}
 
     pass_s = timing_summary(plain, None)["value"]
+    ref_s = timing_summary(plain, None, "ref")["value"]
+    # The pass in units of the reference work timed beside it: a host slow spell
+    # that lasts the whole run slows both, a faster program only the pass.
+    named["pass_ref"] = {"unit": "ratio", "value": pass_s / ref_s}
     if tracer is None:
-        metrics = {"setup_s": named["setup_s"], "pass_s": {"unit": "s", "value": pass_s},
+        metrics = {"setup_s": named["setup_s"], "pass_ref": named["pass_ref"],
                    "peak_rss_mb": named["peak_rss_mb"]}
         layers_report = None
     else:
@@ -201,11 +206,11 @@ def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
 
     stages = sorted({key.split("/")[0] for key in plain[0]["times"]})
     report = {
-        "workload": args.workload, "seed": args.seed, "gen_offset": args.gen_offset,
+        "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
         "context": {"python": platform.python_version(), "implementation": platform.python_implementation(),
                     "nproc": os.cpu_count(), "commit": git_commit(), "platform": platform.platform(),
-                    "to_first_pass_s": to_first_pass,
+                    "to_first_pass_s": to_first_pass, "pass_s": pass_s, "ref_s": ref_s,
                     "pass_seconds": [p["seconds"] for p in plain],
                     "traced_pass_seconds": [p["seconds"] for p in traced_passes],
                     "instances": wl.context},
@@ -228,7 +233,7 @@ def run_all(args: argparse.Namespace) -> dict:
     print(f"{'workload':<13} {'metric':<26} {'value':>12} {'median':>12} {'q1':>12} {'q3':>12} {'n':>3}  unit")
     for name in WORKLOADS:
         cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", name, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace), "--gen-offset", str(args.gen_offset)]
+               "--seconds", str(args.seconds), "--trace", str(args.trace)]
         proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT, check=False)
         lines = proc.stdout.strip().splitlines()
         if proc.returncode != 0 or len(lines) < 2:
@@ -254,10 +259,9 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--seed", type=int, default=0,
                         help="relabels every instance's operation and machine ids; 0 keeps them")
-    parser.add_argument("--seconds", type=float, default=30.0, help="time spent on passes after set-up")
+    parser.add_argument("--seconds", type=float, default=20.0,
+                        help="time of passes at the nominal speed; sets the fixed number of passes")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--gen-offset", type=int, default=0,
-                        help="added to every generator seed; non-zero drops the pinned-optimum check")
     parser.add_argument("--out", help="also write the full report JSON to this file")
     args = parser.parse_args()
 

@@ -4,14 +4,13 @@ Every workload runs a pinned instance set. The benchmark seed relabels each
 instance (a seeded permutation of operation and machine ids), so inputs,
 file bytes and every id tie-break change with the seed while the instances
 stay isomorphic: optima, and so the pinned-optimum check, hold for every
-seed. ``gen_offset`` moves the generator seeds themselves; with a non-zero
-offset the pinned optima are unknown and only the seed-independent checks
-run.
+seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import os
 import random
@@ -50,15 +49,55 @@ class Checks:
             self.failures.append(what)
 
 
+class _RefJob:
+    __slots__ = ("weight", "load")
+
+    def __init__(self, i: int) -> None:
+        self.weight, self.load = i * 7 % 11 + 1, 0
+
+    def use(self, t: int) -> None:
+        self.load = max(self.load, t) + self.weight
+
+
+def reference_work() -> int:
+    """A fixed pure-Python job (about 15 ms): heap, dict and attribute work.
+
+    Timed right before each unit, it measures how fast the host runs Python
+    at that moment. It never calls flexshop, so a change to the program
+    leaves it alone, while a slow spell on a shared host slows it as it
+    slows the unit.
+    """
+    seen: dict[int, int] = {}
+    heap = [(0, 0)]
+    jobs = [_RefJob(i) for i in range(64)]
+    for _ in range(4000):
+        cost, key = heapq.heappop(heap)
+        job = jobs[key & 63]
+        job.use(cost)
+        for j in range(4):
+            nxt, c = (key * 31 + j) % 100_003, cost + job.weight + j
+            if seen.get(nxt, 1 << 30) > c:
+                seen[nxt] = c
+                heapq.heappush(heap, (c, nxt))
+    return sum(job.load for job in jobs)
+
+
 class Stopwatch:
-    """Wall time per "stage/instance"; traces only inside stages when given a tracer."""
+    """Wall time per "stage/instance", and of `reference_work` run just before it.
+
+    Traces only inside stages when given a tracer.
+    """
 
     def __init__(self, tracer: Any = None) -> None:
         self.tracer = tracer
         self.times: dict[str, float] = {}
+        self.ref: dict[str, float] = {}
 
     @contextmanager
     def stage(self, stage: str, spec: Spec) -> Iterator[None]:
+        t0 = perf_counter()
+        reference_work()
+        self.ref[f"{stage}/{spec.label}"] = perf_counter() - t0
         if self.tracer is not None:
             self.tracer.install()
         t0 = perf_counter()
@@ -99,9 +138,14 @@ class Workload:
     """Instances prepared once per set-up; `run_pass` times one pass over them."""
 
     name = ""
+    # Seconds one untraced pass took on the parent code (2-vCPU host); it fixes
+    # the number of passes a run makes, see run.pass_count.
+    nominal_pass_s = 1.0
+    # Set-ups per run, about 2 s of them; setup_s is their median.
+    setup_reps = 7
 
-    def __init__(self, fs: dict[str, Any], seed: int, gen_offset: int, tmp: str):
-        self.fs, self.seed, self.gen_offset, self.tmp = fs, seed, gen_offset, tmp
+    def __init__(self, fs: dict[str, Any], seed: int, tmp: str):
+        self.fs, self.seed, self.tmp = fs, seed, tmp
         self.context: list[dict[str, Any]] = []
         self.generated: dict[Spec, str] = {}  # the generator's own bytes
         self.texts: dict[Spec, str] = {}  # the relabeled instance the pass reads
@@ -111,9 +155,6 @@ class Workload:
 
     def specs(self) -> list[Spec]:
         raise NotImplementedError
-
-    def shifted(self, cls: str, k: int, seeds: tuple[int, ...]) -> list[Spec]:
-        return [Spec(cls, k, s + self.gen_offset) for s in seeds]
 
     def _prepare(self, spec: Spec) -> None:
         fs = self.fs
@@ -144,9 +185,10 @@ class GreedyLarge(Workload):
     """The CLI round trip gen -> solve --alg greedy -> extract -> check -> gantt."""
 
     name = "greedy-large"
+    nominal_pass_s = 1.1
 
     def specs(self) -> list[Spec]:
-        return self.shifted("large", 25, (7,)) + self.shifted("large", 50, (7,))
+        return [Spec("large", 25, 7), Spec("large", 50, 7)]
 
     def run_pass(self, watch: Stopwatch, checks: Checks) -> dict[str, float]:
         cli = self.fs["cli"]
@@ -188,12 +230,14 @@ class ExactSmall(Workload):
     """Proof: small k=1 solved to optimality. Budget: small k=15 at a fixed node limit."""
 
     name = "exact-small"
+    nominal_pass_s = 10.0
+    setup_reps = 31
 
     def proof_specs(self) -> list[Spec]:
-        return self.shifted("small", 1, tuple(range(1, 13)))
+        return [Spec("small", 1, s) for s in range(1, 13)]
 
     def budget_specs(self) -> list[Spec]:
-        return self.shifted("small", 15, (1, 2, 3, 42))
+        return [Spec("small", 15, s) for s in (1, 2, 3, 42)]
 
     def specs(self) -> list[Spec]:
         return self.proof_specs() + self.budget_specs()
@@ -210,9 +254,8 @@ class ExactSmall(Workload):
             checks.expect(r.status == "optimal", f"{label}: status {r.status}, not optimal")
             if r.schedule is None:
                 continue
-            if self.gen_offset == 0:
-                checks.expect(r.makespan == PINNED_OPTIMA[pos],
-                              f"{label}: optimum {r.makespan}, pinned {PINNED_OPTIMA[pos]}")
+            checks.expect(r.makespan == PINNED_OPTIMA[pos],
+                          f"{label}: optimum {r.makespan}, pinned {PINNED_OPTIMA[pos]}")
             checks.expect(timing.check_schedule(inst, r.schedule) == [], f"{label}: optimum fails the checker")
             checks.expect(milp.evaluate_schedule(inst, r.schedule) == [], f"{label}: optimum violates model rows")
             greedy = self._cli_greedy(spec)
@@ -245,9 +288,11 @@ class MilpMedium(Workload):
     """build_model -> emit_lp, then evaluate_schedule on the greedy schedule."""
 
     name = "milp-medium"
+    nominal_pass_s = 6.3
+    setup_reps = 15
 
     def specs(self) -> list[Spec]:
-        return self.shifted("medium", 20, (7,)) + self.shifted("medium", 40, (7,))
+        return [Spec("medium", 20, 7), Spec("medium", 40, 7)]
 
     def __init__(self, *args: Any):
         super().__init__(*args)
