@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 bench/run.py --workload greedy-large --seed 0 --seconds 20 --trace 0
+    python3 bench/run.py --workload greedy-large --seed 0 --seconds 16 --trace 0
     python3 bench/run.py --workload all           # every workload, one process each
 
 The last line of standard output is one JSON object with ``correct``,
@@ -30,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import Any
 
 T_START = perf_counter()
@@ -39,7 +39,11 @@ SRC = ROOT / "src"
 MODULES = ("cli", "generator", "jsonio", "model", "timing", "solvers", "milp", "gantt")
 
 from spans import Tracer  # noqa: E402
-from workloads import WORKLOADS, Checks, Stopwatch  # noqa: E402
+from workloads import WORKLOADS, Checks, Stopwatch, reference_seconds  # noqa: E402
+
+# CPU seconds `reference_work` takes on the nominal host (2-vCPU x86-64,
+# CPython 3.11); setup_s is given in seconds at that speed.
+REF_NOMINAL_S = 0.015
 
 # Named workload metrics: (name, unit, where the value comes from).
 WORKLOAD_METRICS = {
@@ -134,23 +138,52 @@ def timing_summary(passes: list[dict], stage: str | None, field: str = "times") 
     each unit's fastest time in any pass: slowdowns on a shared machine only
     ever add time, so the fastest repeat is the steadiest estimate of the
     work. Median, quartiles and count describe the per-pass totals. With
-    ``field="ref"`` the same is taken of the reference work run before each
-    unit.
+    ``field="ref"`` the same is taken of the reference work timed beside
+    each unit.
     """
     keys = [k for k in passes[0][field] if stage is None or k.split("/")[0] == stage]
     return {"value": sum(min(p[field][k] for p in passes) for k in keys),
             **summary([sum(p[field][k] for k in keys) for p in passes])}
 
 
-def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
-    """Set up a fixed number of times, then time a fixed number of passes; return (result, report)."""
-    setups: list[float] = []
+def timed_setups(args: argparse.Namespace, tmp: str) -> tuple[dict[str, Any], Any, list[float], list[float]]:
+    """Set up a fixed number of times; return the last set-up and each one's CPU and scaled times.
+
+    Each set-up (fresh `flexshop` import and instance preparation) sits
+    between two runs of `reference_work`. Its CPU time divided by their mean
+    CPU time, times REF_NOMINAL_S, is the set-up time at the nominal host's
+    speed: a host slow spell slows both and leaves the scaled time, more
+    set-up work raises it.
+    """
+    cpu: list[float] = []
+    scaled: list[float] = []
+    ref = reference_seconds(process_time)
     for _ in range(WORKLOADS[args.workload].setup_reps):
         gc.collect()  # drop the previous set-up's modules, so peak memory does not grow with the count
-        t0 = perf_counter()
+        t0 = process_time()
         fs = fresh_flexshop()
         wl = WORKLOADS[args.workload](fs, args.seed, tmp)
-        setups.append(perf_counter() - t0)
+        cpu.append(process_time() - t0)
+        after = reference_seconds(process_time)
+        scaled.append(cpu[-1] / ((ref + after) / 2) * REF_NOMINAL_S)
+        ref = after
+    return fs, wl, cpu, scaled
+
+
+def pass_ref(passes: list[dict]) -> float:
+    """A pass in units of the reference work: per unit, the median over passes
+    of its time over the reference time beside it, summed over the units.
+
+    Each unit is paired with the reference runs just before and after it, so
+    a host slow spell slows both sides of the ratio and a faster program
+    only the unit.
+    """
+    return sum(statistics.median(p["times"][k] / p["ref"][k] for p in passes) for k in passes[0]["times"])
+
+
+def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
+    """Set up a fixed number of times, then time a fixed number of passes; return (result, report)."""
+    fs, wl, setup_cpu, setups = timed_setups(args, tmp)
     to_first_pass = perf_counter() - T_START
 
     tracer = Tracer(fs) if args.trace else None
@@ -186,9 +219,7 @@ def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
 
     pass_s = timing_summary(plain, None)["value"]
     ref_s = timing_summary(plain, None, "ref")["value"]
-    # The pass in units of the reference work timed beside it: a host slow spell
-    # that lasts the whole run slows both, a faster program only the pass.
-    named["pass_ref"] = {"unit": "ratio", "value": pass_s / ref_s}
+    named["pass_ref"] = {"unit": "ratio", "value": pass_ref(plain)}
     if tracer is None:
         metrics = {"setup_s": named["setup_s"], "pass_ref": named["pass_ref"],
                    "peak_rss_mb": named["peak_rss_mb"]}
@@ -210,7 +241,8 @@ def run_workload(args: argparse.Namespace, tmp: str) -> tuple[dict, dict]:
         "seconds": args.seconds, "trace": args.trace,
         "context": {"python": platform.python_version(), "implementation": platform.python_implementation(),
                     "nproc": os.cpu_count(), "commit": git_commit(), "platform": platform.platform(),
-                    "to_first_pass_s": to_first_pass, "pass_s": pass_s, "ref_s": ref_s,
+                    "to_first_pass_s": to_first_pass, "setup_cpu_s": summary(setup_cpu),
+                    "pass_s": pass_s, "ref_s": ref_s,
                     "pass_seconds": [p["seconds"] for p in plain],
                     "traced_pass_seconds": [p["seconds"] for p in traced_passes],
                     "instances": wl.context},
@@ -259,7 +291,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--seed", type=int, default=0,
                         help="relabels every instance's operation and machine ids; 0 keeps them")
-    parser.add_argument("--seconds", type=float, default=20.0,
+    parser.add_argument("--seconds", type=float, default=16.0,
                         help="time of passes at the nominal speed; sets the fixed number of passes")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="also write the full report JSON to this file")

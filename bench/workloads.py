@@ -10,6 +10,7 @@ seed.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 import json
 import os
@@ -17,7 +18,7 @@ import random
 import statistics
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 # Proven optima of small k=1, generator seeds 1-12 (the first five agree with
 # an independent MILP solve).
@@ -62,10 +63,10 @@ class _RefJob:
 def reference_work() -> int:
     """A fixed pure-Python job (about 15 ms): heap, dict and attribute work.
 
-    Timed right before each unit, it measures how fast the host runs Python
-    at that moment. It never calls flexshop, so a change to the program
-    leaves it alone, while a slow spell on a shared host slows it as it
-    slows the unit.
+    Timed beside each unit, it measures how fast the host runs Python at
+    that moment. It never calls flexshop, so a change to the program leaves
+    it alone, while a slow spell on a shared host slows it as it slows the
+    unit.
     """
     seen: dict[int, int] = {}
     heap = [(0, 0)]
@@ -82,22 +83,39 @@ def reference_work() -> int:
     return sum(job.load for job in jobs)
 
 
-class Stopwatch:
-    """Wall time per "stage/instance", and of `reference_work` run just before it.
+def reference_seconds(clock: Callable[[], float] = perf_counter) -> float:
+    """Time of one `reference_work` by `clock`, with the cyclic garbage collector off.
 
-    Traces only inside stages when given a tracer.
+    Without the collector its time does not depend on how many objects the
+    program holds at that moment.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = clock()
+        reference_work()
+        return clock() - t0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class Stopwatch:
+    """Wall time per "stage/instance", and the mean time of `reference_work` just before and after it.
+
+    The reference run that ends one stage also serves as the one before the
+    next stage of the pass. Traces only inside stages when given a tracer.
     """
 
     def __init__(self, tracer: Any = None) -> None:
         self.tracer = tracer
         self.times: dict[str, float] = {}
         self.ref: dict[str, float] = {}
+        self._last_ref: float | None = None
 
     @contextmanager
     def stage(self, stage: str, spec: Spec) -> Iterator[None]:
-        t0 = perf_counter()
-        reference_work()
-        self.ref[f"{stage}/{spec.label}"] = perf_counter() - t0
+        before = reference_seconds() if self._last_ref is None else self._last_ref
         if self.tracer is not None:
             self.tracer.install()
         t0 = perf_counter()
@@ -107,7 +125,9 @@ class Stopwatch:
             dt = perf_counter() - t0
             if self.tracer is not None:
                 self.tracer.uninstall()
+            self._last_ref = reference_seconds()
             self.times[f"{stage}/{spec.label}"] = dt
+            self.ref[f"{stage}/{spec.label}"] = (before + self._last_ref) / 2
 
 
 def relabel(fs: dict[str, Any], inst: Any, seed: int) -> Any:
@@ -142,7 +162,7 @@ class Workload:
     # the number of passes a run makes, see run.pass_count.
     nominal_pass_s = 1.0
     # Set-ups per run, about 2 s of them; setup_s is their median.
-    setup_reps = 7
+    setup_reps = 9
 
     def __init__(self, fs: dict[str, Any], seed: int, tmp: str):
         self.fs, self.seed, self.tmp = fs, seed, tmp
