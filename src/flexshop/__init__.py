@@ -19,23 +19,22 @@ from .model import (BigM, CycleError, Instance, Machine, Operation, Schedule,
                     ScheduledOp, SetupRule, Violation, big_m_constants,
                     topological_order, validate_instance)
 from .rng import Rng
-from .solvers import SolveResult, brute_force, solve_exact, solve_greedy
-from .timing import (DecodeInfeasible, PlacementQuery, PlacementResult,
-                     check_schedule, completion_time, decode, earliest_start, makespan)
+from .solvers import SolveResult, brute_force, greedy_result, solve_exact, solve_greedy
+from .timing import DecodeInfeasible, check_schedule, decode, makespan
 from .gantt import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BigM", "CycleError", "DecodeInfeasible", "FormatError", "GenParams",
-    "Instance", "JobDag", "Machine", "MilpModel", "Operation", "PlacementQuery",
-    "PlacementResult", "Rng", "Row", "RowViolation", "Schedule", "ScheduledOp",
-    "SetupRule", "SolveResult", "Var", "Violation", "big_m_constants",
-    "brute_force", "build_model", "check_schedule", "completion_time", "decode",
-    "dumps_instance", "dumps_report", "dumps_schedule", "earliest_start",
-    "emit_lp", "evaluate_schedule", "gen_job_dag", "generate",
-    "instance_from_dict", "instance_to_dict", "loads_instance", "loads_schedule",
-    "makespan", "params_for_class", "render_svg", "schedule_from_dict",
-    "schedule_to_dict", "solve_exact", "solve_greedy", "topological_order",
-    "validate_instance", "with_full_overlap", "__version__",
+    "Instance", "JobDag", "Machine", "MilpModel", "Operation", "Rng", "Row",
+    "RowViolation", "Schedule", "ScheduledOp", "SetupRule", "SolveResult",
+    "Var", "Violation", "big_m_constants", "brute_force", "build_model",
+    "check_schedule", "decode", "dumps_instance", "dumps_report",
+    "dumps_schedule", "emit_lp", "evaluate_schedule", "gen_job_dag",
+    "generate", "greedy_result", "instance_from_dict", "instance_to_dict",
+    "loads_instance", "loads_schedule", "makespan", "params_for_class",
+    "render_svg", "schedule_from_dict", "schedule_to_dict", "solve_exact",
+    "solve_greedy", "topological_order", "validate_instance",
+    "with_full_overlap", "__version__",
 ]

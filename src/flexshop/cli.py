@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from time import perf_counter
 
 from . import __version__
 from .gantt import render_svg
@@ -20,8 +19,8 @@ from .jsonio import (FormatError, dumps_instance, dumps_report, dumps_schedule,
                      loads_instance, loads_schedule)
 from .milp import build_model, emit_lp
 from .model import Instance, validate_instance
-from .solvers import SolveResult, _Bounder, brute_force, solve_exact, solve_greedy
-from .timing import DecodeInfeasible, PlaceState, check_schedule, makespan
+from .solvers import brute_force, greedy_result, solve_exact
+from .timing import DecodeInfeasible, check_schedule
 
 
 def _read(path: str) -> str:
@@ -77,16 +76,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.alg == "brute":
         result = brute_force(inst)
     else:
-        t0 = perf_counter()
         try:
-            sched = solve_greedy(inst)
+            result = greedy_result(inst)
         except DecodeInfeasible as exc:
             print(f"greedy failed: {exc}", file=sys.stderr)
             return 1
-        mk = makespan(sched)
-        lb = _Bounder(inst).bound(PlaceState())
-        result = SolveResult("feasible", sched, mk, lb, (mk - lb) / (1e-10 + mk), 0,
-                             int((perf_counter() - t0) * 1000))
     _write(args.out, json.dumps(result.to_dict(), indent=1))
     return 0 if result.schedule is not None else 1
 

@@ -1,8 +1,11 @@
 """Exact search, exhaustive enumeration, and a left-tight list heuristic.
 
-All three share :class:`flexshop.timing.PlacementEngine`, so a schedule any
-of them returns is by construction the left-tight decoding of its decision
-structure and passes the checker.
+All three build schedules in a :class:`flexshop.timing.PlaceState` through
+:class:`flexshop.timing.PlacementEngine`, so a schedule any of them returns
+is by construction the left-tight decoding of its decision structure and
+passes the checker. :func:`brute_force`, :func:`solve_exact` and
+:func:`greedy_result` report through one :class:`SolveResult` path;
+:func:`solve_greedy` returns the bare schedule.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ class SolveResult:
             "wall_ms": self.wall_ms,
             "schedule": None if self.schedule is None else schedule_to_dict(self.schedule),
         }
+
+
+def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None,
+            lower_bound: int | None = None) -> SolveResult:
+    """A result timed from `t0`; makespan and gap follow from the schedule."""
+    mk = None if schedule is None else makespan(schedule)
+    gap = None if mk is None or lower_bound is None else (mk - lower_bound) / (1e-10 + mk)
+    return SolveResult(status, schedule, mk, lower_bound, gap, nodes, int((perf_counter() - t0) * 1000))
 
 
 class _SearchLimit(Exception):
@@ -81,10 +92,9 @@ def brute_force(inst: Instance) -> SolveResult:
             mk = makespan(sched)
             if best_mk is None or mk < best_mk:
                 best, best_mk = sched, mk
-    wall = int((perf_counter() - t0) * 1000)
     if best is None:
-        return SolveResult("infeasible", None, None, None, None, tried, wall)
-    return SolveResult("optimal", best, best_mk, best_mk, 0.0, tried, wall)
+        return _result("infeasible", t0, tried)
+    return _result("optimal", t0, tried, best, best_mk)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +109,9 @@ class _Bounder:
     graph (an unplaced operation starts no earlier than its release and its
     predecessors' partial completions, placed ones exact, unplaced ones
     bounded by head plus their own minimum partial length); and per machine
-    its tail completion plus the processing still owed to it by unplaced
-    operations eligible nowhere else.
+    the completion of its tail, the last operation of its sequence in the
+    state, plus the processing still owed to it by unplaced operations
+    eligible nowhere else.
     """
 
     def __init__(self, inst: Instance):
@@ -138,7 +149,8 @@ class _Bounder:
             if i not in state.placed:
                 owed[k] = owed.get(k, 0) + self.inst.op(i).eligible[k]
         for k, extra in owed.items():
-            lb = max(lb, state.tail_completion.get(k, 0) + extra)
+            seq = state.seqs[k]
+            lb = max(lb, (state.placed[seq[-1]].completion if seq else 0) + extra)
         return lb
 
 
@@ -163,7 +175,6 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     ids = sorted(op.id for op in inst.operations)
     engine = PlacementEngine(inst)
     bounder = _Bounder(inst)
-    succ = inst.successors
 
     incumbent: Schedule | None = None
     ub: float = _INF
@@ -173,20 +184,15 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     except DecodeInfeasible:
         pass
 
-    state = PlaceState()
+    state = PlaceState(inst)
+    pred_left = state.pred_left
     root_lb = bounder.bound(state)
     nodes = 0
     if incumbent is not None and ub <= root_lb:
-        wall = int((perf_counter() - t0) * 1000)
-        return SolveResult("optimal", incumbent, int(ub), int(ub), 0.0, 0, wall)
+        return _result("optimal", t0, 0, incumbent, ub)
     if time_limit is not None and time_limit <= 0:
-        wall = int((perf_counter() - t0) * 1000)
-        mk = None if incumbent is None else int(ub)
-        gap = None if incumbent is None else (ub - root_lb) / (1e-10 + ub)
-        return SolveResult("limit", incumbent, mk, root_lb, gap, 0, wall)
+        return _result("limit", t0, 0, incumbent, root_lb)
 
-    pred_left = {i: len(inst.predecessors[i]) for i in ids}
-    seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
     machine_order = {i: [k for k, p in sorted(inst.op(i).eligible.items(), key=lambda kp: (kp[1], kp[0]))]
                      for i in ids}
 
@@ -198,8 +204,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
             mk = max(so.completion for so in state.placed.values())
             if mk < ub:
                 ub = mk
-                incumbent = Schedule(ops=dict(state.placed),
-                                     sequences={k: tuple(s) for k, s in seqs.items()})
+                incumbent = state.schedule()
             return
         for i in ids:
             if i in state.placed or pred_left[i]:
@@ -209,28 +214,15 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                     raise _SearchLimit
                 if time_limit is not None and perf_counter() - t0 > time_limit:
                     raise _SearchLimit
-                prev_tail = (state.tail_op.get(k), state.tail_completion.get(k))
                 try:
                     rec = engine.placement(state, i, k)
                 except DecodeInfeasible:
                     continue
                 engine.commit(state, i, rec)
-                seqs[k].append(i)
-                for j in succ[i]:
-                    pred_left[j] -= 1
                 nodes += 1
                 if bounder.bound(state) < ub:
                     descend()
-                # undo
-                for j in succ[i]:
-                    pred_left[j] += 1
-                seqs[k].pop()
-                del state.placed[i]
-                if prev_tail[0] is None:
-                    del state.tail_op[k]
-                    del state.tail_completion[k]
-                else:
-                    state.tail_op[k], state.tail_completion[k] = prev_tail
+                engine.undo(state, i)
 
     hit_limit = False
     try:
@@ -238,14 +230,11 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     except _SearchLimit:
         hit_limit = True
 
-    wall = int((perf_counter() - t0) * 1000)
     if hit_limit:
-        mk = None if incumbent is None else int(ub)
-        gap = None if incumbent is None else (ub - root_lb) / (1e-10 + ub)
-        return SolveResult("limit", incumbent, mk, root_lb, gap, nodes, wall)
+        return _result("limit", t0, nodes, incumbent, root_lb)
     if incumbent is None:
-        return SolveResult("infeasible", None, None, None, None, nodes, wall)
-    return SolveResult("optimal", incumbent, int(ub), int(ub), 0.0, nodes, wall)
+        return _result("infeasible", t0, nodes)
+    return _result("optimal", t0, nodes, incumbent, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -258,46 +247,43 @@ def solve_greedy(inst: Instance) -> Schedule:
 
     Ties break on the lower operation id, then machine id. Placements are
     cached per (operation, machine) and recomputed only when that machine's
-    tail has moved. A machine holding an unplaced pinned operation accepts
-    another operation only if it would complete in time for the pinned
-    setup; when no candidate survives, raises DecodeInfeasible.
+    tail has moved. A machine holding unplaced pinned operations accepts
+    another operation only if it would complete in time for the setup of
+    the earliest of them; when no candidate survives, raises
+    DecodeInfeasible.
     """
     engine = PlacementEngine(inst)
-    state = PlaceState()
+    state = PlaceState(inst)
     ids = sorted(op.id for op in inst.operations)
-    pred_left = {i: len(inst.predecessors[i]) for i in ids}
-    ready = sorted(i for i in ids if pred_left[i] == 0)
-    seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
-    version = {mc.id: 0 for mc in inst.machines}
-    cache: dict[tuple[int, int], tuple[int, object]] = {}
+    ready = [i for i in ids if state.pred_left[i] == 0]
+    cache: dict[int, dict[int, object]] = {mc.id: {} for mc in inst.machines}  # machine -> op -> placement at its tail
 
-    pinned_start: dict[int, tuple[int, int]] = {}  # machine -> (pinned start, op)
+    pins: dict[int, list[tuple[int, int]]] = {}  # machine -> unplaced (pinned start, op), ascending
     for op in inst.operations:
         if op.fixed is not None:
-            k, s = op.fixed
-            if k not in pinned_start or s < pinned_start[k][0]:
-                pinned_start[k] = (s, op.id)
+            pins.setdefault(op.fixed[0], []).append((op.fixed[1], op.id))
+    for pending in pins.values():
+        pending.sort()
 
-    placed_count = 0
-    while placed_count < len(ids):
+    while len(state.placed) < len(ids):
         best = None  # (completion, op, machine, record)
         for i in ready:
             op = inst.op(i)
             for k in sorted(op.eligible):
-                key = (i, k)
-                hit = cache.get(key)
-                if hit is not None and hit[0] == version[k]:
-                    rec = hit[1]
+                at_k = cache[k]
+                if i in at_k:
+                    rec = at_k[i]
                 else:
                     try:
                         rec = engine.placement(state, i, k)
                     except DecodeInfeasible:
                         rec = None
-                    cache[key] = (version[k], rec)
+                    at_k[i] = rec
                 if rec is None:
                     continue
-                pin = pinned_start.get(k)
-                if pin is not None and pin[1] != i and pin[1] not in state.placed:
+                pending = pins.get(k)
+                if pending and pending[0][1] != i:
+                    pin = pending[0]
                     if rec.completion + inst.setup_between(k, i, pin[1]) > pin[0]:
                         continue
                 if best is None or (rec.completion, i, k) < (best[0], best[1], best[2]):
@@ -308,14 +294,21 @@ def solve_greedy(inst: Instance) -> Schedule:
                 f"no operation can be placed (pinned starts block every candidate) among {stuck}")
         _, i, k, rec = best
         engine.commit(state, i, rec)
-        seqs[k].append(i)
-        version[k] += 1
+        cache[k].clear()
+        fixed = inst.op(i).fixed
+        if fixed is not None:
+            pins[k].remove((fixed[1], i))
         ready.remove(i)
-        for j in inst.successors[i]:
-            pred_left[j] -= 1
-            if pred_left[j] == 0:
-                ready.append(j)
+        ready.extend(j for j in inst.successors[i] if state.pred_left[j] == 0)
         ready.sort()
-        placed_count += 1
+    return state.schedule()
 
-    return Schedule(ops=state.placed, sequences={k: tuple(s) for k, s in seqs.items()})
+
+def greedy_result(inst: Instance) -> SolveResult:
+    """:func:`solve_greedy` as a "feasible" result, with the root lower bound.
+
+    Raises DecodeInfeasible when the greedy finds no schedule.
+    """
+    t0 = perf_counter()
+    sched = solve_greedy(inst)
+    return _result("feasible", t0, 0, sched, _Bounder(inst).bound(PlaceState(inst)))

@@ -20,7 +20,7 @@ The ground rules, shared by every routine here:
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 from .model import Instance, Schedule, ScheduledOp, Violation
 
@@ -29,21 +29,6 @@ Calendar = Sequence[tuple[int, int]]
 
 class DecodeInfeasible(ValueError):
     """The decision structure admits no schedule (deadlock or fixed-op clash)."""
-
-
-class PlacementQuery(NamedTuple):
-    calendar: Calendar
-    ready: int
-    setup_len: int
-    proc: int
-    partial: int
-
-
-class PlacementResult(NamedTuple):
-    setup_start: int
-    start: int
-    partial_completion: int
-    completion: int
 
 
 def _finish(calendar: Calendar, start: int, duration: int) -> int:
@@ -58,10 +43,6 @@ def _finish(calendar: Calendar, start: int, duration: int) -> int:
         remaining -= max(0, b - t)
         t = e
     return t + remaining
-
-
-def _legal_start(calendar: Calendar, s: int) -> bool:
-    return all(s <= b - 1 or s >= e for b, e in calendar)
 
 
 def _setup_fits(calendar: Calendar, setup_start: int, start: int) -> bool:
@@ -85,37 +66,31 @@ def _earliest_legal(calendar: Calendar, ready: int, setup_len: int) -> int:
     return s
 
 
-def completion_time(calendar: Calendar, start: int, duration: int) -> int:
-    if not _legal_start(calendar, start):
-        raise ValueError(f"start {start} lies inside an unavailability window")
-    return _finish(calendar, start, duration)
-
-
-def earliest_start(query: PlacementQuery) -> PlacementResult:
-    calendar = query.calendar
-    s = _earliest_legal(calendar, query.ready, query.setup_len)
-    return PlacementResult(
-        setup_start=s - query.setup_len,
-        start=s,
-        partial_completion=_finish(calendar, s, query.partial),
-        completion=_finish(calendar, s, query.proc),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Incremental placement shared by decode and the solvers
 # ---------------------------------------------------------------------------
 
 
 class PlaceState:
-    """Mutable search state: placed operations plus each machine's tail."""
+    """A partial schedule built by appending operations to machine sequences.
 
-    __slots__ = ("placed", "tail_op", "tail_completion")
+    `placed` maps each placed operation to its record, `seqs` lists each
+    machine's operations in append order (its tail is the last entry), and
+    `pred_left` counts each operation's unplaced graph predecessors, so an
+    unplaced operation is ready when its count is zero. Only
+    :meth:`PlacementEngine.commit` and :meth:`PlacementEngine.undo` change it.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("placed", "seqs", "pred_left")
+
+    def __init__(self, inst: Instance) -> None:
         self.placed: dict[int, ScheduledOp] = {}
-        self.tail_op: dict[int, int] = {}
-        self.tail_completion: dict[int, int] = {}
+        self.seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
+        self.pred_left: dict[int, int] = {op.id: len(inst.predecessors[op.id]) for op in inst.operations}
+
+    def schedule(self) -> Schedule:
+        """A snapshot of the placed operations and the machine sequences."""
+        return Schedule(ops=dict(self.placed), sequences={k: tuple(s) for k, s in self.seqs.items()})
 
 
 class PlacementEngine:
@@ -134,6 +109,7 @@ class PlacementEngine:
         self.inst = inst
         self.calendars = {mc.id: mc.windows for mc in inst.machines}
         self.preds = inst.predecessors
+        self.succs = inst.successors
 
     def placement(self, state: PlaceState, op_id: int, machine_id: int) -> ScheduledOp:
         """Compute the earliest placement without mutating `state`.
@@ -144,13 +120,14 @@ class PlacementEngine:
         inst = self.inst
         op = inst.op(op_id)
         calendar = self.calendars[machine_id]
-        prev = state.tail_op.get(machine_id)
-        if prev is None:
+        seq = state.seqs[machine_id]
+        if not seq:
             setup_len = inst.setup_first(machine_id, op_id)
             ready = op.release
         else:
+            prev = seq[-1]
             setup_len = inst.setup_between(machine_id, prev, op_id)
-            ready = max(op.release, state.tail_completion[machine_id] + setup_len)
+            ready = max(op.release, state.placed[prev].completion + setup_len)
 
         completion_floor = 0
         for p in self.preds[op_id]:
@@ -209,9 +186,18 @@ class PlacementEngine:
         return s, _finish(calendar, s, proc)
 
     def commit(self, state: PlaceState, op_id: int, rec: ScheduledOp) -> None:
+        """Append `op_id` to its machine's sequence with placement `rec`."""
         state.placed[op_id] = rec
-        state.tail_op[rec.machine] = op_id
-        state.tail_completion[rec.machine] = rec.completion
+        state.seqs[rec.machine].append(op_id)
+        for j in self.succs[op_id]:
+            state.pred_left[j] -= 1
+
+    def undo(self, state: PlaceState, op_id: int) -> None:
+        """Reverse the latest commit, which must be the one of `op_id`."""
+        rec = state.placed.pop(op_id)
+        state.seqs[rec.machine].pop()
+        for j in self.succs[op_id]:
+            state.pred_left[j] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +234,21 @@ def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequ
                 raise ValueError(f"operation {i} appears in machine {k}'s sequence but is assigned to {assignment[i]}")
 
     engine = PlacementEngine(inst)
-    state = PlaceState()
-    pred_left = {i: len(inst.predecessors[i]) for i in ids}
-    front = {k: 0 for k in seq}
-    remaining = len(ids)
-    while remaining:
+    state = PlaceState(inst)
+    for _ in range(len(ids)):
         best = None
         for k in sorted(seq):
-            if front[k] < len(seq[k]):
-                i = seq[k][front[k]]
-                if pred_left[i] == 0 and (best is None or i < best[0]):
+            front = len(state.seqs[k])
+            if front < len(seq[k]):
+                i = seq[k][front]
+                if state.pred_left[i] == 0 and (best is None or i < best[0]):
                     best = (i, k)
         if best is None:
             stuck = sorted(i for i in ids if i not in state.placed)
             raise DecodeInfeasible(f"deadlock: no placeable operation among {stuck}")
         i, k = best
-        rec = engine.placement(state, i, k)
-        engine.commit(state, i, rec)
-        front[k] += 1
-        for j in inst.successors[i]:
-            pred_left[j] -= 1
-        remaining -= 1
-
-    return Schedule(ops=state.placed, sequences={k: tuple(seq[k]) for k in seq})
+        engine.commit(state, i, engine.placement(state, i, k))
+    return state.schedule()
 
 
 def makespan(sched: Schedule) -> int:
@@ -403,31 +381,3 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                                          f"setup starts at {so.setup_start} before previous completion {prev_so.completion}"))
 
     return out
-
-
-def iter_one_unit_left_shifts(inst: Instance, sched: Schedule) -> Iterator[tuple[int, Schedule]]:
-    """Variants of `sched` with one operation started one unit earlier.
-
-    The shifted operation's setup window, partial completion, and completion
-    are recomputed from its new start (setup length kept); everything else is
-    untouched. Useful for probing left-tightness: a left-tight schedule turns
-    every such variant infeasible.
-    """
-    for i in sorted(sched.ops):
-        so = sched.ops[i]
-        op = inst.op(i)
-        calendar = inst.machine(so.machine).windows if so.machine in inst.machines_by_id else ()
-        s = so.start - 1
-        proc = op.eligible.get(so.machine, so.completion - so.start)
-        partial = op.partial_units(so.machine) if so.machine in op.eligible else proc
-        shifted = ScheduledOp(
-            machine=so.machine,
-            setup_start=s - so.setup_len,
-            setup_len=so.setup_len,
-            start=s,
-            partial_completion=_finish(calendar, s, partial),
-            completion=_finish(calendar, s, proc),
-        )
-        ops = dict(sched.ops)
-        ops[i] = shifted
-        yield i, Schedule(ops=ops, sequences=sched.sequences)

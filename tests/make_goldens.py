@@ -1,18 +1,33 @@
-"""Regenerate the golden LP fixtures under tests/data/.
+"""Regenerate the golden fixtures under tests/data/.
 
 Run from the repository root: python tests/make_goldens.py
-The output is committed; regenerate only after deliberate model-format
-changes, and re-audit the diff by hand before committing.
+The output is committed; regenerate only after deliberate model-format or
+solver-output changes, and re-audit the diff by hand before committing.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pathlib
+import re
+import tempfile
 
 from flexshop import (Instance, Machine, Operation, SetupRule, build_model,
                       dumps_instance, emit_lp)
+from flexshop.cli import main as cli_main
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+SOLVE_DIGESTS = DATA / "solve_digests.json"
+
+# (name, class, k, seed) of the generated instances whose solve output is pinned
+GENERATED = (("small_1_seed_42", "small", 1, 42), ("large_25_seed_7", "large", 25, 7))
+GREEDY = ("--alg", "greedy")
+EXACT = ("--alg", "exact", "--node-limit", "20000")
+BRUTE = ("--alg", "brute")  # every instance it runs on has at most 8 operations
+SOLVE_RUNS = tuple((name, args)
+                   for name in ("golden_single", "golden_chain", "golden_flex", "small_1_seed_42")
+                   for args in (GREEDY, EXACT, BRUTE)) + (("large_25_seed_7", GREEDY),)
 
 
 def golden_single() -> Instance:
@@ -52,6 +67,22 @@ def golden_flex() -> Instance:
                           setup_rule=SetupRule(st_smaller=2, st_larger=4, ct=3, vt=2))))
 
 
+def solve_digests(workdir: pathlib.Path) -> dict[str, str]:
+    """sha256 of each pinned `flexshop solve` output, its wall_ms line removed."""
+    paths = {name: DATA / f"{name}.json" for name, _ in SOLVE_RUNS}
+    for name, cls, k, seed in GENERATED:
+        paths[name] = workdir / f"{name}.json"
+        assert cli_main(["gen", cls, str(k), "--seed", str(seed), "--out", str(paths[name])]) == 0
+    digests = {}
+    for name, args in SOLVE_RUNS:
+        out = workdir / "result.json"
+        cli_main(["solve", str(paths[name]), *args, "--out", str(out)])
+        text, n = re.subn(r'^ "wall_ms": \d+,\n', "", out.read_text(encoding="utf-8"), flags=re.M)
+        assert n == 1, f"{name} {args}: expected one wall_ms line"
+        digests[" ".join((name, *args))] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
 def main() -> None:
     DATA.mkdir(exist_ok=True)
     for name, inst in (("golden_single", golden_single()),
@@ -60,6 +91,10 @@ def main() -> None:
         (DATA / f"{name}.json").write_text(dumps_instance(inst) + "\n", encoding="utf-8")
         (DATA / f"{name}.lp").write_text(emit_lp(build_model(inst)), encoding="utf-8")
         print("wrote", name)
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = solve_digests(pathlib.Path(tmp))
+    SOLVE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print("wrote", SOLVE_DIGESTS.name)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ share a bug.
 
 from __future__ import annotations
 
+import dataclasses
+
+from flexshop.model import Schedule
+
 
 def unit_free(windows, t: int) -> bool:
     """True when the unit interval [t, t+1) lies outside every window."""
@@ -50,3 +54,23 @@ def oracle_earliest(windows, ready: int, setup_len: int, proc: int, partial: int
                     oracle_completion(windows, s, proc))
         s += 1
     raise AssertionError("oracle scan ran past its horizon")
+
+
+def iter_one_unit_left_shifts(inst, sched):
+    """Variants of `sched` with one operation started one unit earlier.
+
+    Yields (op id, variant) per operation. The shifted operation keeps its
+    setup length; its setup start, partial completion and completion follow
+    from the new start by the unit-step oracle, and everything else is
+    untouched. A left-tight schedule turns every variant infeasible.
+    """
+    for i in sorted(sched.ops):
+        so = sched.ops[i]
+        op = inst.op(i)
+        windows = inst.machine(so.machine).windows
+        s = so.start - 1
+        shifted = dataclasses.replace(
+            so, setup_start=s - so.setup_len, start=s,
+            partial_completion=oracle_completion(windows, s, op.partial_units(so.machine)),
+            completion=oracle_completion(windows, s, op.eligible[so.machine]))
+        yield i, Schedule(ops={**sched.ops, i: shifted}, sequences=sched.sequences)

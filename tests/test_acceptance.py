@@ -24,11 +24,10 @@ from flexshop.model import big_m_constants
 from flexshop.rng import Rng
 from flexshop.solvers import brute_force, solve_exact, solve_greedy
 from flexshop.timing import (DecodeInfeasible, PlaceState, PlacementEngine,
-                             PlacementQuery, check_schedule, completion_time,
-                             decode, earliest_start, iter_one_unit_left_shifts,
-                             makespan)
+                             check_schedule, decode, makespan)
 
-from oracles import oracle_completion, oracle_earliest, start_legal
+from oracles import iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
+from test_timing import completion_at, place_one, times
 
 TINY = [GenParams(n=2, o_min=2, o_max=3, m_min=1, m_max=2, q=1, seed=s)
         for s in range(1, 51)]
@@ -75,37 +74,34 @@ def random_calendar(rng: Rng) -> tuple[tuple[int, int], ...]:
 
 def test_criterion_2_thousand_placement_queries_match_the_oracle():
     rng = Rng(77001)
-    queries = []
+    queries = []  # (calendar, ready, setup_len, proc, partial)
     for _ in range(950):
         cal = random_calendar(rng)
         proc = rng.uniform(1, 15)
-        queries.append(PlacementQuery(cal, ready=rng.uniform(0, 25),
-                                      setup_len=rng.uniform(0, 6), proc=proc,
-                                      partial=rng.uniform(1, proc)))
+        queries.append((cal, rng.uniform(0, 25), rng.uniform(0, 6), proc, rng.uniform(1, proc)))
     # boundary sweeps around a fixed window [4, 6] and a two-window calendar
     for d in range(1, 11):
-        queries.append(PlacementQuery(((4, 6),), ready=6, setup_len=0, proc=d, partial=d))
-        queries.append(PlacementQuery(((4, 6),), ready=4 - min(d, 4), setup_len=0, proc=d, partial=1))
-        queries.append(PlacementQuery(((4, 6),), ready=6, setup_len=d, proc=2, partial=1))
-        queries.append(PlacementQuery(((4, 6), (9, 12)), ready=3, setup_len=d % 4, proc=d, partial=d))
-        queries.append(PlacementQuery(((4, 6),), ready=3, setup_len=0, proc=d + 1, partial=d))
+        queries.append((((4, 6),), 6, 0, d, d))
+        queries.append((((4, 6),), 4 - min(d, 4), 0, d, 1))
+        queries.append((((4, 6),), 6, d, 2, 1))
+        queries.append((((4, 6), (9, 12)), 3, d % 4, d, d))
+        queries.append((((4, 6),), 3, 0, d + 1, d))
     assert len(queries) == 1000
 
     for q in queries:
-        got = earliest_start(q)
-        want = oracle_earliest(q.calendar, q.ready, q.setup_len, q.proc, q.partial)
-        assert tuple(got) == want, q
-        assert start_legal(q.calendar, got.start)
-        assert completion_time(q.calendar, got.start, q.proc) == \
-            oracle_completion(q.calendar, got.start, q.proc)
+        cal, proc = q[0], q[3]
+        got = place_one(*q)
+        assert times(got) == oracle_earliest(*q), q
+        assert start_legal(cal, got.start)
+        assert completion_at(cal, got.start, proc) == oracle_completion(cal, got.start, proc)
 
     # the named boundaries: a start exactly at a window end is legal,
     # a completion exactly at a window begin is legal
-    assert earliest_start(PlacementQuery(((4, 6),), 6, 0, 2, 2)).start == 6
-    assert earliest_start(PlacementQuery(((4, 6),), 3, 0, 1, 1)).completion == 4
-    assert earliest_start(PlacementQuery(((4, 6),), 3, 0, 2, 2)).completion == 7
+    assert place_one(((4, 6),), 6, 0, 2, 2).start == 6
+    assert place_one(((4, 6),), 3, 0, 1, 1).completion == 4
+    assert place_one(((4, 6),), 3, 0, 2, 2).completion == 7
     # a length-3 setup cannot straddle [4, 6]: first fit ends at 9
-    assert earliest_start(PlacementQuery(((4, 6),), 6, 3, 2, 2)).start == 9
+    assert place_one(((4, 6),), 6, 3, 2, 2).start == 9
     print("criterion 2: 1000 placement queries match the unit-step oracle")
 
 
@@ -117,15 +113,12 @@ def random_structure(inst, rng: Rng):
     respected; a dead end restarts the draw.
     """
     ids = sorted(op.id for op in inst.operations)
+    engine = PlacementEngine(inst)
     for _ in range(100):
-        engine = PlacementEngine(inst)
-        state = PlaceState()
-        assignment = {}
-        seqs = {mc.id: [] for mc in inst.machines}
-        pred_left = {i: len(inst.predecessors[i]) for i in ids}
-        ready = [i for i in ids if pred_left[i] == 0]
+        state = PlaceState(inst)
         dead = False
-        while ready:
+        while len(state.placed) < len(ids):
+            ready = [i for i in ids if i not in state.placed and state.pred_left[i] == 0]
             i = ready[rng.uniform(0, len(ready) - 1)]
             ks = sorted(inst.op(i).eligible)
             k = ks[rng.uniform(0, len(ks) - 1)]
@@ -147,16 +140,8 @@ def random_structure(inst, rng: Rng):
                     dead = True
                     break
             engine.commit(state, i, rec)
-            assignment[i] = k
-            seqs[k].append(i)
-            ready.remove(i)
-            for j in inst.successors[i]:
-                pred_left[j] -= 1
-                if pred_left[j] == 0:
-                    ready.append(j)
-            ready.sort()
         if not dead:
-            return assignment, seqs, state.placed
+            return {i: rec.machine for i, rec in state.placed.items()}, state.seqs, state.placed
     raise AssertionError("no decodable structure found in 100 draws")
 
 

@@ -1,0 +1,32 @@
+"""Module boundaries of the package: no private names cross modules."""
+
+import ast
+import pathlib
+
+import flexshop
+
+SRC = pathlib.Path(flexshop.__file__).resolve().parent
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("flexshop"):
+                continue  # the standard library
+            offenders += [f"{path.name}:{node.lineno} imports {alias.name} from "
+                          f"{'.' * node.level}{node.module or ''}"
+                          for alias in node.names if is_private(alias.name)]
+    assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in flexshop.__all__ if not hasattr(flexshop, name)]
+    assert missing == []
+    assert len(set(flexshop.__all__)) == len(flexshop.__all__)

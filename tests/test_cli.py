@@ -10,6 +10,7 @@ from flexshop.milp import build_model, emit_lp
 from flexshop.model import validate_instance
 
 from lputil import parse_lp
+from make_goldens import SOLVE_DIGESTS, solve_digests
 
 
 def gen_instance(tmp_path, name="inst.json", klass="small", k="1", seed="5"):
@@ -94,6 +95,12 @@ def test_solve_time_limit_zero_still_exits_cleanly(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["status"] in ("limit", "optimal")
     assert result["schedule"] is not None
+
+
+def test_solve_outputs_match_the_pinned_digests(tmp_path):
+    # every byte of greedy, exact and brute-force output except wall_ms is
+    # part of the determinism contract; make_goldens.py regenerates the file
+    assert solve_digests(tmp_path) == json.loads(SOLVE_DIGESTS.read_text())
 
 
 def test_check_flags_a_tampered_schedule(tmp_path, capsys):

@@ -218,6 +218,23 @@ def test_greedy_defers_to_a_pinned_operation():
     assert check_schedule(inst, sched) == []
 
 
+def test_greedy_defers_to_a_later_pin_once_the_first_is_placed():
+    # op 2 fits neither before op 1's pin at 0 nor, once op 1 is placed,
+    # before op 3's pin at 10; it must wait behind both
+    inst = Instance(
+        num_machines=1,
+        operations=(Operation(1, 1, {1: 1}, fixed=(1, 0)), Operation(2, 2, {1: 11}),
+                    Operation(3, 3, {1: 2}, fixed=(1, 10))),
+        arcs=(),
+        machines=(Machine(1, setup_first={1: 0, 2: 0, 3: 0},
+                          setup_between={(a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b}),))
+    assert validate_instance(inst) == []
+    sched = solve_greedy(inst)
+    assert check_schedule(inst, sched) == []
+    assert sched.sequences == {1: (1, 3, 2)}
+    assert makespan(sched) == 23 == brute_force(inst).makespan
+
+
 def test_greedy_raises_when_pins_block_everything():
     with pytest.raises(DecodeInfeasible, match="pinned|placed"):
         solve_greedy(pinned_at_zero())

@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
+from flexshop.generator import GenParams, generate
 from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, validate_instance
 from flexshop.rng import Rng
-from flexshop.timing import (DecodeInfeasible, PlacementQuery, check_schedule,
-                             completion_time, decode, earliest_start,
-                             iter_one_unit_left_shifts, makespan)
+from flexshop.timing import (DecodeInfeasible, PlacementEngine, PlaceState,
+                             check_schedule, decode, makespan)
 
-from oracles import oracle_completion, oracle_earliest, start_legal
+from oracles import iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
 
 
 def rules_of(violations):
@@ -22,63 +22,87 @@ def tampered(sched: Schedule, op_id: int, **changes) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# completion_time / earliest_start
+# earliest start and completion: PlacementEngine.placement of a lone operation
 # ---------------------------------------------------------------------------
+
+
+def place_one(calendar, ready, setup_len, proc, partial, pinned=None) -> ScheduledOp:
+    """The engine's placement of the only operation of a one-machine instance.
+
+    The operation is released at `ready` with first setup `setup_len`.
+    theta_hundredths = 100 * partial // proc gives partial_units == partial
+    exactly for every proc <= 100.
+    """
+    op = Operation(1, 1, {1: proc}, theta_hundredths=100 * partial // proc, release=ready,
+                   fixed=None if pinned is None else (1, pinned))
+    assert op.partial_units(1) == partial
+    inst = Instance(num_machines=1, operations=(op,), arcs=(),
+                    machines=(Machine(1, windows=tuple(calendar), setup_first={1: setup_len},
+                                      setup_between={}),))
+    return PlacementEngine(inst).placement(PlaceState(inst), 1, 1)
+
+
+def times(so: ScheduledOp) -> tuple[int, int, int, int]:
+    return so.setup_start, so.start, so.partial_completion, so.completion
+
+
+def completion_at(calendar, start, duration) -> int:
+    """Completion of `duration` units pinned to `start`; a start inside a
+    window raises DecodeInfeasible."""
+    so = place_one(calendar, 0, 0, duration, duration, pinned=start)
+    assert so.start == start
+    return so.completion
 
 
 def test_completion_time_resumes_after_window():
     cal = ((10, 15),)
     # 7 units done by t=10, the rest waits out the window
-    assert completion_time(cal, 3, 8) == 16
-    assert completion_time(cal, 0, 10) == 10  # finishes exactly at the window begin
-    assert completion_time(cal, 15, 2) == 17
-    assert completion_time((), 4, 5) == 9
+    assert completion_at(cal, 3, 8) == 16
+    assert completion_at(cal, 0, 10) == 10  # finishes exactly at the window begin
+    assert completion_at(cal, 15, 2) == 17
+    assert completion_at((), 4, 5) == 9
 
 
 def test_completion_time_rejects_start_inside_window():
-    with pytest.raises(ValueError):
-        completion_time(((10, 15),), 10, 1)
-    with pytest.raises(ValueError):
-        completion_time(((10, 15),), 14, 1)
+    with pytest.raises(DecodeInfeasible, match="pinned"):
+        completion_at(((10, 15),), 10, 1)
+    with pytest.raises(DecodeInfeasible, match="pinned"):
+        completion_at(((10, 15),), 14, 1)
     # the last legal moments around the window
-    assert completion_time(((10, 15),), 9, 1) == 10
-    assert completion_time(((10, 15),), 15, 1) == 16
-    assert completion_time((), 5, 7) == 12
+    assert completion_at(((10, 15),), 9, 1) == 10
+    assert completion_at(((10, 15),), 15, 1) == 16
+    assert completion_at((), 5, 7) == 12
 
 
 def test_earliest_start_example_single_window():
-    res = earliest_start(PlacementQuery(((10, 15),), ready=5, setup_len=3, proc=9, partial=4))
-    assert res == (2, 5, 9, 19)
+    assert times(place_one(((10, 15),), ready=5, setup_len=3, proc=9, partial=4)) == (2, 5, 9, 19)
 
 
 def test_earliest_start_example_two_windows():
-    res = earliest_start(PlacementQuery(((4, 6), (10, 15)), ready=5, setup_len=2, proc=3, partial=2))
+    res = place_one(((4, 6), (10, 15)), ready=5, setup_len=2, proc=3, partial=2)
     # ready=5 falls inside [4,6] for setup purposes, so the start jumps to 6+2
-    assert res == (6, 8, 10, 16)
+    assert times(res) == (6, 8, 10, 16)
 
 
 def test_earliest_start_boundaries():
     cal = ((4, 6),)
-    assert earliest_start(PlacementQuery(cal, 3, 0, 1, 1)).start == 3
-    assert earliest_start(PlacementQuery(cal, 4, 0, 1, 1)).start == 6
-    assert earliest_start(PlacementQuery(cal, 5, 0, 1, 1)).start == 6
+    assert place_one(cal, 3, 0, 1, 1).start == 3
+    assert place_one(cal, 4, 0, 1, 1).start == 6
+    assert place_one(cal, 5, 0, 1, 1).start == 6
     # a setup may end exactly where a window begins
-    assert earliest_start(PlacementQuery(cal, 2, 2, 1, 1)) == (0, 2, 3, 3)
+    assert times(place_one(cal, 2, 2, 1, 1)) == (0, 2, 3, 3)
     # but it may not straddle the window: ready 6 with a length-3 setup waits
-    assert earliest_start(PlacementQuery(cal, 6, 3, 1, 1)) == (6, 9, 10, 10)
+    assert times(place_one(cal, 6, 3, 1, 1)) == (6, 9, 10, 10)
 
 
 def test_earliest_start_setup_rides_up_to_the_window():
     cal = ((10, 15),)
     # ready 8: the setup [5, 8] ends before the window, two units run, the
     # window suspends the rest until 15
-    assert earliest_start(PlacementQuery(cal, ready=8, setup_len=3, proc=4, partial=4)) \
-        == (5, 8, 17, 17)
+    assert times(place_one(cal, ready=8, setup_len=3, proc=4, partial=4)) == (5, 8, 17, 17)
     # ready 10 sits inside the window, so setup and start both move past it
-    assert earliest_start(PlacementQuery(cal, ready=10, setup_len=3, proc=4, partial=4)) \
-        == (15, 18, 22, 22)
-    assert earliest_start(PlacementQuery((), ready=0, setup_len=0, proc=1, partial=1)) \
-        == (0, 0, 1, 1)
+    assert times(place_one(cal, ready=10, setup_len=3, proc=4, partial=4)) == (15, 18, 22, 22)
+    assert times(place_one((), ready=0, setup_len=0, proc=1, partial=1)) == (0, 0, 1, 1)
 
 
 def random_calendar(rng: Rng) -> tuple[tuple[int, int], ...]:
@@ -100,11 +124,58 @@ def test_earliest_start_agrees_with_unit_step_oracle():
         setup = rng.uniform(0, 5)
         proc = rng.uniform(1, 12)
         partial = rng.uniform(1, proc)
-        got = earliest_start(PlacementQuery(cal, ready, setup, proc, partial))
+        got = place_one(cal, ready, setup, proc, partial)
         want = oracle_earliest(cal, ready, setup, proc, partial)
-        assert tuple(got) == want, (cal, ready, setup, proc, partial)
+        assert times(got) == want, (cal, ready, setup, proc, partial)
         assert start_legal(cal, got.start)
-        assert completion_time(cal, got.start, proc) == oracle_completion(cal, got.start, proc)
+        assert completion_at(cal, got.start, proc) == oracle_completion(cal, got.start, proc)
+
+
+def placement_or_none(engine, state, i, k):
+    try:
+        return engine.placement(state, i, k)
+    except DecodeInfeasible:
+        return None
+
+
+def ready_pairs(inst, state):
+    return [(i, k) for i in sorted(state.pred_left)
+            if i not in state.placed and state.pred_left[i] == 0
+            for k in sorted(inst.op(i).eligible)]
+
+
+def test_undo_restores_a_fresh_replay_of_the_prefix():
+    rng = Rng(31337)
+    undone = 0
+    for seed in range(1, 31):
+        inst = generate(GenParams(n=2, o_min=2, o_max=4, m_min=2, m_max=3, q=2, seed=seed))
+        engine = PlacementEngine(inst)
+        state = PlaceState(inst)
+        log = []  # (op, machine) in commit order
+        while True:
+            options = [(i, rec) for i, k in ready_pairs(inst, state)
+                       if (rec := placement_or_none(engine, state, i, k)) is not None]
+            if not options:
+                break
+            i, rec = options[rng.uniform(0, len(options) - 1)]
+            engine.commit(state, i, rec)
+            log.append((i, rec.machine))
+        assert log
+        while log:
+            i, _ = log.pop()
+            engine.undo(state, i)
+            replay = PlaceState(inst)
+            for j, k in log:
+                engine.commit(replay, j, engine.placement(replay, j, k))
+            assert state.placed == replay.placed
+            assert state.seqs == replay.seqs
+            assert state.pred_left == replay.pred_left
+            pairs = ready_pairs(inst, replay)
+            assert pairs == ready_pairs(inst, state) and pairs
+            for j, k in pairs:
+                assert placement_or_none(engine, state, j, k) == placement_or_none(engine, replay, j, k)
+            undone += 1
+    assert undone >= 100
 
 
 # ---------------------------------------------------------------------------
