@@ -10,7 +10,7 @@ heuristic, :mod:`flexshop.gantt` SVG rendering, and :mod:`flexshop.cli` the
 command-line front end.
 """
 
-from .generator import GenParams, JobDag, gen_job_dag, generate, params_for_class, with_full_overlap
+from .generator import GenParams, JobDag, gen_job_dag, generate, params_for_class
 from .jsonio import (FormatError, dumps_instance, dumps_report, dumps_schedule,
                      instance_from_dict, instance_to_dict, loads_instance,
                      loads_schedule, schedule_from_dict, schedule_to_dict)
@@ -35,6 +35,5 @@ __all__ = [
     "generate", "greedy_result", "instance_from_dict", "instance_to_dict",
     "loads_instance", "loads_schedule", "makespan", "params_for_class",
     "render_svg", "schedule_from_dict", "schedule_to_dict", "solve_exact",
-    "solve_greedy", "topological_order", "validate_instance",
-    "with_full_overlap", "__version__",
+    "solve_greedy", "topological_order", "validate_instance", "__version__",
 ]

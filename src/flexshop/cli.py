@@ -74,7 +74,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.alg == "exact":
         result = solve_exact(inst, time_limit=args.time_limit, node_limit=args.node_limit)
     elif args.alg == "brute":
-        result = brute_force(inst)
+        result = brute_force(inst, time_limit=args.time_limit, node_limit=args.node_limit)
     else:
         try:
             result = greedy_result(inst)
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance", help="instance JSON path, - for stdin")
     p.add_argument("--alg", choices=("exact", "greedy", "brute"), default="exact")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds, exact search only")
-    p.add_argument("--node-limit", type=int, default=None, help="search nodes, exact search only")
+    p.add_argument("--time-limit", type=float, default=None, help="seconds, exact and brute")
+    p.add_argument("--node-limit", type=int, default=None, help="search nodes, exact and brute")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")
     p.set_defaults(fn=_cmd_solve)
 

@@ -21,7 +21,7 @@ instances. The draw order is part of the format and must not be reshuffled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import Instance, Machine, Operation, SetupRule
 from .rng import Rng
@@ -213,8 +213,3 @@ def generate(params: GenParams) -> Instance:
     machines = tuple(Machine(id=k, windows=windows[k], setup_rule=rules[k]) for k in range(1, m + 1))
     return Instance(num_machines=m, operations=operations, arcs=tuple(arcs), machines=machines)
 
-
-def with_full_overlap(inst: Instance) -> Instance:
-    """The same instance with every overlap fraction forced to 1."""
-    ops = tuple(replace(op, theta_hundredths=100) for op in inst.operations)
-    return Instance(num_machines=inst.num_machines, operations=ops, arcs=inst.arcs, machines=inst.machines)

@@ -49,9 +49,6 @@ class MilpModel:
     constraints: tuple[Row, ...]
     objective: str = "Cmax"
 
-    def binaries(self) -> list[str]:
-        return [v.name for v in self.variables if v.kind == "B"]
-
 
 @dataclass(frozen=True)
 class RowViolation:

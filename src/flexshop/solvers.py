@@ -1,11 +1,12 @@
 """Exact search, exhaustive enumeration, and a left-tight list heuristic.
 
-All three build schedules in a :class:`flexshop.timing.PlaceState` through
-:class:`flexshop.timing.PlacementEngine`, so a schedule any of them returns
+All three grow schedules in a :class:`flexshop.timing.PlacementEngine`,
+appending operations from its ready set, so a schedule any of them returns
 is by construction the left-tight decoding of its decision structure and
 passes the checker. :func:`brute_force`, :func:`solve_exact` and
 :func:`greedy_result` report through one :class:`SolveResult` path;
-:func:`solve_greedy` returns the bare schedule.
+:func:`solve_greedy` returns the bare schedule. :func:`brute_force` and
+:func:`solve_exact` honor the same time and node limits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .model import Instance, Schedule
-from .timing import DecodeInfeasible, PlacementEngine, PlaceState, decode, makespan
+from .timing import DecodeInfeasible, PlacementEngine, decode, makespan
 
 _INF = float("inf")
 
@@ -57,19 +58,28 @@ class _SearchLimit(Exception):
     pass
 
 
+def _over_limit(t0: float, nodes: int, time_limit: float | None, node_limit: int | None) -> bool:
+    """Whether a search started at `t0` must stop before its next node."""
+    return ((node_limit is not None and nodes >= node_limit)
+            or (time_limit is not None and perf_counter() - t0 > time_limit))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 
 
-def brute_force(inst: Instance) -> SolveResult:
+def brute_force(inst: Instance, time_limit: float | None = None,
+                node_limit: int | None = None) -> SolveResult:
     """Decode every assignment and every per-machine permutation.
 
     Only strict improvements replace the incumbent and structures are visited
     in lexicographic order (assignments, then sequences, machines ascending),
-    so ties resolve to the lexicographically first optimal structure. Strictly
-    a reference implementation: the structure count is exponential, keep it to
-    a handful of operations.
+    so ties resolve to the lexicographically first optimal structure. Each
+    decoded structure is one node, and the limits are checked before each
+    one; a tripped limit gives status "limit" with the best structure so far
+    and no lower bound. Strictly a reference implementation: the structure
+    count is exponential, keep it to a handful of operations.
     """
     t0 = perf_counter()
     ids = sorted(op.id for op in inst.operations)
@@ -83,6 +93,8 @@ def brute_force(inst: Instance) -> SolveResult:
         assignment = dict(zip(ids, combo))
         per_machine = {k: [i for i in ids if assignment[i] == k] for k in machine_ids}
         for perms in itertools.product(*(itertools.permutations(per_machine[k]) for k in machine_ids)):
+            if _over_limit(t0, tried, time_limit, node_limit):
+                return _result("limit", t0, tried, best)
             tried += 1
             sequences = dict(zip(machine_ids, perms))
             try:
@@ -110,7 +122,7 @@ class _Bounder:
     predecessors' partial completions, placed ones exact, unplaced ones
     bounded by head plus their own minimum partial length); and per machine
     the completion of its tail, the last operation of its sequence in the
-    state, plus the processing still owed to it by unplaced operations
+    engine, plus the processing still owed to it by unplaced operations
     eligible nowhere else.
     """
 
@@ -124,18 +136,18 @@ class _Bounder:
         self.pbmin = {op.id: min(op.partial_units(k) for k in op.eligible) for op in inst.operations}
         self.solo = {op.id: next(iter(op.eligible)) for op in inst.operations if len(op.eligible) == 1}
 
-    def bound(self, state: PlaceState) -> int:
+    def bound(self, engine: PlacementEngine) -> int:
         lb = 0
         head: dict[int, int] = {}
         for i in self.topo:
-            rec = state.placed.get(i)
+            rec = engine.placed.get(i)
             if rec is not None:
                 lb = max(lb, rec.completion)
                 continue
             h = self.inst.op(i).release
             floor = 0
             for p in self.preds[i]:
-                prec = state.placed.get(p)
+                prec = engine.placed.get(p)
                 if prec is not None:
                     h = max(h, prec.partial_completion)
                     floor = max(floor, prec.completion)
@@ -146,11 +158,11 @@ class _Bounder:
 
         owed: dict[int, int] = {}
         for i, k in self.solo.items():
-            if i not in state.placed:
+            if i not in engine.placed:
                 owed[k] = owed.get(k, 0) + self.inst.op(i).eligible[k]
         for k, extra in owed.items():
-            seq = state.seqs[k]
-            lb = max(lb, (state.placed[seq[-1]].completion if seq else 0) + extra)
+            seq = engine.seqs[k]
+            lb = max(lb, (engine.placed[seq[-1]].completion if seq else 0) + extra)
         return lb
 
 
@@ -184,9 +196,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     except DecodeInfeasible:
         pass
 
-    state = PlaceState(inst)
-    pred_left = state.pred_left
-    root_lb = bounder.bound(state)
+    root_lb = bounder.bound(engine)
     nodes = 0
     if incumbent is not None and ub <= root_lb:
         return _result("optimal", t0, 0, incumbent, ub)
@@ -200,29 +210,25 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
 
     def descend() -> None:
         nonlocal incumbent, ub, nodes
-        if len(state.placed) == len(ids):
-            mk = max(so.completion for so in state.placed.values())
+        if len(engine.placed) == len(ids):
+            mk = max(so.completion for so in engine.placed.values())
             if mk < ub:
                 ub = mk
-                incumbent = state.schedule()
+                incumbent = engine.schedule()
             return
-        for i in ids:
-            if i in state.placed or pred_left[i]:
-                continue
+        for i in sorted(engine.ready):  # a copy: commit and undo below change the set
             for k in machine_order[i]:
-                if node_limit is not None and nodes >= node_limit:
-                    raise _SearchLimit
-                if time_limit is not None and perf_counter() - t0 > time_limit:
+                if _over_limit(t0, nodes, time_limit, node_limit):
                     raise _SearchLimit
                 try:
-                    rec = engine.placement(state, i, k)
+                    rec = engine.placement(i, k)
                 except DecodeInfeasible:
                     continue
-                engine.commit(state, i, rec)
+                engine.commit(i, rec)
                 nodes += 1
-                if bounder.bound(state) < ub:
+                if bounder.bound(engine) < ub:
                     descend()
-                engine.undo(state, i)
+                engine.undo(i)
 
     hit_limit = False
     try:
@@ -253,9 +259,7 @@ def solve_greedy(inst: Instance) -> Schedule:
     DecodeInfeasible.
     """
     engine = PlacementEngine(inst)
-    state = PlaceState(inst)
-    ids = sorted(op.id for op in inst.operations)
-    ready = [i for i in ids if state.pred_left[i] == 0]
+    n_ops = len(inst.operations)
     cache: dict[int, dict[int, object]] = {mc.id: {} for mc in inst.machines}  # machine -> op -> placement at its tail
 
     pins: dict[int, list[tuple[int, int]]] = {}  # machine -> unplaced (pinned start, op), ascending
@@ -265,9 +269,9 @@ def solve_greedy(inst: Instance) -> Schedule:
     for pending in pins.values():
         pending.sort()
 
-    while len(state.placed) < len(ids):
-        best = None  # (completion, op, machine, record)
-        for i in ready:
+    while len(engine.placed) < n_ops:
+        best = None  # (completion, op, machine, record); the key decides ties, not the scan order
+        for i in engine.ready:
             op = inst.op(i)
             for k in sorted(op.eligible):
                 at_k = cache[k]
@@ -275,7 +279,7 @@ def solve_greedy(inst: Instance) -> Schedule:
                     rec = at_k[i]
                 else:
                     try:
-                        rec = engine.placement(state, i, k)
+                        rec = engine.placement(i, k)
                     except DecodeInfeasible:
                         rec = None
                     at_k[i] = rec
@@ -289,19 +293,16 @@ def solve_greedy(inst: Instance) -> Schedule:
                 if best is None or (rec.completion, i, k) < (best[0], best[1], best[2]):
                     best = (rec.completion, i, k, rec)
         if best is None:
-            stuck = sorted(i for i in ids if i not in state.placed)
+            stuck = sorted(op.id for op in inst.operations if op.id not in engine.placed)
             raise DecodeInfeasible(
                 f"no operation can be placed (pinned starts block every candidate) among {stuck}")
         _, i, k, rec = best
-        engine.commit(state, i, rec)
+        engine.commit(i, rec)
         cache[k].clear()
         fixed = inst.op(i).fixed
         if fixed is not None:
             pins[k].remove((fixed[1], i))
-        ready.remove(i)
-        ready.extend(j for j in inst.successors[i] if state.pred_left[j] == 0)
-        ready.sort()
-    return state.schedule()
+    return engine.schedule()
 
 
 def greedy_result(inst: Instance) -> SolveResult:
@@ -311,4 +312,4 @@ def greedy_result(inst: Instance) -> SolveResult:
     """
     t0 = perf_counter()
     sched = solve_greedy(inst)
-    return _result("feasible", t0, 0, sched, _Bounder(inst).bound(PlaceState(inst)))
+    return _result("feasible", t0, 0, sched, _Bounder(inst).bound(PlacementEngine(inst)))

@@ -71,30 +71,14 @@ def _earliest_legal(calendar: Calendar, ready: int, setup_len: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class PlaceState:
-    """A partial schedule built by appending operations to machine sequences.
+class PlacementEngine:
+    """One partial schedule, grown by appending operations to machine tails.
 
     `placed` maps each placed operation to its record, `seqs` lists each
-    machine's operations in append order (its tail is the last entry), and
-    `pred_left` counts each operation's unplaced graph predecessors, so an
-    unplaced operation is ready when its count is zero. Only
-    :meth:`PlacementEngine.commit` and :meth:`PlacementEngine.undo` change it.
-    """
-
-    __slots__ = ("placed", "seqs", "pred_left")
-
-    def __init__(self, inst: Instance) -> None:
-        self.placed: dict[int, ScheduledOp] = {}
-        self.seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
-        self.pred_left: dict[int, int] = {op.id: len(inst.predecessors[op.id]) for op in inst.operations}
-
-    def schedule(self) -> Schedule:
-        """A snapshot of the placed operations and the machine sequences."""
-        return Schedule(ops=dict(self.placed), sequences={k: tuple(s) for k, s in self.seqs.items()})
-
-
-class PlacementEngine:
-    """Appends operations to machine tails at their earliest legal times.
+    machine's operations in append order (its tail is the last entry),
+    `pred_left` counts each operation's unplaced graph predecessors, and
+    `ready` holds the unplaced operations whose count is zero. Only
+    :meth:`commit` and :meth:`undo` change them.
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
@@ -110,9 +94,13 @@ class PlacementEngine:
         self.calendars = {mc.id: mc.windows for mc in inst.machines}
         self.preds = inst.predecessors
         self.succs = inst.successors
+        self.placed: dict[int, ScheduledOp] = {}
+        self.seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
+        self.pred_left: dict[int, int] = {op.id: len(self.preds[op.id]) for op in inst.operations}
+        self.ready: set[int] = {i for i, n in self.pred_left.items() if n == 0}
 
-    def placement(self, state: PlaceState, op_id: int, machine_id: int) -> ScheduledOp:
-        """Compute the earliest placement without mutating `state`.
+    def placement(self, op_id: int, machine_id: int) -> ScheduledOp:
+        """Compute the earliest placement at `machine_id`'s tail; changes nothing.
 
         Raises DecodeInfeasible when a pinned operation cannot run exactly at
         its pinned start in this position.
@@ -120,19 +108,19 @@ class PlacementEngine:
         inst = self.inst
         op = inst.op(op_id)
         calendar = self.calendars[machine_id]
-        seq = state.seqs[machine_id]
+        seq = self.seqs[machine_id]
         if not seq:
             setup_len = inst.setup_first(machine_id, op_id)
-            ready = op.release
+            start_floor = op.release
         else:
             prev = seq[-1]
             setup_len = inst.setup_between(machine_id, prev, op_id)
-            ready = max(op.release, state.placed[prev].completion + setup_len)
+            start_floor = max(op.release, self.placed[prev].completion + setup_len)
 
         completion_floor = 0
         for p in self.preds[op_id]:
-            rec = state.placed[p]
-            ready = max(ready, rec.partial_completion)
+            rec = self.placed[p]
+            start_floor = max(start_floor, rec.partial_completion)
             completion_floor = max(completion_floor, rec.completion)
 
         proc = op.eligible[machine_id]
@@ -140,7 +128,7 @@ class PlacementEngine:
 
         if op.fixed is not None:
             pinned = op.fixed[1]
-            s = _earliest_legal(calendar, max(ready, pinned), setup_len)
+            s = _earliest_legal(calendar, max(start_floor, pinned), setup_len)
             if s != pinned:
                 raise DecodeInfeasible(
                     f"operation {op_id} is pinned to start {pinned} but the earliest "
@@ -151,7 +139,7 @@ class PlacementEngine:
                     f"operation {op_id} is pinned to start {pinned} yet must not "
                     f"complete before {completion_floor}")
         else:
-            s = _earliest_legal(calendar, ready, setup_len)
+            s = _earliest_legal(calendar, start_floor, setup_len)
             completion = _finish(calendar, s, proc)
             if completion < completion_floor:
                 s, completion = self._lift(calendar, s, setup_len, proc, completion_floor)
@@ -185,19 +173,28 @@ class PlacementEngine:
         s = _earliest_legal(calendar, lo, setup_len)
         return s, _finish(calendar, s, proc)
 
-    def commit(self, state: PlaceState, op_id: int, rec: ScheduledOp) -> None:
-        """Append `op_id` to its machine's sequence with placement `rec`."""
-        state.placed[op_id] = rec
-        state.seqs[rec.machine].append(op_id)
+    def commit(self, op_id: int, rec: ScheduledOp) -> None:
+        """Append the ready operation `op_id` to its machine with placement `rec`."""
+        self.placed[op_id] = rec
+        self.seqs[rec.machine].append(op_id)
+        self.ready.remove(op_id)
         for j in self.succs[op_id]:
-            state.pred_left[j] -= 1
+            self.pred_left[j] -= 1
+            if not self.pred_left[j]:
+                self.ready.add(j)
 
-    def undo(self, state: PlaceState, op_id: int) -> None:
+    def undo(self, op_id: int) -> None:
         """Reverse the latest commit, which must be the one of `op_id`."""
-        rec = state.placed.pop(op_id)
-        state.seqs[rec.machine].pop()
+        rec = self.placed.pop(op_id)
+        self.seqs[rec.machine].pop()
         for j in self.succs[op_id]:
-            state.pred_left[j] += 1
+            self.ready.discard(j)
+            self.pred_left[j] += 1
+        self.ready.add(op_id)
+
+    def schedule(self) -> Schedule:
+        """A snapshot of the placed operations and the machine sequences."""
+        return Schedule(ops=dict(self.placed), sequences={k: tuple(s) for k, s in self.seqs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +231,15 @@ def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequ
                 raise ValueError(f"operation {i} appears in machine {k}'s sequence but is assigned to {assignment[i]}")
 
     engine = PlacementEngine(inst)
-    state = PlaceState(inst)
-    for _ in range(len(ids)):
-        best = None
-        for k in sorted(seq):
-            front = len(state.seqs[k])
-            if front < len(seq[k]):
-                i = seq[k][front]
-                if state.pred_left[i] == 0 and (best is None or i < best[0]):
-                    best = (i, k)
-        if best is None:
-            stuck = sorted(i for i in ids if i not in state.placed)
+    position = {i: n for ops_here in seq.values() for n, i in enumerate(ops_here)}
+    while len(engine.placed) < len(ids):
+        fronts = [i for i in engine.ready if position[i] == len(engine.seqs[assignment[i]])]
+        if not fronts:
+            stuck = sorted(ids - engine.placed.keys())
             raise DecodeInfeasible(f"deadlock: no placeable operation among {stuck}")
-        i, k = best
-        engine.commit(state, i, engine.placement(state, i, k))
-    return state.schedule()
+        i = min(fronts)
+        engine.commit(i, engine.placement(i, assignment[i]))
+    return engine.schedule()
 
 
 def makespan(sched: Schedule) -> int:
@@ -319,10 +310,11 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
             out.append(Violation("fixed operation moved", (i,),
                                  f"pinned to machine {op.fixed[0]} at {op.fixed[1]}, scheduled on {so.machine} at {so.start}"))
 
-        calendar = inst.machine(so.machine).windows if so.machine in inst.machines_by_id else ()
-        if so.machine not in inst.machines_by_id:
+        mc = inst.machines_by_id.get(so.machine)
+        if mc is None:
             out.append(Violation("structure", (i,), f"machine {so.machine} does not exist"))
             continue
+        calendar = mc.windows
         for b, e in calendar:
             if b <= so.start <= e - 1:
                 out.append(Violation("start inside unavailability", (i,),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from flexshop.model import Schedule
+from flexshop.model import Instance, Schedule
 
 
 def unit_free(windows, t: int) -> bool:
@@ -74,3 +74,9 @@ def iter_one_unit_left_shifts(inst, sched):
             partial_completion=oracle_completion(windows, s, op.partial_units(so.machine)),
             completion=oracle_completion(windows, s, op.eligible[so.machine]))
         yield i, Schedule(ops={**sched.ops, i: shifted}, sequences=sched.sequences)
+
+
+def with_full_overlap(inst: Instance) -> Instance:
+    """The same instance with every overlap fraction forced to 1."""
+    ops = tuple(dataclasses.replace(op, theta_hundredths=100) for op in inst.operations)
+    return Instance(num_machines=inst.num_machines, operations=ops, arcs=inst.arcs, machines=inst.machines)

@@ -17,16 +17,16 @@ from time import perf_counter
 import pytest
 
 from flexshop.cli import main
-from flexshop.generator import GenParams, gen_job_dag, generate, params_for_class, with_full_overlap
+from flexshop.generator import GenParams, gen_job_dag, generate, params_for_class
 from flexshop.jsonio import loads_instance, loads_schedule
 from flexshop.milp import evaluate_schedule
 from flexshop.model import big_m_constants
 from flexshop.rng import Rng
 from flexshop.solvers import brute_force, solve_exact, solve_greedy
-from flexshop.timing import (DecodeInfeasible, PlaceState, PlacementEngine,
-                             check_schedule, decode, makespan)
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
-from oracles import iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
+from oracles import (iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal,
+                     with_full_overlap)
 from test_timing import completion_at, place_one, times
 
 TINY = [GenParams(n=2, o_min=2, o_max=3, m_min=1, m_max=2, q=1, seed=s)
@@ -112,24 +112,22 @@ def random_structure(inst, rng: Rng):
     machines through the real placement engine, so pinned operations are
     respected; a dead end restarts the draw.
     """
-    ids = sorted(op.id for op in inst.operations)
-    engine = PlacementEngine(inst)
     for _ in range(100):
-        state = PlaceState(inst)
+        engine = PlacementEngine(inst)
         dead = False
-        while len(state.placed) < len(ids):
-            ready = [i for i in ids if i not in state.placed and state.pred_left[i] == 0]
+        while len(engine.placed) < len(inst.operations):
+            ready = sorted(engine.ready)
             i = ready[rng.uniform(0, len(ready) - 1)]
             ks = sorted(inst.op(i).eligible)
             k = ks[rng.uniform(0, len(ks) - 1)]
             try:
-                rec = engine.placement(state, i, k)
+                rec = engine.placement(i, k)
             except DecodeInfeasible:
                 rec = None
                 for i2 in ready:
                     for k2 in sorted(inst.op(i2).eligible):
                         try:
-                            rec = engine.placement(state, i2, k2)
+                            rec = engine.placement(i2, k2)
                             i, k = i2, k2
                             break
                         except DecodeInfeasible:
@@ -139,9 +137,9 @@ def random_structure(inst, rng: Rng):
                 if rec is None:
                     dead = True
                     break
-            engine.commit(state, i, rec)
+            engine.commit(i, rec)
         if not dead:
-            return {i: rec.machine for i, rec in state.placed.items()}, state.seqs, state.placed
+            return {i: rec.machine for i, rec in engine.placed.items()}, engine.seqs, engine.placed
     raise AssertionError("no decodable structure found in 100 draws")
 
 

@@ -1,10 +1,11 @@
 import pytest
 
-from flexshop.generator import (GenParams, gen_job_dag, generate,
-                                params_for_class, with_full_overlap)
+from flexshop.generator import GenParams, gen_job_dag, generate, params_for_class
 from flexshop.jsonio import dumps_instance
 from flexshop.model import validate_instance
 from flexshop.rng import Rng
+
+from oracles import with_full_overlap
 
 
 def _ceil_div(a, b):

@@ -29,7 +29,7 @@ def test_binary_variables_of_the_chain_model():
     inst, _ = golden("chain")
     model = build_model(inst)
     # 2 assignment, 2 order, and 2 ops x 1 window x 3 indicator families
-    assert model.binaries() == [
+    assert [v.name for v in model.variables if v.kind == "B"] == [
         "x_1_1", "x_2_1", "yI_1_2_1", "yI_2_1_1",
         "v_1_1_1", "v_2_1_1", "w_1_1_1", "w_2_1_1", "wb_1_1_1", "wb_2_1_1",
     ]

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
-from flexshop.generator import GenParams, generate
-from flexshop.model import Instance, Machine, Operation, validate_instance
+from flexshop.generator import GenParams, generate, params_for_class
+from flexshop.model import CycleError, Instance, Machine, Operation, validate_instance
 from flexshop.solvers import brute_force, solve_exact, solve_greedy
-from flexshop.timing import DecodeInfeasible, check_schedule, makespan
+from flexshop.timing import DecodeInfeasible, check_schedule, decode, makespan
 
 from test_timing import serial_instance
 
@@ -93,6 +95,15 @@ def test_brute_force_is_deterministic():
     b = brute_force(flexible_instance())
     assert a.schedule == b.schedule
     assert (a.status, a.makespan, a.nodes) == (b.status, b.makespan, b.nodes)
+
+
+def test_brute_force_stops_at_its_limits():
+    inst = generate(replace(params_for_class("small", 15), seed=42))
+    res = brute_force(inst, node_limit=200)
+    assert (res.status, res.nodes, res.lower_bound, res.gap) == ("limit", 200, None, None)
+    assert check_schedule(inst, res.schedule) == []
+    res = brute_force(inst, time_limit=0)
+    assert (res.status, res.nodes, res.schedule) == ("limit", 0, None)
 
 
 def pinned_at_zero() -> Instance:
@@ -233,6 +244,23 @@ def test_greedy_defers_to_a_later_pin_once_the_first_is_placed():
     assert check_schedule(inst, sched) == []
     assert sched.sequences == {1: (1, 3, 2)}
     assert makespan(sched) == 23 == brute_force(inst).makespan
+
+
+def test_a_precedence_cycle_stops_every_placement_loop():
+    # unvalidated on purpose: 1 and 2 precede each other, 3 is free, so a loop
+    # that ended on an empty ready set would return after placing 3 alone
+    inst = Instance(
+        num_machines=1,
+        operations=tuple(Operation(i, i, {1: 2}) for i in (1, 2, 3)),
+        arcs=((1, 2), (2, 1)),
+        machines=(Machine(1, setup_first={1: 0, 2: 0, 3: 0},
+                          setup_between={(a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b}),))
+    with pytest.raises(DecodeInfeasible):
+        solve_greedy(inst)
+    with pytest.raises(CycleError):
+        solve_exact(inst)
+    with pytest.raises(DecodeInfeasible, match="deadlock"):
+        decode(inst, {1: 1, 2: 1, 3: 1}, {1: [3, 1, 2]})
 
 
 def test_greedy_raises_when_pins_block_everything():

@@ -3,10 +3,9 @@ import dataclasses
 import pytest
 
 from flexshop.generator import GenParams, generate
-from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, validate_instance
+from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, Violation, validate_instance
 from flexshop.rng import Rng
-from flexshop.timing import (DecodeInfeasible, PlacementEngine, PlaceState,
-                             check_schedule, decode, makespan)
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
 from oracles import iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
 
@@ -39,7 +38,7 @@ def place_one(calendar, ready, setup_len, proc, partial, pinned=None) -> Schedul
     inst = Instance(num_machines=1, operations=(op,), arcs=(),
                     machines=(Machine(1, windows=tuple(calendar), setup_first={1: setup_len},
                                       setup_between={}),))
-    return PlacementEngine(inst).placement(PlaceState(inst), 1, 1)
+    return PlacementEngine(inst).placement(1, 1)
 
 
 def times(so: ScheduledOp) -> tuple[int, int, int, int]:
@@ -131,17 +130,21 @@ def test_earliest_start_agrees_with_unit_step_oracle():
         assert completion_at(cal, got.start, proc) == oracle_completion(cal, got.start, proc)
 
 
-def placement_or_none(engine, state, i, k):
+def placement_or_none(engine, i, k):
     try:
-        return engine.placement(state, i, k)
+        return engine.placement(i, k)
     except DecodeInfeasible:
         return None
 
 
-def ready_pairs(inst, state):
-    return [(i, k) for i in sorted(state.pred_left)
-            if i not in state.placed and state.pred_left[i] == 0
-            for k in sorted(inst.op(i).eligible)]
+def ready_pairs(inst, engine):
+    return [(i, k) for i in sorted(engine.ready) for k in sorted(inst.op(i).eligible)]
+
+
+def ready_by_predecessors(inst, engine):
+    """The unplaced operations whose graph predecessors are all placed."""
+    return {op.id for op in inst.operations if op.id not in engine.placed
+            and all(p in engine.placed for p in inst.predecessors[op.id])}
 
 
 def test_undo_restores_a_fresh_replay_of_the_prefix():
@@ -149,31 +152,31 @@ def test_undo_restores_a_fresh_replay_of_the_prefix():
     undone = 0
     for seed in range(1, 31):
         inst = generate(GenParams(n=2, o_min=2, o_max=4, m_min=2, m_max=3, q=2, seed=seed))
-        engine = PlacementEngine(inst)
-        state = PlaceState(inst)
+        state = PlacementEngine(inst)
         log = []  # (op, machine) in commit order
         while True:
             options = [(i, rec) for i, k in ready_pairs(inst, state)
-                       if (rec := placement_or_none(engine, state, i, k)) is not None]
+                       if (rec := placement_or_none(state, i, k)) is not None]
             if not options:
                 break
             i, rec = options[rng.uniform(0, len(options) - 1)]
-            engine.commit(state, i, rec)
+            state.commit(i, rec)
             log.append((i, rec.machine))
         assert log
         while log:
             i, _ = log.pop()
-            engine.undo(state, i)
-            replay = PlaceState(inst)
+            state.undo(i)
+            replay = PlacementEngine(inst)
             for j, k in log:
-                engine.commit(replay, j, engine.placement(replay, j, k))
+                replay.commit(j, replay.placement(j, k))
             assert state.placed == replay.placed
             assert state.seqs == replay.seqs
             assert state.pred_left == replay.pred_left
+            assert state.ready == replay.ready == ready_by_predecessors(inst, replay)
             pairs = ready_pairs(inst, replay)
             assert pairs == ready_pairs(inst, state) and pairs
             for j, k in pairs:
-                assert placement_or_none(engine, state, j, k) == placement_or_none(engine, replay, j, k)
+                assert placement_or_none(state, j, k) == placement_or_none(replay, j, k)
             undone += 1
     assert undone >= 100
 
@@ -460,6 +463,16 @@ def test_checker_flags_ineligible_assignment():
                           2: ScheduledOp(2, 4, 0, 4, 6, 6)},
                      sequences={1: (), 2: (1, 2)})
     assert "assignment not eligible" in rules_of(check_schedule(inst, sched))
+
+
+def test_checker_reports_an_operation_moved_to_a_missing_machine():
+    inst = serial_instance()
+    moved = tampered(decode(inst, {1: 1, 2: 1}, {1: [1, 2]}), 1, machine=9)
+    assert check_schedule(inst, moved) == [
+        Violation("structure", (1,), "operation not listed in machine 9's sequence"),
+        Violation("assignment not eligible", (1,), "machine 9 is not in the eligible set"),
+        Violation("structure", (1,), "machine 9 does not exist"),
+    ]
 
 
 def test_checker_flags_structural_holes():
