@@ -16,7 +16,7 @@ from .jsonio import (FormatError, dumps_instance, dumps_report, dumps_schedule,
                      loads_schedule, schedule_from_dict, schedule_to_dict)
 from .milp import MilpModel, Row, RowViolation, Var, build_model, emit_lp, evaluate_schedule
 from .model import (BigM, CycleError, Instance, Machine, Operation, Schedule,
-                    ScheduledOp, SetupRule, Violation, big_m_constants,
+                    ScheduledOp, SetupRule, SetupTable, Violation, big_m_constants,
                     topological_order, validate_instance)
 from .rng import Rng
 from .solvers import SolveResult, brute_force, greedy_result, solve_exact, solve_greedy
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BigM", "CycleError", "DecodeInfeasible", "FormatError", "GenParams",
     "Instance", "JobDag", "Machine", "MilpModel", "Operation", "Rng", "Row",
-    "RowViolation", "Schedule", "ScheduledOp", "SetupRule", "SolveResult",
+    "RowViolation", "Schedule", "ScheduledOp", "SetupRule", "SetupTable", "SolveResult",
     "Var", "Violation", "big_m_constants", "brute_force", "build_model",
     "check_schedule", "decode", "dumps_instance", "dumps_report",
     "dumps_schedule", "emit_lp", "evaluate_schedule", "gen_job_dag",

@@ -15,12 +15,13 @@ from dataclasses import replace
 from . import __version__
 from .gantt import render_svg
 from .generator import generate, params_for_class
-from .jsonio import (FormatError, dumps_instance, dumps_report, dumps_schedule,
-                     loads_instance, loads_schedule)
+from .jsonio import FormatError, dumps_instance, dumps_report, loads_instance, loads_schedule
 from .milp import build_model, emit_lp
 from .model import Instance, validate_instance
 from .solvers import brute_force, greedy_result, solve_exact
 from .timing import DecodeInfeasible, check_schedule
+
+BRUTE_NODE_CAP = 100_000  # `solve --alg brute` without limits stops here (about 5 s), not after n! structures
 
 
 def _read(path: str) -> str:
@@ -74,7 +75,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.alg == "exact":
         result = solve_exact(inst, time_limit=args.time_limit, node_limit=args.node_limit)
     elif args.alg == "brute":
-        result = brute_force(inst, time_limit=args.time_limit, node_limit=args.node_limit)
+        no_limit = args.node_limit is None and args.time_limit is None
+        result = brute_force(inst, time_limit=args.time_limit,
+                             node_limit=BRUTE_NODE_CAP if no_limit else args.node_limit)
     else:
         try:
             result = greedy_result(inst)
@@ -132,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON path, - for stdin")
     p.add_argument("--alg", choices=("exact", "greedy", "brute"), default="exact")
     p.add_argument("--time-limit", type=float, default=None, help="seconds, exact and brute")
-    p.add_argument("--node-limit", type=int, default=None, help="search nodes, exact and brute")
+    p.add_argument("--node-limit", type=int, default=None,
+                   help=f"search nodes, exact and brute (brute with neither limit: {BRUTE_NODE_CAP})")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")
     p.set_defaults(fn=_cmd_solve)
 

@@ -210,6 +210,6 @@ def generate(params: GenParams) -> Instance:
                   release=release[i], fixed=fixed.get(i),
                   size=features[i][0], color=features[i][1], varnish=features[i][2])
         for i in range(1, o + 1))
-    machines = tuple(Machine(id=k, windows=windows[k], setup_rule=rules[k]) for k in range(1, m + 1))
+    machines = tuple(Machine(id=k, setup=rules[k], windows=windows[k]) for k in range(1, m + 1))
     return Instance(num_machines=m, operations=operations, arcs=tuple(arcs), machines=machines)
 

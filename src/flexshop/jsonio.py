@@ -13,8 +13,9 @@ Instance shape::
 JSON object keys are strings, so machine keys inside "eligible" and
 "setup_first" are stringified ints and pair-setup keys are "pred,succ".
 A machine may carry {"setup_rule": {"st_smaller": ..., "st_larger": ...,
-"ct": ..., "vt": ...}} in place of the two maps; generated instances always
-do, since materialized pair maps grow quadratically in eligible operations.
+"ct": ..., "vt": ...}} in place of the two maps, never both; generated
+instances always do, since materialized pair maps grow quadratically in
+eligible operations.
 
 Schedules::
 
@@ -28,10 +29,12 @@ code 2, keeping it distinct from domain violations (exit 1).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
-from .model import Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, Violation
+from .model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable,
+                    Violation)
 
 
 class FormatError(ValueError):
@@ -68,17 +71,12 @@ def instance_to_dict(inst: Instance) -> dict:
     machines = []
     for mc in sorted(inst.machines, key=lambda m: m.id):
         entry: dict[str, Any] = {"id": mc.id, "windows": [[b, e] for b, e in mc.windows]}
-        if mc.setup_rule is not None:
-            rule = mc.setup_rule
-            entry["setup_rule"] = {
-                "st_smaller": rule.st_smaller,
-                "st_larger": rule.st_larger,
-                "ct": rule.ct,
-                "vt": rule.vt,
-            }
+        setup = mc.setup
+        if isinstance(setup, SetupRule):
+            entry["setup_rule"] = dataclasses.asdict(setup)
         else:
-            entry["setup_first"] = {str(i): g for i, g in sorted((mc.setup_first or {}).items())}
-            entry["setup_between"] = {f"{i},{j}": g for (i, j), g in sorted((mc.setup_between or {}).items())}
+            entry["setup_first"] = {str(i): g for i, g in sorted(setup.firsts.items())}
+            entry["setup_between"] = {f"{i},{j}": g for (i, j), g in sorted(setup.pairs.items())}
         machines.append(entry)
 
     operations = []
@@ -124,35 +122,29 @@ def instance_from_dict(data: Any) -> Instance:
                 raise FormatError(f"{ctx}.windows: each window is a [begin, end] pair")
             windows.append((_as_int(w[0], f"{ctx} window begin"), _as_int(w[1], f"{ctx} window end")))
 
-        rule = None
-        setup_first = None
-        setup_between = None
         if "setup_rule" in raw:
-            rr = raw["setup_rule"]
-            rule = SetupRule(
-                st_smaller=_as_int(_need(rr, "st_smaller", f"{ctx}.setup_rule"), f"{ctx}.st_smaller"),
-                st_larger=_as_int(_need(rr, "st_larger", f"{ctx}.setup_rule"), f"{ctx}.st_larger"),
-                ct=_as_int(_need(rr, "ct", f"{ctx}.setup_rule"), f"{ctx}.ct"),
-                vt=_as_int(_need(rr, "vt", f"{ctx}.setup_rule"), f"{ctx}.vt"),
-            )
+            if "setup_first" in raw or "setup_between" in raw:
+                raise FormatError(f"{ctx}: has both a setup_rule and setup maps; give one form")
+            setup: SetupRule | SetupTable = SetupRule(**{
+                f.name: _as_int(_need(raw["setup_rule"], f.name, f"{ctx}.setup_rule"), f"{ctx}.{f.name}")
+                for f in dataclasses.fields(SetupRule)})
         else:
             raw_first = _need(raw, "setup_first", ctx)
             if not isinstance(raw_first, dict):
                 raise FormatError(f"{ctx}.setup_first: expected an object")
-            setup_first = {_int_key(i, f"{ctx}.setup_first"): _as_int(g, f"{ctx}.setup_first") for i, g in raw_first.items()}
+            firsts = {_int_key(i, f"{ctx}.setup_first"): _as_int(g, f"{ctx}.setup_first") for i, g in raw_first.items()}
             raw_between = _need(raw, "setup_between", ctx)
             if not isinstance(raw_between, dict):
                 raise FormatError(f"{ctx}.setup_between: expected an object")
-            setup_between = {}
+            pairs = {}
             for key, g in raw_between.items():
                 parts = str(key).split(",")
                 if len(parts) != 2:
                     raise FormatError(f"{ctx}.setup_between: key {key!r} is not 'pred,succ'")
-                pair = (_int_key(parts[0], ctx), _int_key(parts[1], ctx))
-                setup_between[pair] = _as_int(g, f"{ctx}.setup_between[{key}]")
+                pairs[(_int_key(parts[0], ctx), _int_key(parts[1], ctx))] = _as_int(g, f"{ctx}.setup_between[{key}]")
+            setup = SetupTable(firsts=firsts, pairs=pairs)
 
-        machines.append(Machine(id=mid, windows=tuple(windows), setup_first=setup_first,
-                                setup_between=setup_between, setup_rule=rule))
+        machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))
 
     operations = []
     raw_ops = _need(data, "operations", "instance")

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BigM, Instance, Schedule, big_m_constants
+from .model import Instance, Schedule, big_m_constants
 from .timing import makespan as schedule_makespan
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    kind: str  # "B" binary, "C" continuous
-    lb: int = 0
-    ub: int | None = None
+    kind: str  # "B" binary, "C" continuous; every variable is non-negative
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,8 @@ def _y(i: int, j: int, k: int) -> str:
     return f"yI_{i}_{j}_{k}"
 
 
-def build_model(inst: Instance, bigm: BigM | None = None) -> MilpModel:
-    if bigm is None:
-        bigm = big_m_constants(inst)
+def build_model(inst: Instance) -> MilpModel:
+    bigm = big_m_constants(inst)
     m1, m2, m3 = bigm.m1, bigm.m2, bigm.m3
 
     ops = sorted(op.id for op in inst.operations)
@@ -261,16 +258,9 @@ def emit_lp(model: MilpModel) -> str:
                 parts.append(f"+ {coef} {var}" if coef != 1 else f"+ {var}")
         out.append(f" {rowdef.name}: {' '.join(parts)} {rowdef.sense} {rowdef.rhs}")
     out.append("Bounds")
-    for v in model.variables:
-        if v.kind == "C":
-            if v.ub is None:
-                out.append(f" {v.name} >= {v.lb}")
-            else:
-                out.append(f" {v.lb} <= {v.name} <= {v.ub}")
+    out += [f" {v.name} >= 0" for v in model.variables if v.kind == "C"]
     out.append("Binaries")
-    for v in model.variables:
-        if v.kind == "B":
-            out.append(f" {v.name}")
+    out += [f" {v.name}" for v in model.variables if v.kind == "B"]
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -348,17 +338,15 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
     return val
 
 
-def evaluate_schedule(inst: Instance, sched: Schedule, bigm: BigM | None = None,
-                      model: MilpModel | None = None) -> list[RowViolation]:
+def evaluate_schedule(inst: Instance, sched: Schedule) -> list[RowViolation]:
     """All model rows (and variable bounds) the schedule's values violate."""
-    if model is None:
-        model = build_model(inst, bigm)
+    model = build_model(inst)
     val = schedule_values(inst, sched)
     out: list[RowViolation] = []
     for v in model.variables:
         x = val.get(v.name, 0)
-        if x < v.lb or (v.ub is not None and x > v.ub) or (v.kind == "B" and x not in (0, 1)):
-            out.append(RowViolation(f"bound_{v.name}", x, "in", v.lb))
+        if x < 0 or (v.kind == "B" and x not in (0, 1)):
+            out.append(RowViolation(f"bound_{v.name}", x, "in", 0))
     for rowdef in model.constraints:
         lhs = sum(coef * val.get(var, 0) for coef, var in rowdef.terms)
         ok = (lhs <= rowdef.rhs if rowdef.sense == "<=" else

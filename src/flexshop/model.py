@@ -5,17 +5,20 @@ of an operation is stored in integer hundredths (``theta_hundredths``) so the
 partial-processing length ``ceil(theta * p)`` is exact and instances serialize
 losslessly.
 
-Setups come in two interchangeable representations on a machine: explicit maps
-(first-setup per operation, pair setup per ordered operation pair), or a
+Each machine holds one setup object, either a :class:`SetupTable` of explicit
+maps (first setup per operation, pair setup per ordered operation pair) or a
 :class:`SetupRule` of four constants from which both are computed out of the
-operations' size/color/varnish features. Rule machines keep large generated
-instances compact: the pair map is quadratic in the number of eligible
-operations and is pure arithmetic anyway.
+operations' size/color/varnish features. The two answer the same questions
+(first, between, longest, worst_into, violations), so nothing outside them
+branches on the form. Rule machines keep large generated instances compact:
+the pair map is quadratic in the number of eligible operations and is pure
+arithmetic anyway.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from functools import cached_property
 
 MAX_TIME = (1 << 63) - 1
@@ -77,8 +80,8 @@ class SetupRule:
     ct: int
     vt: int
 
-    def first(self) -> int:
-        return max(self.st_smaller, self.st_larger) + self.ct + self.vt
+    def first(self, op: Operation) -> int:
+        return self.longest()
 
     def between(self, pred: Operation, succ: Operation) -> int:
         g = 0
@@ -92,14 +95,58 @@ class SetupRule:
             g += self.vt
         return g
 
+    def longest(self) -> int:
+        return max(self.st_smaller, self.st_larger) + self.ct + self.vt
+
+    def worst_into(self, op: Operation, hosts: tuple[int, ...]) -> int:
+        return self.longest()  # no pair setup exceeds the first setup, so no loop over hosts
+
+    def violations(self, machine_id: int, hosts: tuple[int, ...]) -> list[Violation]:
+        report: list[Violation] = []
+        for label in ("st_smaller", "st_larger", "ct", "vt"):
+            _check_time(report, "setup", (), f"machine {machine_id} rule {label}", getattr(self, label))
+        return report
+
+
+@dataclass(frozen=True)
+class SetupTable:
+    """Explicit setup times: ``firsts[op id]`` on an empty machine, ``pairs[(pred id, succ id)]`` after another."""
+
+    firsts: dict[int, int]
+    pairs: dict[tuple[int, int], int]
+
+    def first(self, op: Operation) -> int:
+        return self.firsts[op.id]
+
+    def between(self, pred: Operation, succ: Operation) -> int:
+        return self.pairs[(pred.id, succ.id)]
+
+    def longest(self) -> int:
+        return max((*self.firsts.values(), *self.pairs.values()), default=0)
+
+    def worst_into(self, op: Operation, hosts: tuple[int, ...]) -> int:
+        return max([self.firsts[op.id], *(self.pairs[(i, op.id)] for i in hosts if i != op.id)])
+
+    def violations(self, machine_id: int, hosts: tuple[int, ...]) -> list[Violation]:
+        """Keys must match the hosted operations exactly; every value is a time."""
+        report: list[Violation] = []
+        bk = set(hosts)
+        if set(self.firsts) != bk:
+            report.append(Violation("setup", (), f"machine {machine_id} first-setup keys do not match its eligible operations"))
+        if set(self.pairs) != {(i, j) for i in bk for j in bk if i != j}:
+            report.append(Violation("setup", (), f"machine {machine_id} pair-setup keys do not cover exactly its eligible pairs"))
+        for g in self.firsts.values():
+            _check_time(report, "setup", (), f"machine {machine_id} first setup", g)
+        for g in self.pairs.values():
+            _check_time(report, "setup", (), f"machine {machine_id} pair setup", g)
+        return report
+
 
 @dataclass(frozen=True)
 class Machine:
     id: int
+    setup: SetupRule | SetupTable
     windows: tuple[tuple[int, int], ...] = ()  # ordered disjoint unavailability [begin, end]
-    setup_first: dict[int, int] | None = None  # op id -> first-on-machine setup
-    setup_between: dict[tuple[int, int], int] | None = None  # (pred, succ) -> pair setup
-    setup_rule: SetupRule | None = None
 
     def last_window_end(self) -> int:
         return self.windows[-1][1] if self.windows else 0
@@ -161,18 +208,10 @@ class Instance:
     # -- setup dispatch ------------------------------------------------------
 
     def setup_first(self, machine_id: int, op_id: int) -> int:
-        mc = self.machine(machine_id)
-        if mc.setup_rule is not None:
-            return mc.setup_rule.first()
-        assert mc.setup_first is not None
-        return mc.setup_first[op_id]
+        return self.machine(machine_id).setup.first(self.op(op_id))
 
     def setup_between(self, machine_id: int, pred_id: int, succ_id: int) -> int:
-        mc = self.machine(machine_id)
-        if mc.setup_rule is not None:
-            return mc.setup_rule.between(self.op(pred_id), self.op(succ_id))
-        assert mc.setup_between is not None
-        return mc.setup_between[(pred_id, succ_id)]
+        return self.machine(machine_id).setup.between(self.op(pred_id), self.op(succ_id))
 
 
 @dataclass(frozen=True)
@@ -283,27 +322,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
                 report.append(Violation("calendar", (), f"machine {mc.id} windows touch or overlap at {b} (previous end {prev_end})"))
             prev_end = e
 
-        has_maps = mc.setup_first is not None or mc.setup_between is not None
-        if mc.setup_rule is not None and has_maps:
-            report.append(Violation("setup", (), f"machine {mc.id} has both a setup rule and explicit setup maps"))
-        elif mc.setup_rule is None:
-            if mc.setup_first is None or mc.setup_between is None:
-                report.append(Violation("setup", (), f"machine {mc.id} needs a setup rule or both setup maps"))
-            else:
-                bk = set(inst.eligible_ops.get(mc.id, ()))
-                if set(mc.setup_first) != bk:
-                    report.append(Violation("setup", (), f"machine {mc.id} first-setup keys do not match its eligible operations"))
-                want_pairs = {(i, j) for i in bk for j in bk if i != j}
-                if set(mc.setup_between) != want_pairs:
-                    report.append(Violation("setup", (), f"machine {mc.id} pair-setup keys do not cover exactly its eligible pairs"))
-                for g in mc.setup_first.values():
-                    _check_time(report, "setup", (), f"machine {mc.id} first setup", g)
-                for g in mc.setup_between.values():
-                    _check_time(report, "setup", (), f"machine {mc.id} pair setup", g)
-        else:
-            rule = mc.setup_rule
-            for label, val in (("st_smaller", rule.st_smaller), ("st_larger", rule.st_larger), ("ct", rule.ct), ("vt", rule.vt)):
-                _check_time(report, "setup", (), f"machine {mc.id} rule {label}", val)
+        report += mc.setup.violations(mc.id, inst.eligible_ops[mc.id])
 
     return report
 
@@ -326,28 +345,12 @@ def big_m_constants(inst: Instance) -> BigM:
     m3 = 0
     for mc in inst.machines:
         m3 = max(m3, mc.last_window_end())
-        if mc.setup_rule is not None:
-            rule = mc.setup_rule
-            m1 = max(m1, rule.first(), rule.st_smaller + rule.ct + rule.vt, rule.st_larger + rule.ct + rule.vt)
-        else:
-            for g in (mc.setup_first or {}).values():
-                m1 = max(m1, g)
-            for g in (mc.setup_between or {}).values():
-                m1 = max(m1, g)
+        m1 = max(m1, mc.setup.longest())
 
     m2 = m3
     for op in inst.operations:
-        best = 0
-        for k, p in op.eligible.items():
-            worst_setup = inst.setup_first(k, op.id)
-            if inst.machine(k).setup_rule is None:
-                # explicit pair setups may exceed the first-on-machine setup
-                for other in inst.eligible_ops[k]:
-                    if other != op.id:
-                        worst_setup = max(worst_setup, inst.setup_between(k, other, op.id))
-            # a rule machine's pair setup never exceeds its first setup
-            best = max(best, p + worst_setup)
-        m2 += best
+        m2 += max((p + inst.machine(k).setup.worst_into(op, inst.eligible_ops[k]) for k, p in op.eligible.items()),
+                  default=0)
     return BigM(m1=m1, m2=m2, m3=m3)
 
 
@@ -358,8 +361,6 @@ def big_m_constants(inst: Instance) -> BigM:
 
 def topological_order(inst: Instance) -> list[int]:
     """Operation ids, every arc tail before its head, lowest id first among ready ops."""
-    import heapq
-
     indegree = {op.id: 0 for op in inst.operations}
     succ: dict[int, list[int]] = {op.id: [] for op in inst.operations}
     for i, j in inst.arcs:
@@ -380,13 +381,15 @@ def topological_order(inst: Instance) -> list[int]:
 
     if len(order) != len(indegree):
         # walk predecessor links among the leftover nodes until one repeats
-        stuck = {i for i, d in indegree.items() if d > 0}
-        pred_in_stuck = {j: [i for i, j2 in inst.arcs if j2 == j and i in stuck] for j in stuck}
-        node = min(stuck)
-        seen: list[int] = []
-        while node not in seen:
-            seen.append(node)
+        pred_in_stuck: dict[int, list[int]] = {i: [] for i, d in indegree.items() if d > 0}
+        for i, j in inst.arcs:
+            if j in pred_in_stuck and i in pred_in_stuck:
+                pred_in_stuck[j].append(i)
+        node = min(pred_in_stuck)
+        walk: dict[int, int] = {}  # node -> its position along the walk
+        while node not in walk:
+            walk[node] = len(walk)
             node = min(pred_in_stuck[node])
-        cycle = seen[seen.index(node):] + [node]
+        cycle = list(walk)[walk[node]:] + [node]
         raise CycleError(list(reversed(cycle)))
     return order

@@ -57,12 +57,9 @@ def parse_lp(text: str) -> MilpModel:
     continuous: list[Var] = []
     while lines[pos] != "Binaries":
         tokens = lines[pos].split()
-        if len(tokens) == 3 and tokens[1] == ">=":
-            continuous.append(Var(tokens[0], "C", lb=int(tokens[2])))
-        elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-            continuous.append(Var(tokens[2], "C", lb=int(tokens[0]), ub=int(tokens[4])))
-        else:
+        if len(tokens) != 3 or tokens[1:] != [">=", "0"]:
             raise ValueError(f"unrecognized bound line {lines[pos]!r}")
+        continuous.append(Var(tokens[0], "C"))
         pos += 1
 
     expect("Binaries")

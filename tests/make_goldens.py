@@ -13,7 +13,7 @@ import pathlib
 import re
 import tempfile
 
-from flexshop import (Instance, Machine, Operation, SetupRule, build_model,
+from flexshop import (Instance, Machine, Operation, SetupRule, SetupTable, build_model,
                       dumps_instance, emit_lp)
 from flexshop.cli import main as cli_main
 
@@ -39,7 +39,7 @@ def golden_single() -> Instance:
         num_machines=1,
         operations=(Operation(1, 1, {1: 5}),),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 2}, setup_between={}),))
+        machines=(Machine(1, setup=SetupTable({1: 2}, {})),))
 
 
 def golden_chain() -> Instance:
@@ -54,8 +54,7 @@ def golden_chain() -> Instance:
                     Operation(2, 1, {1: 5}, release=1)),
         arcs=((1, 2),),
         machines=(Machine(1, windows=((4, 6),),
-                          setup_first={1: 2, 2: 2},
-                          setup_between={(1, 2): 1, (2, 1): 4}),))
+                          setup=SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 4})),))
 
 
 def golden_flex() -> Instance:
@@ -65,9 +64,9 @@ def golden_flex() -> Instance:
         operations=(Operation(1, 1, {1: 4, 2: 6}, size=3, color=1, varnish=2),
                     Operation(2, 2, {1: 2, 2: 2}, size=5, color=2, varnish=2)),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 3, 2: 3}, setup_between={(1, 2): 2, (2, 1): 2}),
+        machines=(Machine(1, setup=SetupTable({1: 3, 2: 3}, {(1, 2): 2, (2, 1): 2})),
                   Machine(2, windows=((8, 11),),
-                          setup_rule=SetupRule(st_smaller=2, st_larger=4, ct=3, vt=2))))
+                          setup=SetupRule(st_smaller=2, st_larger=4, ct=3, vt=2))))
 
 
 def solve_digests(workdir: pathlib.Path) -> dict[str, str]:

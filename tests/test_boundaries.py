@@ -30,3 +30,27 @@ def test_every_exported_name_resolves():
     missing = [name for name in flexshop.__all__ if not hasattr(flexshop, name)]
     assert missing == []
     assert len(set(flexshop.__all__)) == len(flexshop.__all__)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module-level imports, with their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's exports
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} imports {name}, which is never used"
+                   for name, line in imported_names(tree).items() if name not in used]
+    assert unused == []

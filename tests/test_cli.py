@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flexshop import __version__
+from flexshop import __version__, cli
 from flexshop.cli import main
 from flexshop.jsonio import dumps_schedule, loads_instance, loads_schedule
 from flexshop.milp import build_model, emit_lp
@@ -78,6 +78,16 @@ def test_solve_brute_and_exact_agree(tmp_path, capsys):
     assert main(["solve", str(inst_path), "--alg", "exact"]) == 0
     exact = json.loads(capsys.readouterr().out)
     assert brute["makespan"] == exact["makespan"]
+
+
+def test_solve_brute_without_limits_stops_at_the_default_node_cap(tmp_path, capsys, monkeypatch):
+    # small 15 seed 42 has 6,082,560 structures; uncapped it would run for minutes
+    monkeypatch.setattr(cli, "BRUTE_NODE_CAP", 100)
+    inst_path = gen_instance(tmp_path, k="15", seed="42")
+    assert main(["solve", str(inst_path), "--alg", "brute"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["status"], result["nodes"]) == ("limit", 100)
+    assert result["schedule"] is not None
 
 
 def test_solve_greedy_reports_feasible(tmp_path, capsys):

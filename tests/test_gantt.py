@@ -1,5 +1,5 @@
 from flexshop.gantt import render_svg
-from flexshop.model import Instance, Machine, Operation, Schedule, validate_instance
+from flexshop.model import Instance, Machine, Operation, Schedule, SetupTable, validate_instance
 from flexshop.timing import decode
 
 from test_timing import lift_instance, serial_instance
@@ -47,7 +47,7 @@ def test_single_op_draws_one_bar_and_one_setup():
         num_machines=1,
         operations=(Operation(1, 1, {1: 3}),),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 2}, setup_between={}),))
+        machines=(Machine(1, setup=SetupTable({1: 2}, {})),))
     assert validate_instance(inst) == []
     svg = render_svg(inst, decode(inst, {1: 1}, {1: [1]}))
     assert svg.count('fill="#3366cc"') == 1

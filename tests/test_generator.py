@@ -2,7 +2,7 @@ import pytest
 
 from flexshop.generator import GenParams, gen_job_dag, generate, params_for_class
 from flexshop.jsonio import dumps_instance
-from flexshop.model import validate_instance
+from flexshop.model import SetupRule, validate_instance
 from flexshop.rng import Rng
 
 from oracles import with_full_overlap
@@ -101,8 +101,8 @@ def test_operation_fields_in_range():
 def test_machines_carry_setup_rules():
     inst = from_class("small", 20, 5)
     for mc in inst.machines:
-        rule = mc.setup_rule
-        assert rule is not None and mc.setup_first is None and mc.setup_between is None
+        rule = mc.setup
+        assert isinstance(rule, SetupRule)
         assert all(2 <= v <= 6 for v in (rule.st_smaller, rule.st_larger, rule.ct, rule.vt))
 
 

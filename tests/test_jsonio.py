@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from flexshop.cli import main
 from flexshop.jsonio import (FormatError, dumps_instance, dumps_schedule,
                              instance_to_dict, loads_instance, loads_schedule)
-from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule
+from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable
 
 
 def sample_instance() -> Instance:
@@ -14,9 +15,8 @@ def sample_instance() -> Instance:
                               size=2, color=3, varnish=1),
                     Operation(2, 1, {2: 5}, fixed=(2, 25))),
         arcs=((1, 2),),
-        machines=(Machine(1, windows=((4, 6),), setup_first={1: 2},
-                          setup_between={}),
-                  Machine(2, setup_rule=SetupRule(2, 4, 3, 2))))
+        machines=(Machine(1, windows=((4, 6),), setup=SetupTable({1: 2}, {})),
+                  Machine(2, setup=SetupRule(2, 4, 3, 2))))
 
 
 def test_instance_round_trip_is_identity():
@@ -45,11 +45,10 @@ def test_pair_setup_keys_serialize_as_comma_pairs():
     inst = Instance(num_machines=1,
                     operations=(Operation(1, 1, {1: 3}), Operation(2, 1, {1: 5})),
                     arcs=(),
-                    machines=(Machine(1, setup_first={1: 2, 2: 2},
-                                      setup_between={(1, 2): 1, (2, 1): 4}),))
+                    machines=(Machine(1, setup=SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 4})),))
     raw = json.loads(dumps_instance(inst))
     assert raw["machines"][0]["setup_between"] == {"1,2": 1, "2,1": 4}
-    assert loads_instance(dumps_instance(inst)).machines[0].setup_between == {(1, 2): 1, (2, 1): 4}
+    assert loads_instance(dumps_instance(inst)).machines[0].setup.pairs == {(1, 2): 1, (2, 1): 4}
 
 
 def test_optional_operation_fields_default():
@@ -61,6 +60,26 @@ def test_optional_operation_fields_default():
     })
     op = loads_instance(text).operations[0]
     assert (op.theta_hundredths, op.release, op.fixed, op.size, op.color, op.varnish) == (100, 0, None, 1, 1, 1)
+
+
+def test_machine_with_both_setup_forms_is_rejected(tmp_path, capsys):
+    data = {
+        "m": 1,
+        "machines": [{"id": 1, "windows": [], "setup_first": {"1": 0}, "setup_between": {},
+                      "setup_rule": {"st_smaller": 2, "st_larger": 2, "ct": 3, "vt": 2}}],
+        "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}}],
+        "arcs": [],
+    }
+    with pytest.raises(FormatError, match="both"):
+        loads_instance(json.dumps(data))
+    for drop in ("setup_first", "setup_between"):
+        one_map = {**data, "machines": [{k: v for k, v in data["machines"][0].items() if k != drop}]}
+        with pytest.raises(FormatError, match="both"):
+            loads_instance(json.dumps(one_map))
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path), "--alg", "greedy"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_schedule_round_trip():

@@ -1,14 +1,17 @@
+import time
+
 import pytest
 
 from flexshop.model import (BigM, CycleError, Instance, Machine, Operation,
-                            SetupRule, big_m_constants, topological_order,
+                            SetupRule, SetupTable, big_m_constants, topological_order,
                             validate_instance)
+
+TWO_OP_TABLE = SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 4})
 
 
 def two_op_instance(**kwargs) -> Instance:
     ops = kwargs.pop("operations", (Operation(1, 1, {1: 3}), Operation(2, 1, {1: 5})))
-    machines = kwargs.pop("machines", (Machine(1, setup_first={1: 2, 2: 2},
-                                               setup_between={(1, 2): 1, (2, 1): 4}),))
+    machines = kwargs.pop("machines", (Machine(1, setup=TWO_OP_TABLE),))
     return Instance(num_machines=kwargs.pop("num_machines", 1), operations=ops,
                     arcs=kwargs.pop("arcs", ()), machines=machines)
 
@@ -65,8 +68,7 @@ def test_fixed_needs_singleton_eligible_set():
     inst = two_op_instance(
         num_machines=2,
         operations=(Operation(1, 1, {1: 3, 2: 3}, fixed=(1, 30)), Operation(2, 1, {1: 5})),
-        machines=(Machine(1, setup_first={1: 2, 2: 2}, setup_between={(1, 2): 1, (2, 1): 4}),
-                  Machine(2, setup_first={1: 0}, setup_between={})))
+        machines=(Machine(1, setup=TWO_OP_TABLE), Machine(2, setup=SetupTable({1: 0}, {}))))
     report = validate_instance(inst)
     assert any(v.detail == "fixed operation must have singleton machine set" for v in report)
 
@@ -92,41 +94,47 @@ def test_cycle_is_reported_with_witness():
     assert set(err.value.witness) >= {1, 2}
 
 
+def test_cycle_witness_of_a_long_cycle_is_found_in_linear_time():
+    # one cycle 1 -> 2 -> ... -> n -> 1: a walk that is quadratic in n takes many seconds
+    n = 20_000
+    inst = Instance(num_machines=1,
+                    operations=tuple(Operation(i, 1, {1: 1}) for i in range(1, n + 1)),
+                    arcs=tuple((i, i % n + 1) for i in range(1, n + 1)),
+                    machines=(Machine(1, setup=SetupRule(0, 0, 0, 0)),))
+    t0 = time.perf_counter()
+    with pytest.raises(CycleError) as err:
+        topological_order(inst)
+    assert time.perf_counter() - t0 < 2.0
+    assert err.value.witness == list(range(1, n + 1)) + [1]
+    report = validate_instance(inst)
+    assert [v.op_ids for v in report if v.rule == "precedence"] == [tuple(err.value.witness)]
+
+
 def test_calendar_windows_must_be_ordered_and_nonempty():
-    mc = Machine(1, windows=((6, 4),), setup_first={1: 2, 2: 2},
-                 setup_between={(1, 2): 1, (2, 1): 4})
+    mc = Machine(1, windows=((6, 4),), setup=TWO_OP_TABLE)
     assert "calendar" in rules_of(validate_instance(two_op_instance(machines=(mc,))))
-    mc = Machine(1, windows=((2, 5), (5, 8)), setup_first={1: 2, 2: 2},
-                 setup_between={(1, 2): 1, (2, 1): 4})
+    mc = Machine(1, windows=((2, 5), (5, 8)), setup=TWO_OP_TABLE)
     report = validate_instance(two_op_instance(machines=(mc,)))
     assert any("touch or overlap" in v.detail for v in report)
 
 
 def test_setup_maps_must_cover_exactly_the_eligible_ops():
-    mc = Machine(1, setup_first={1: 2}, setup_between={(1, 2): 1, (2, 1): 4})
+    mc = Machine(1, setup=SetupTable({1: 2}, {(1, 2): 1, (2, 1): 4}))
     report = validate_instance(two_op_instance(machines=(mc,)))
     assert any("first-setup keys" in v.detail for v in report)
-    mc = Machine(1, setup_first={1: 2, 2: 2}, setup_between={(1, 2): 1})
+    mc = Machine(1, setup=SetupTable({1: 2, 2: 2}, {(1, 2): 1}))
     report = validate_instance(two_op_instance(machines=(mc,)))
     assert any("pair-setup keys" in v.detail for v in report)
 
 
-def test_machine_cannot_mix_rule_and_maps():
-    mc = Machine(1, setup_first={1: 2, 2: 2}, setup_between={(1, 2): 1, (2, 1): 4},
-                 setup_rule=SetupRule(2, 2, 2, 2))
-    report = validate_instance(two_op_instance(machines=(mc,)))
-    assert any("both a setup rule and explicit setup maps" in v.detail for v in report)
-
-
 def test_big_m_worked_example_with_window():
-    inst = two_op_instance(machines=(Machine(1, windows=((4, 6),), setup_first={1: 2, 2: 2},
-                                             setup_between={(1, 2): 1, (2, 1): 4}),))
+    inst = two_op_instance(machines=(Machine(1, windows=((4, 6),), setup=TWO_OP_TABLE),))
     assert big_m_constants(inst) == BigM(m1=4, m2=20, m3=6)
 
 
 def test_big_m_worked_example_without_windows():
     inst = Instance(num_machines=1, operations=(Operation(1, 1, {1: 5}),), arcs=(),
-                    machines=(Machine(1, setup_first={1: 2}, setup_between={}),))
+                    machines=(Machine(1, setup=SetupTable({1: 2}, {})),))
     assert big_m_constants(inst) == BigM(m1=2, m2=7, m3=0)
 
 
@@ -134,9 +142,9 @@ def test_big_m_rule_machine_uses_first_setup_as_worst_case():
     rule = SetupRule(st_smaller=2, st_larger=4, ct=3, vt=2)
     inst = Instance(num_machines=1,
                     operations=(Operation(1, 1, {1: 5}, size=3), Operation(2, 1, {1: 7}, size=5)),
-                    arcs=(), machines=(Machine(1, setup_rule=rule),))
+                    arcs=(), machines=(Machine(1, setup=rule),))
     bm = big_m_constants(inst)
-    assert bm.m1 == rule.first() == 9
+    assert bm.m1 == rule.first(inst.operations[0]) == 9
     assert bm.m2 == (5 + 9) + (7 + 9)
 
 
@@ -144,8 +152,7 @@ def test_big_m_setup_bound_is_zero_without_setups():
     inst = Instance(num_machines=1,
                     operations=(Operation(1, 1, {1: 4}), Operation(2, 1, {1: 6})),
                     arcs=(),
-                    machines=(Machine(1, setup_first={1: 0, 2: 0},
-                                      setup_between={(1, 2): 0, (2, 1): 0}),))
+                    machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),))
     assert big_m_constants(inst) == BigM(m1=0, m2=10, m3=0)
 
 
@@ -155,8 +162,8 @@ def test_topological_order_without_arcs_sorts_ids():
                     operations=(Operation(3, 3, {1: 1}), Operation(1, 1, {1: 1}),
                                 Operation(2, 2, {1: 1})),
                     arcs=(),
-                    machines=(Machine(1, setup_first={1: 0, 2: 0, 3: 0}, setup_between={
-                        (a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b}),))
+                    machines=(Machine(1, setup=SetupTable({1: 0, 2: 0, 3: 0}, {
+                        (a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b})),))
     assert validate_instance(inst) == []
     assert topological_order(inst) == [1, 2, 3]
 
@@ -166,7 +173,7 @@ def test_topological_order_prefers_lower_ids():
         num_machines=1,
         operations=tuple(Operation(i, 1, {1: 1}) for i in range(1, 6)),
         arcs=((1, 4), (2, 4), (4, 5), (3, 5)),
-        machines=(Machine(1, setup_rule=SetupRule(0, 0, 0, 0)),))
+        machines=(Machine(1, setup=SetupRule(0, 0, 0, 0)),))
     assert topological_order(inst) == [1, 2, 3, 4, 5]
 
 
@@ -183,6 +190,6 @@ def test_setup_rule_feature_cases():
     assert rule.between(small, big) == 2 + 3      # growing size, color change
     assert rule.between(big, small) == 4 + 3      # shrinking size, color change
     assert rule.between(small, small) == 0
-    assert rule.first() == 4 + 3 + 5
+    assert rule.first(small) == rule.first(big) == 4 + 3 + 5
     # the first-setup bound takes whichever size constant is larger
-    assert SetupRule(st_smaller=5, st_larger=2, ct=1, vt=1).first() == 7
+    assert SetupRule(st_smaller=5, st_larger=2, ct=1, vt=1).first(small) == 7

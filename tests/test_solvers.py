@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
-from flexshop.model import CycleError, Instance, Machine, Operation, validate_instance
+from flexshop.model import CycleError, Instance, Machine, Operation, SetupRule, SetupTable, validate_instance
 from flexshop.solvers import brute_force, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, check_schedule, decode, makespan
 
@@ -16,8 +17,8 @@ def flexible_instance() -> Instance:
         num_machines=2,
         operations=(Operation(1, 1, {1: 5, 2: 9}), Operation(2, 2, {1: 4, 2: 9})),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 1, 2: 1}, setup_between={(1, 2): 2, (2, 1): 2}),
-                  Machine(2, setup_first={1: 0, 2: 0}, setup_between={(1, 2): 0, (2, 1): 0})))
+        machines=(Machine(1, setup=SetupTable({1: 1, 2: 1}, {(1, 2): 2, (2, 1): 2})),
+                  Machine(2, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0}))))
     assert validate_instance(inst) == []
     return inst
 
@@ -43,8 +44,8 @@ def test_brute_force_single_op_picks_the_faster_machine():
         num_machines=2,
         operations=(Operation(1, 1, {1: 5, 2: 9}),),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 1}, setup_between={}),
-                  Machine(2, setup_first={1: 1}, setup_between={})))
+        machines=(Machine(1, setup=SetupTable({1: 1}, {})),
+                  Machine(2, setup=SetupTable({1: 1}, {}))))
     assert validate_instance(inst) == []
     res = brute_force(inst)
     assert res.makespan == 6
@@ -56,8 +57,8 @@ def test_brute_force_runs_independent_ops_in_parallel():
         num_machines=2,
         operations=(Operation(1, 1, {1: 5, 2: 5}), Operation(2, 2, {1: 5, 2: 5})),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 0, 2: 0}, setup_between={(1, 2): 0, (2, 1): 0}),
-                  Machine(2, setup_first={1: 0, 2: 0}, setup_between={(1, 2): 0, (2, 1): 0})))
+        machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),
+                  Machine(2, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0}))))
     assert validate_instance(inst) == []
     res = brute_force(inst)
     assert res.makespan == 5
@@ -70,8 +71,7 @@ def test_brute_force_chain_stacks_setups_on_one_machine():
         num_machines=1,
         operations=(Operation(1, 1, {1: 3}), Operation(2, 1, {1: 4})),
         arcs=((1, 2),),
-        machines=(Machine(1, setup_first={1: 1, 2: 1},
-                          setup_between={(1, 2): 2, (2, 1): 2}),))
+        machines=(Machine(1, setup=SetupTable({1: 1, 2: 1}, {(1, 2): 2, (2, 1): 2})),))
     assert validate_instance(inst) == []
     res = brute_force(inst)
     assert res.makespan == 1 + 3 + 2 + 4
@@ -82,8 +82,7 @@ def test_brute_force_release_shapes_the_order():
         num_machines=1,
         operations=(Operation(1, 1, {1: 5}), Operation(2, 2, {1: 5}, release=50)),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 0, 2: 0},
-                          setup_between={(1, 2): 0, (2, 1): 0}),))
+        machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),))
     res = brute_force(inst)
     # waiting for op 2 costs nothing before 50; putting it first costs 5 after
     assert res.makespan == 55
@@ -106,13 +105,30 @@ def test_brute_force_stops_at_its_limits():
     assert (res.status, res.nodes, res.schedule) == ("limit", 0, None)
 
 
+def test_brute_force_under_a_limit_does_not_list_every_permutation_first():
+    # nine operations on one machine: 362,880 sequences, tens of MB if listed
+    n = 9
+    inst = Instance(num_machines=1,
+                    operations=tuple(Operation(i, i, {1: i}) for i in range(1, n + 1)),
+                    arcs=(), machines=(Machine(1, setup=SetupRule(1, 2, 0, 0)),))
+    tracemalloc.start()
+    try:
+        res = brute_force(inst, node_limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes) == ("limit", 10)
+    assert res.schedule.sequences[1] == tuple(range(1, n + 1))  # ties keep the first structure
+    assert peak < 2_000_000
+
+
 def pinned_at_zero() -> Instance:
     # the mandatory first setup makes a start of 0 unreachable
     inst = Instance(
         num_machines=1,
         operations=(Operation(1, 1, {1: 5}, fixed=(1, 0)),),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 2}, setup_between={}),))
+        machines=(Machine(1, setup=SetupTable({1: 2}, {})),))
     assert validate_instance(inst) == []
     return inst
 
@@ -133,8 +149,7 @@ def test_two_overlapping_pins_are_infeasible():
         operations=(Operation(1, 1, {1: 3}, fixed=(1, 5)),
                     Operation(2, 2, {1: 3}, fixed=(1, 6))),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 0, 2: 0},
-                          setup_between={(1, 2): 0, (2, 1): 0}),))
+        machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),))
     assert validate_instance(inst) == []
     assert brute_force(inst).status == "infeasible"
     assert solve_exact(inst).status == "infeasible"
@@ -207,7 +222,7 @@ def test_greedy_single_op_matches_brute_force():
         num_machines=1,
         operations=(Operation(1, 1, {1: 4}),),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 3}, setup_between={}),))
+        machines=(Machine(1, setup=SetupTable({1: 3}, {})),))
     assert validate_instance(inst) == []
     assert solve_greedy(inst) == brute_force(inst).schedule
 
@@ -217,8 +232,7 @@ def test_greedy_defers_to_a_pinned_operation():
         num_machines=1,
         operations=(Operation(1, 1, {1: 2}, fixed=(1, 10)), Operation(2, 2, {1: 11})),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 0, 2: 0},
-                          setup_between={(1, 2): 0, (2, 1): 0}),))
+        machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),))
     assert validate_instance(inst) == []
     sched = solve_greedy(inst)
     # op 2 alone would finish at 11, one unit past the pinned start, so the
@@ -237,8 +251,7 @@ def test_greedy_defers_to_a_later_pin_once_the_first_is_placed():
         operations=(Operation(1, 1, {1: 1}, fixed=(1, 0)), Operation(2, 2, {1: 11}),
                     Operation(3, 3, {1: 2}, fixed=(1, 10))),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 0, 2: 0, 3: 0},
-                          setup_between={(a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b}),))
+        machines=(Machine(1, setup=SetupTable({1: 0, 2: 0, 3: 0}, {(a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b})),))
     assert validate_instance(inst) == []
     sched = solve_greedy(inst)
     assert check_schedule(inst, sched) == []
@@ -253,8 +266,7 @@ def test_a_precedence_cycle_stops_every_placement_loop():
         num_machines=1,
         operations=tuple(Operation(i, i, {1: 2}) for i in (1, 2, 3)),
         arcs=((1, 2), (2, 1)),
-        machines=(Machine(1, setup_first={1: 0, 2: 0, 3: 0},
-                          setup_between={(a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b}),))
+        machines=(Machine(1, setup=SetupTable({1: 0, 2: 0, 3: 0}, {(a, b): 0 for a in (1, 2, 3) for b in (1, 2, 3) if a != b})),))
     with pytest.raises(DecodeInfeasible):
         solve_greedy(inst)
     with pytest.raises(CycleError):

@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from flexshop.generator import GenParams, generate
-from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, Violation, validate_instance
+from flexshop.model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable, Violation,
+                            validate_instance)
 from flexshop.rng import Rng
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
@@ -36,8 +37,7 @@ def place_one(calendar, ready, setup_len, proc, partial, pinned=None) -> Schedul
                    fixed=None if pinned is None else (1, pinned))
     assert op.partial_units(1) == partial
     inst = Instance(num_machines=1, operations=(op,), arcs=(),
-                    machines=(Machine(1, windows=tuple(calendar), setup_first={1: setup_len},
-                                      setup_between={}),))
+                    machines=(Machine(1, windows=tuple(calendar), setup=SetupTable({1: setup_len}, {})),))
     return PlacementEngine(inst).placement(1, 1)
 
 
@@ -191,8 +191,7 @@ def serial_instance() -> Instance:
         num_machines=1,
         operations=(Operation(1, 1, {1: 3}), Operation(2, 1, {1: 3})),
         arcs=((1, 2),),
-        machines=(Machine(1, setup_first={1: 2, 2: 3},
-                          setup_between={(1, 2): 4, (2, 1): 4}),))
+        machines=(Machine(1, setup=SetupTable({1: 2, 2: 3}, {(1, 2): 4, (2, 1): 4})),))
     assert validate_instance(inst) == []
     return inst
 
@@ -202,8 +201,8 @@ def overlap_instance() -> Instance:
         num_machines=2,
         operations=(Operation(1, 1, {1: 4}, theta_hundredths=50), Operation(2, 1, {2: 2})),
         arcs=((1, 2),),
-        machines=(Machine(1, setup_first={1: 0}, setup_between={}),
-                  Machine(2, setup_first={2: 0}, setup_between={})))
+        machines=(Machine(1, setup=SetupTable({1: 0}, {})),
+                  Machine(2, setup=SetupTable({2: 0}, {}))))
     assert validate_instance(inst) == []
     return inst
 
@@ -215,8 +214,8 @@ def lift_instance() -> Instance:
         operations=(Operation(1, 1, {1: 12}, theta_hundredths=1),
                     Operation(2, 1, {2: 3}, release=7)),
         arcs=((1, 2),),
-        machines=(Machine(1, setup_first={1: 0}, setup_between={}),
-                  Machine(2, windows=((10, 15),), setup_first={2: 0}, setup_between={})))
+        machines=(Machine(1, setup=SetupTable({1: 0}, {})),
+                  Machine(2, windows=((10, 15),), setup=SetupTable({2: 0}, {}))))
     assert validate_instance(inst) == []
     return inst
 
@@ -304,8 +303,7 @@ def pinned_instance() -> Instance:
         num_machines=1,
         operations=(Operation(1, 1, {1: 3}, fixed=(1, 5)), Operation(2, 1, {1: 10})),
         arcs=(),
-        machines=(Machine(1, setup_first={1: 2, 2: 2},
-                          setup_between={(1, 2): 1, (2, 1): 1}),))
+        machines=(Machine(1, setup=SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 1})),))
     assert validate_instance(inst) == []
     return inst
 
@@ -328,8 +326,8 @@ def test_decode_pinned_op_cannot_undercut_predecessor_completion():
         operations=(Operation(1, 1, {1: 20}, theta_hundredths=5),
                     Operation(2, 1, {2: 3}, fixed=(2, 5))),
         arcs=((1, 2),),
-        machines=(Machine(1, setup_first={1: 0}, setup_between={}),
-                  Machine(2, setup_first={2: 0}, setup_between={})))
+        machines=(Machine(1, setup=SetupTable({1: 0}, {})),
+                  Machine(2, setup=SetupTable({2: 0}, {}))))
     assert validate_instance(inst) == []
     with pytest.raises(DecodeInfeasible, match="complete before"):
         decode(inst, {1: 1, 2: 2}, {1: [1], 2: [2]})
@@ -418,7 +416,7 @@ def windowed_instance() -> Instance:
         num_machines=1,
         operations=(Operation(1, 1, {1: 3}),),
         arcs=(),
-        machines=(Machine(1, windows=((4, 6),), setup_first={1: 0}, setup_between={}),))
+        machines=(Machine(1, windows=((4, 6),), setup=SetupTable({1: 0}, {})),))
     assert validate_instance(inst) == []
     return inst
 
@@ -443,7 +441,7 @@ def test_checker_flags_straddling_setup():
         num_machines=1,
         operations=(Operation(1, 1, {1: 2}),),
         arcs=(),
-        machines=(Machine(1, windows=((4, 6),), setup_first={1: 3}, setup_between={}),))
+        machines=(Machine(1, windows=((4, 6),), setup=SetupTable({1: 3}, {})),))
     sched = Schedule(ops={1: ScheduledOp(1, 3, 3, 6, 8, 8)}, sequences={1: (1,)})
     got = rules_of(check_schedule(inst, sched))
     assert "setup inside unavailability" in got
