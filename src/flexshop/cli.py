@@ -21,7 +21,7 @@ from .model import Instance, validate_instance
 from .solvers import brute_force, greedy_result, solve_exact
 from .timing import DecodeInfeasible, check_schedule
 
-BRUTE_NODE_CAP = 100_000  # `solve --alg brute` without limits stops here (about 5 s), not after n! structures
+NODE_CAP = 100_000  # `solve --alg exact|brute` without limits stops here instead of searching for hours
 
 
 def _read(path: str) -> str:
@@ -72,12 +72,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
-    if args.alg == "exact":
-        result = solve_exact(inst, time_limit=args.time_limit, node_limit=args.node_limit)
-    elif args.alg == "brute":
+    if args.alg in ("exact", "brute"):
         no_limit = args.node_limit is None and args.time_limit is None
-        result = brute_force(inst, time_limit=args.time_limit,
-                             node_limit=BRUTE_NODE_CAP if no_limit else args.node_limit)
+        search = solve_exact if args.alg == "exact" else brute_force
+        result = search(inst, time_limit=args.time_limit, node_limit=NODE_CAP if no_limit else args.node_limit)
     else:
         try:
             result = greedy_result(inst)
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=("exact", "greedy", "brute"), default="exact")
     p.add_argument("--time-limit", type=float, default=None, help="seconds, exact and brute")
     p.add_argument("--node-limit", type=int, default=None,
-                   help=f"search nodes, exact and brute (brute with neither limit: {BRUTE_NODE_CAP})")
+                   help=f"search nodes, exact and brute (with neither limit: {NODE_CAP})")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")
     p.set_defaults(fn=_cmd_solve)
 

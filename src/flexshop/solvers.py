@@ -190,6 +190,13 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     A node appends one operation whose graph predecessors are all placed to
     the end of one of its machines' current sequences; children are visited
     by ascending operation id, then ascending (processing time, machine id).
+    Appends to different machines commute when neither operation precedes
+    the other in the graph (a placement reads only its machine's tail and
+    its predecessors), so after appending `i` to `k` a child `b < i` on
+    another machine is skipped unless `i` precedes `b`: each partial schedule
+    is reached only through its id-ascending append order, the first one this
+    depth-first order visits anyway, and later visits could only tie the
+    incumbent, never replace it. Skipped children are not nodes.
     Limits are only checked between nodes, so runs are reproducible: a fixed
     node limit always explores the same tree regardless of wall time. With a
     tripped limit the result carries the best incumbent, the root bound, and
@@ -220,7 +227,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(ids) + 100))
 
-    def descend() -> None:
+    def descend(last: float = -_INF, last_k: int | None = None) -> None:
         nonlocal incumbent, ub, nodes
         if len(engine.placed) == len(ids):
             mk = max(so.completion for so in engine.placed.values())
@@ -229,7 +236,10 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                 incumbent = engine.schedule()
             return
         for i in sorted(engine.ready):  # a copy: commit and undo below change the set
+            commutes = i < last and last not in inst.predecessors[i]
             for k in machine_order[i]:
+                if commutes and k != last_k:
+                    continue  # reached through the id-ascending order instead
                 if _over_limit(t0, nodes, time_limit, node_limit):
                     raise _SearchLimit
                 try:
@@ -239,7 +249,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                 engine.commit(i, rec)
                 nodes += 1
                 if bounder.bound(engine) < ub:
-                    descend()
+                    descend(i, k)
                 engine.undo(i)
 
     hit_limit = False

@@ -95,6 +95,10 @@ def main() -> None:
         print("wrote", name)
     with tempfile.TemporaryDirectory() as tmp:
         digests = solve_digests(pathlib.Path(tmp))
+    old = json.loads(SOLVE_DIGESTS.read_text(encoding="utf-8")) if SOLVE_DIGESTS.exists() else {}
+    for key in digests:
+        if old.get(key) != digests[key]:
+            print("changed:", key)
     SOLVE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print("wrote", SOLVE_DIGESTS.name)
 

@@ -2,8 +2,10 @@
 
 Everything here trades speed for obviousness: time advances one unit at a
 time and legality is re-derived from first principles at each step. Keep
-these free of imports from flexshop.timing so the two code paths cannot
-share a bug.
+the placement oracles free of flexshop.timing so the two code paths cannot
+share a bug. The exception is :func:`plain_branch_and_bound`, which checks
+only the exact search's pruning of commuting appends and so shares its
+placements and bound on purpose.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 
 from flexshop.model import Instance, Schedule
+from flexshop.solvers import _Bounder, solve_greedy
+from flexshop.timing import DecodeInfeasible, PlacementEngine, makespan
 
 
 def unit_free(windows, t: int) -> bool:
@@ -80,3 +84,48 @@ def with_full_overlap(inst: Instance) -> Instance:
     """The same instance with every overlap fraction forced to 1."""
     ops = tuple(dataclasses.replace(op, theta_hundredths=100) for op in inst.operations)
     return Instance(num_machines=inst.num_machines, operations=ops, arcs=inst.arcs, machines=inst.machines)
+
+
+def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
+    """`solve_exact` branching on every interleaving of appends, no reduction.
+
+    Same greedy incumbent, root test, child order, bound and node-limit rule.
+    Returns (status, schedule, nodes).
+    """
+    engine, bounder = PlacementEngine(inst), _Bounder(inst)
+    try:
+        best = solve_greedy(inst)
+    except DecodeInfeasible:
+        best = None
+    ub = float("inf") if best is None else makespan(best)
+    if best is not None and ub <= bounder.bound(engine):
+        return "optimal", best, 0
+    order = {op.id: sorted(op.eligible, key=lambda k: (op.eligible[k], k)) for op in inst.operations}
+    nodes = 0
+
+    def descend() -> bool:  # False once the node limit stops the search
+        nonlocal best, ub, nodes
+        if len(engine.placed) == len(inst.operations):
+            if makespan(engine.schedule()) < ub:
+                best = engine.schedule()
+                ub = makespan(best)
+            return True
+        for i in sorted(engine.ready):
+            for k in order[i]:
+                if node_limit is not None and nodes >= node_limit:
+                    return False
+                try:
+                    rec = engine.placement(i, k)
+                except DecodeInfeasible:
+                    continue
+                engine.commit(i, rec)
+                nodes += 1
+                going = bounder.bound(engine) >= ub or descend()
+                engine.undo(i)
+                if not going:
+                    return False
+        return True
+
+    if not descend():
+        return "limit", best, nodes
+    return ("infeasible" if best is None else "optimal"), best, nodes

@@ -82,12 +82,25 @@ def test_solve_brute_and_exact_agree(tmp_path, capsys):
 
 def test_solve_brute_without_limits_stops_at_the_default_node_cap(tmp_path, capsys, monkeypatch):
     # small 15 seed 42 has 6,082,560 structures; uncapped it would run for minutes
-    monkeypatch.setattr(cli, "BRUTE_NODE_CAP", 100)
+    monkeypatch.setattr(cli, "NODE_CAP", 100)
     inst_path = gen_instance(tmp_path, k="15", seed="42")
     assert main(["solve", str(inst_path), "--alg", "brute"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert (result["status"], result["nodes"]) == ("limit", 100)
     assert result["schedule"] is not None
+
+
+def test_solve_exact_without_limits_stops_at_the_default_node_cap(tmp_path, capsys, monkeypatch):
+    # small 30 seed 42 (16 operations) was still searching after 60 s uncapped
+    monkeypatch.setattr(cli, "NODE_CAP", 1_000)
+    inst_path = gen_instance(tmp_path, k="30", seed="42")
+    assert main(["solve", str(inst_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["status"], result["nodes"]) == ("limit", 1_000)
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(json.dumps(result["schedule"]))
+    assert main(["check", str(inst_path), str(sched_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == []
 
 
 def test_solve_greedy_reports_feasible(tmp_path, capsys):

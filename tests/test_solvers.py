@@ -8,6 +8,7 @@ from flexshop.model import CycleError, Instance, Machine, Operation, SetupRule, 
 from flexshop.solvers import brute_force, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, check_schedule, decode, makespan
 
+from oracles import plain_branch_and_bound, with_full_overlap
 from test_timing import serial_instance
 
 
@@ -209,6 +210,90 @@ def test_growing_node_budgets_never_worsen_the_incumbent():
     assert spans == sorted(spans, reverse=True)
     assert spans[0] > spans[-1]  # this seed starts from a loose greedy incumbent
     assert spans[-1] == brute_force(inst).makespan == 232
+
+
+def pinned_variant(inst: Instance, start: int) -> Instance:
+    """`inst` with its lowest-id source operation pinned to its last eligible machine."""
+    i = min(op.id for op in inst.operations if not inst.predecessors[op.id])
+    op = inst.op(i)
+    k = max(op.eligible)
+    pinned = replace(op, eligible={k: op.eligible[k]}, fixed=(k, start))
+    return replace(inst, operations=tuple(pinned if o.id == i else o for o in inst.operations))
+
+
+def reversed_ids(inst: Instance) -> Instance:
+    """`inst` with operation ids in reverse order, so every arc runs to a lower id."""
+    top = max(op.id for op in inst.operations) + 1
+    return replace(inst, operations=tuple(replace(op, id=top - op.id) for op in reversed(inst.operations)),
+                   arcs=tuple((top - i, top - j) for i, j in inst.arcs))
+
+
+def test_exact_returns_the_unreduced_incumbent():
+    # skipping commuting appends must leave the incumbent byte-identical
+    cases = []
+    for seed in range(1, 31):
+        base = generate(GenParams(n=2, o_min=2, o_max=3, m_min=2, m_max=3, q=2, seed=seed))
+        cases.append(base)
+        if seed % 3 == 0:
+            cases.append(with_full_overlap(base))
+        if seed % 2 == 0:
+            cases.append(pinned_variant(base, 20 + seed))
+        if seed % 4 == 1:
+            cases.append(reversed_ids(base))
+    assert len(cases) >= 40
+    assert sum(any(op.fixed for op in inst.operations) for inst in cases) >= 10
+    assert sum(any(i > j for i, j in inst.arcs) for inst in cases) >= 5
+    assert all(any(mc.windows for mc in inst.machines) for inst in cases)
+    statuses = set()
+    saved = 0
+    for inst in cases:
+        assert validate_instance(inst) == []
+        status, schedule, plain_nodes = plain_branch_and_bound(inst)
+        res = solve_exact(inst)
+        assert (res.status, res.schedule) == (status, schedule)
+        assert res.makespan == (None if schedule is None else makespan(schedule))
+        assert res.nodes <= plain_nodes
+        statuses.add(status)
+        saved += plain_nodes - res.nodes
+    assert statuses == {"optimal", "infeasible"}
+    assert saved > 0
+
+
+def test_skipped_appends_never_drop_the_only_feasible_order():
+    # op 3 follows op 1 and cannot finish before op 2's pin on machine 1, so the
+    # one feasible schedule runs 2 then 3 there; reaching it by appending 2
+    # before the lower-id op 1 on machine 2 is the order the search skips
+    inst = Instance(
+        num_machines=2,
+        operations=(Operation(1, 1, {2: 4}),
+                    Operation(2, 2, {1: 2}, fixed=(1, 3)),
+                    Operation(3, 1, {1: 3})),
+        arcs=((1, 3),),
+        machines=(Machine(1, setup=SetupTable({2: 1, 3: 1}, {(2, 3): 1, (3, 2): 1})),
+                  Machine(2, setup=SetupTable({1: 0}, {}))))
+    assert validate_instance(inst) == []
+    status, schedule, plain_nodes = plain_branch_and_bound(inst)
+    res = solve_exact(inst)
+    assert (res.status, res.schedule) == (status, schedule)
+    assert res.status == "optimal" and res.makespan == brute_force(inst).makespan
+    assert res.schedule.sequences == {1: (2, 3), 2: (1,)}
+    assert check_schedule(inst, res.schedule) == []
+    assert res.nodes < plain_nodes
+
+
+# Proven optima of small k=1, generator seeds 1-12
+PROOF_SET_OPTIMA = (187, 201, 178, 217, 199, 163, 101, 228, 212, 194, 166, 258)
+
+
+def test_proof_set_needs_few_nodes():
+    # machine-independent guard on the search: branching on every interleaving
+    # of commuting appends took 796,789 nodes here
+    nodes = 0
+    for seed, optimum in enumerate(PROOF_SET_OPTIMA, start=1):
+        res = solve_exact(generate(replace(params_for_class("small", 1), seed=seed)))
+        assert (res.status, res.makespan) == ("optimal", optimum), seed
+        nodes += res.nodes
+    assert nodes < 60_000
 
 
 def test_greedy_chain():
