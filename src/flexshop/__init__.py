@@ -5,8 +5,8 @@ The pieces: :mod:`flexshop.model` holds the data types and instance
 validation, :mod:`flexshop.timing` the placement arithmetic, decoding, and
 the schedule checker, :mod:`flexshop.generator` seeded random instances,
 :mod:`flexshop.milp` the exact mixed-integer model and LP export,
-:mod:`flexshop.solvers` branch and bound, brute force, and a greedy
-heuristic, :mod:`flexshop.gantt` SVG rendering, and :mod:`flexshop.cli` the
+:mod:`flexshop.solvers` branch and bound and a greedy heuristic,
+:mod:`flexshop.gantt` SVG rendering, and :mod:`flexshop.cli` the
 command-line front end.
 """
 
@@ -19,7 +19,7 @@ from .model import (BigM, CycleError, Instance, Machine, Operation, Schedule,
                     ScheduledOp, SetupRule, SetupTable, Violation, big_m_constants,
                     topological_order, validate_instance)
 from .rng import Rng
-from .solvers import SolveResult, brute_force, greedy_result, solve_exact, solve_greedy
+from .solvers import SolveResult, greedy_result, solve_exact, solve_greedy
 from .timing import DecodeInfeasible, check_schedule, decode, makespan
 from .gantt import render_svg
 
@@ -29,7 +29,7 @@ __all__ = [
     "BigM", "CycleError", "DecodeInfeasible", "FormatError", "GenParams",
     "Instance", "JobDag", "Machine", "MilpModel", "Operation", "Rng", "Row",
     "RowViolation", "Schedule", "ScheduledOp", "SetupRule", "SetupTable", "SolveResult",
-    "Var", "Violation", "big_m_constants", "brute_force", "build_model",
+    "Var", "Violation", "big_m_constants", "build_model",
     "check_schedule", "decode", "dumps_instance", "dumps_report",
     "dumps_schedule", "emit_lp", "evaluate_schedule", "gen_job_dag",
     "generate", "greedy_result", "instance_from_dict", "instance_to_dict",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -18,10 +19,10 @@ from .generator import generate, params_for_class
 from .jsonio import FormatError, dumps_instance, dumps_report, loads_instance, loads_schedule
 from .milp import build_model, emit_lp
 from .model import Instance, validate_instance
-from .solvers import brute_force, greedy_result, solve_exact
+from .solvers import greedy_result, solve_exact
 from .timing import DecodeInfeasible, check_schedule
 
-NODE_CAP = 100_000  # `solve --alg exact|brute` without limits stops here instead of searching for hours
+NODE_CAP = 100_000  # `solve --alg exact` without limits stops here instead of searching for hours
 
 
 def _read(path: str) -> str:
@@ -72,10 +73,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
-    if args.alg in ("exact", "brute"):
+    if args.alg == "exact":
         no_limit = args.node_limit is None and args.time_limit is None
-        search = solve_exact if args.alg == "exact" else brute_force
-        result = search(inst, time_limit=args.time_limit, node_limit=NODE_CAP if no_limit else args.node_limit)
+        result = solve_exact(inst, time_limit=args.time_limit, node_limit=NODE_CAP if no_limit else args.node_limit)
     else:
         try:
             result = greedy_result(inst)
@@ -115,6 +115,17 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_seconds(text: str) -> float:
+    """A time limit; nan and inf are refused because they would never stop a search."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds):
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds: {text!r}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flexshop",
                                      description="Job-shop scheduling with calendars, "
@@ -131,10 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance", help="instance JSON path, - for stdin")
-    p.add_argument("--alg", choices=("exact", "greedy", "brute"), default="exact")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds, exact and brute")
+    p.add_argument("--alg", choices=("exact", "greedy"), default="exact")
+    p.add_argument("--time-limit", type=_finite_seconds, default=None, help="seconds, exact only")
     p.add_argument("--node-limit", type=int, default=None,
-                   help=f"search nodes, exact and brute (with neither limit: {NODE_CAP})")
+                   help=f"search nodes, exact only (with neither limit: {NODE_CAP})")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")
     p.set_defaults(fn=_cmd_solve)
 

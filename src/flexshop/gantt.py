@@ -9,13 +9,13 @@ inputs yield byte-equal output.
 
 from __future__ import annotations
 
+import itertools
+
 from .model import Instance, Schedule
 from .timing import makespan
 
 _LEFT, _TOP, _WIDTH = 70.0, 34.0, 960.0
 _ROW, _GAP = 26.0, 10.0
-
-_TICK_STEPS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
 
 
 def _job_fill(job: int) -> str:
@@ -42,7 +42,8 @@ def render_svg(inst: Instance, sched: Schedule) -> str:
         f'<text x="{_LEFT:.0f}" y="16" fill="#333">makespan {makespan(sched)}</text>',
     ]
 
-    step = next((s for s in _TICK_STEPS if horizon / s <= 12), _TICK_STEPS[-1])
+    # the first of 1, 2, 5, 10, 20, 50, ... that covers the horizon in 12 steps: at most 13 ticks
+    step = next(m * 10**n for n in itertools.count() for m in (1, 2, 5) if horizon <= 12 * m * 10**n)
     t = 0
     while t <= horizon:
         parts.append(f'<line x1="{x(t)}" y1="{_TOP:.2f}" x2="{x(t)}" '

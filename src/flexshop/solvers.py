@@ -1,24 +1,21 @@
-"""Exact search, exhaustive enumeration, and a left-tight list heuristic.
+"""Exact search and a left-tight list heuristic.
 
-All three grow schedules in a :class:`flexshop.timing.PlacementEngine`,
-appending operations from its ready set, so a schedule any of them returns
-is by construction the left-tight decoding of its decision structure and
-passes the checker. :func:`brute_force`, :func:`solve_exact` and
-:func:`greedy_result` report through one :class:`SolveResult` path;
-:func:`solve_greedy` returns the bare schedule. :func:`brute_force` and
-:func:`solve_exact` honor the same time and node limits.
+Both grow schedules in a :class:`flexshop.timing.PlacementEngine`, appending
+operations from its ready set, so a schedule either returns is by
+construction the left-tight decoding of its decision structure and passes
+the checker. :func:`solve_exact` and :func:`greedy_result` report through
+one :class:`SolveResult` path; :func:`solve_greedy` returns the bare
+schedule.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from time import perf_counter
 
-from .model import Instance, Schedule
-from .timing import DecodeInfeasible, PlacementEngine, decode, makespan
+from .model import Instance, Schedule, topological_order
+from .timing import DecodeInfeasible, PlacementEngine, makespan
 
 _INF = float("inf")
 
@@ -34,6 +31,8 @@ class SolveResult:
     wall_ms: int
 
     def to_dict(self) -> dict:
+        # Looked up on jsonio at call time, not bound here: bench/spans.py times
+        # the jsonio layer by patching schedule_to_dict on that module only.
         from .jsonio import schedule_to_dict
 
         return {
@@ -59,68 +58,6 @@ class _SearchLimit(Exception):
     pass
 
 
-def _over_limit(t0: float, nodes: int, time_limit: float | None, node_limit: int | None) -> bool:
-    """Whether a search started at `t0` must stop before its next node."""
-    return ((node_limit is not None and nodes >= node_limit)
-            or (time_limit is not None and perf_counter() - t0 > time_limit))
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration
-# ---------------------------------------------------------------------------
-
-
-def _sequence_choices(groups: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """One permutation per group, in ``itertools.product`` order, but lazily: product
-    first lists every permutation of every group (479 million for 12 operations)."""
-    if not groups:
-        yield ()
-        return
-    for head in itertools.permutations(groups[0]):
-        for rest in _sequence_choices(groups[1:]):
-            yield (head, *rest)
-
-
-def brute_force(inst: Instance, time_limit: float | None = None,
-                node_limit: int | None = None) -> SolveResult:
-    """Decode every assignment and every per-machine permutation.
-
-    Only strict improvements replace the incumbent and structures are visited
-    in lexicographic order (assignments, then sequences, machines ascending),
-    so ties resolve to the lexicographically first optimal structure. Each
-    decoded structure is one node, and the limits are checked before each
-    one; a tripped limit gives status "limit" with the best structure so far
-    and no lower bound. Strictly a reference implementation: the structure
-    count is exponential, keep it to a handful of operations.
-    """
-    t0 = perf_counter()
-    ids = sorted(op.id for op in inst.operations)
-    eligible = {i: sorted(inst.op(i).eligible) for i in ids}
-    machine_ids = sorted(mc.id for mc in inst.machines)
-
-    best: Schedule | None = None
-    best_mk: int | None = None
-    tried = 0
-    for combo in itertools.product(*(eligible[i] for i in ids)):
-        assignment = dict(zip(ids, combo))
-        per_machine = {k: [i for i in ids if assignment[i] == k] for k in machine_ids}
-        for perms in _sequence_choices([per_machine[k] for k in machine_ids]):
-            if _over_limit(t0, tried, time_limit, node_limit):
-                return _result("limit", t0, tried, best)
-            tried += 1
-            sequences = dict(zip(machine_ids, perms))
-            try:
-                sched = decode(inst, assignment, sequences)
-            except DecodeInfeasible:
-                continue
-            mk = makespan(sched)
-            if best_mk is None or mk < best_mk:
-                best, best_mk = sched, mk
-    if best is None:
-        return _result("infeasible", t0, tried)
-    return _result("optimal", t0, tried, best, best_mk)
-
-
 # ---------------------------------------------------------------------------
 # Shared lower bound
 # ---------------------------------------------------------------------------
@@ -139,8 +76,6 @@ class _Bounder:
     """
 
     def __init__(self, inst: Instance):
-        from .model import topological_order
-
         self.inst = inst
         self.topo = topological_order(inst)
         self.preds = inst.predecessors
@@ -240,7 +175,8 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
             for k in machine_order[i]:
                 if commutes and k != last_k:
                     continue  # reached through the id-ascending order instead
-                if _over_limit(t0, nodes, time_limit, node_limit):
+                if ((node_limit is not None and nodes >= node_limit)
+                        or (time_limit is not None and perf_counter() - t0 > time_limit)):
                     raise _SearchLimit
                 try:
                     rec = engine.placement(i, k)

@@ -3,18 +3,22 @@
 Everything here trades speed for obviousness: time advances one unit at a
 time and legality is re-derived from first principles at each step. Keep
 the placement oracles free of flexshop.timing so the two code paths cannot
-share a bug. The exception is :func:`plain_branch_and_bound`, which checks
-only the exact search's pruning of commuting appends and so shares its
-placements and bound on purpose.
+share a bug. The search oracles are the exception: :func:`brute_force`
+decodes through :func:`flexshop.timing.decode` and
+:func:`plain_branch_and_bound` shares the exact search's placements and
+bound, both on purpose, because they check the search (which structures
+it visits and which it prunes), not the placements.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from time import perf_counter
 
 from flexshop.model import Instance, Schedule
-from flexshop.solvers import _Bounder, solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, makespan
+from flexshop.solvers import SolveResult, _Bounder, solve_greedy
+from flexshop.timing import DecodeInfeasible, PlacementEngine, decode, makespan
 
 
 def unit_free(windows, t: int) -> bool:
@@ -129,3 +133,40 @@ def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
     if not descend():
         return "limit", best, nodes
     return ("infeasible" if best is None else "optimal"), best, nodes
+
+
+def brute_force(inst: Instance) -> SolveResult:
+    """Decode every assignment and every per-machine permutation.
+
+    Only strict improvements replace the incumbent and structures are visited
+    in lexicographic order (assignments, then sequences, machines ascending),
+    so ties resolve to the lexicographically first optimal structure. Each
+    decoded structure is one node. The result is "optimal" with the best
+    makespan as its own lower bound, or "infeasible" when no structure
+    decodes. The structure count is exponential: keep it to a handful of
+    operations (no test uses more than 8).
+    """
+    t0 = perf_counter()
+    ids = sorted(op.id for op in inst.operations)
+    eligible = [sorted(inst.op(i).eligible) for i in ids]
+    machine_ids = sorted(mc.id for mc in inst.machines)
+
+    best: Schedule | None = None
+    best_mk: int | None = None
+    tried = 0
+    for combo in itertools.product(*eligible):
+        assignment = dict(zip(ids, combo))
+        groups = [[i for i in ids if assignment[i] == k] for k in machine_ids]
+        for perms in itertools.product(*map(itertools.permutations, groups)):
+            tried += 1
+            try:
+                sched = decode(inst, assignment, dict(zip(machine_ids, perms)))
+            except DecodeInfeasible:
+                continue
+            mk = makespan(sched)
+            if best_mk is None or mk < best_mk:
+                best, best_mk = sched, mk
+    wall_ms = int((perf_counter() - t0) * 1000)
+    if best is None:
+        return SolveResult("infeasible", None, None, None, None, tried, wall_ms)
+    return SolveResult("optimal", best, best_mk, best_mk, 0.0, tried, wall_ms)

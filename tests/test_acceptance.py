@@ -22,11 +22,11 @@ from flexshop.jsonio import loads_instance, loads_schedule
 from flexshop.milp import evaluate_schedule
 from flexshop.model import big_m_constants
 from flexshop.rng import Rng
-from flexshop.solvers import brute_force, solve_exact, solve_greedy
+from flexshop.solvers import solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
-from oracles import (iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal,
-                     with_full_overlap)
+from oracles import (brute_force, iter_one_unit_left_shifts, oracle_completion, oracle_earliest,
+                     start_legal, with_full_overlap)
 from test_timing import completion_at, place_one, times
 
 TINY = [GenParams(n=2, o_min=2, o_max=3, m_min=1, m_max=2, q=1, seed=s)

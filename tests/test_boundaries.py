@@ -1,4 +1,4 @@
-"""Module boundaries of the package: no private names cross modules."""
+"""Module boundaries: no private names cross modules, and no module-level import goes unused."""
 
 import ast
 import pathlib
@@ -6,6 +6,7 @@ import pathlib
 import flexshop
 
 SRC = pathlib.Path(flexshop.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def is_private(name: str) -> bool:
@@ -46,11 +47,11 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 def test_every_module_level_import_is_used():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == SRC / "__init__.py":
             continue  # its imports are the package's exports
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} imports {name}, which is never used"
+        unused += [f"{path.parent.name}/{path.name}:{line} imports {name}, which is never used"
                    for name, line in imported_names(tree).items() if name not in used]
     assert unused == []

@@ -71,25 +71,6 @@ def test_solve_exact_to_file(tmp_path):
     assert max(so.completion for so in sched.ops.values()) == result["makespan"]
 
 
-def test_solve_brute_and_exact_agree(tmp_path, capsys):
-    inst_path = gen_instance(tmp_path, seed="21")
-    assert main(["solve", str(inst_path), "--alg", "brute"]) == 0
-    brute = json.loads(capsys.readouterr().out)
-    assert main(["solve", str(inst_path), "--alg", "exact"]) == 0
-    exact = json.loads(capsys.readouterr().out)
-    assert brute["makespan"] == exact["makespan"]
-
-
-def test_solve_brute_without_limits_stops_at_the_default_node_cap(tmp_path, capsys, monkeypatch):
-    # small 15 seed 42 has 6,082,560 structures; uncapped it would run for minutes
-    monkeypatch.setattr(cli, "NODE_CAP", 100)
-    inst_path = gen_instance(tmp_path, k="15", seed="42")
-    assert main(["solve", str(inst_path), "--alg", "brute"]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert (result["status"], result["nodes"]) == ("limit", 100)
-    assert result["schedule"] is not None
-
-
 def test_solve_exact_without_limits_stops_at_the_default_node_cap(tmp_path, capsys, monkeypatch):
     # small 30 seed 42 (16 operations) was still searching after 60 s uncapped
     monkeypatch.setattr(cli, "NODE_CAP", 1_000)
@@ -101,6 +82,25 @@ def test_solve_exact_without_limits_stops_at_the_default_node_cap(tmp_path, caps
     sched_path.write_text(json.dumps(result["schedule"]))
     assert main(["check", str(inst_path), str(sched_path)]) == 0
     assert json.loads(capsys.readouterr().out) == []
+
+
+def test_solve_has_no_brute_force(tmp_path, capsys):
+    # exhaustive enumeration is a test oracle (tests/oracles.py), not a solver
+    inst_path = gen_instance(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", str(inst_path), "--alg", "brute"])
+    assert info.value.code == 2
+    assert "invalid choice: 'brute'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf"])
+def test_solve_rejects_a_time_limit_that_never_trips(tmp_path, capsys, limit):
+    # a time limit switches NODE_CAP off, and no elapsed time exceeds nan or inf
+    inst_path = gen_instance(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", str(inst_path), "--time-limit", limit])
+    assert info.value.code == 2
+    assert "not a finite number of seconds" in capsys.readouterr().err
 
 
 def test_solve_greedy_reports_feasible(tmp_path, capsys):
@@ -121,7 +121,7 @@ def test_solve_time_limit_zero_still_exits_cleanly(tmp_path, capsys):
 
 
 def test_solve_outputs_match_the_pinned_digests(tmp_path):
-    # every byte of greedy, exact and brute-force output except wall_ms is
+    # every byte of greedy and exact output except wall_ms is
     # part of the determinism contract; make_goldens.py regenerates the file
     assert solve_digests(tmp_path) == json.loads(SOLVE_DIGESTS.read_text())
 
@@ -275,7 +275,7 @@ def test_dash_reads_stdin_and_writes_stdout(capsys, monkeypatch):
     import pathlib
     chain = (pathlib.Path(__file__).resolve().parent / "data" / "golden_chain.json").read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(chain))
-    assert main(["solve", "-", "--alg", "brute"]) == 0
+    assert main(["solve", "-", "--alg", "exact"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["status"] == "optimal"
     assert result["makespan"] == 13

@@ -1,3 +1,5 @@
+import re
+
 from flexshop.gantt import render_svg
 from flexshop.model import Instance, Machine, Operation, Schedule, SetupTable, validate_instance
 from flexshop.timing import decode
@@ -73,3 +75,19 @@ def test_jobs_get_distinct_colors():
     svg = render_svg(inst, sched)
     assert 'hsl(137,62%,58%)' in svg  # both ops belong to job 1
     assert svg.count('hsl(137,62%,58%)') == 2
+
+
+def test_a_far_window_gets_at_most_thirteen_ticks():
+    # the axis reaches the window end, 10^10; a step table that stops at
+    # 10,000 would draw a million ticks (163 MB of SVG)
+    far = 10**10
+    inst = Instance(
+        num_machines=1,
+        operations=(Operation(1, 1, {1: 3}),),
+        arcs=(),
+        machines=(Machine(1, windows=((far, far + 1),), setup=SetupTable({1: 2}, {})),))
+    assert validate_instance(inst) == []
+    svg = render_svg(inst, decode(inst, {1: 1}, {1: [1]}))
+    labels = re.findall(r'fill="#666" text-anchor="middle">(\d+)<', svg)
+    assert labels == [str(t) for t in range(0, far + 1, far // 10)]
+    assert len(svg) < 10_000

@@ -4,10 +4,10 @@ from flexshop.generator import GenParams, generate
 from flexshop.jsonio import loads_instance
 from flexshop.milp import build_model, emit_lp, evaluate_schedule, schedule_values
 from flexshop.model import Schedule
-from flexshop.solvers import brute_force
 from flexshop.timing import check_schedule
 
 from lputil import parse_lp
+from oracles import brute_force
 from test_timing import tampered
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"

@@ -1,14 +1,13 @@
-import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
-from flexshop.model import CycleError, Instance, Machine, Operation, SetupRule, SetupTable, validate_instance
-from flexshop.solvers import brute_force, solve_exact, solve_greedy
+from flexshop.model import CycleError, Instance, Machine, Operation, SetupTable, validate_instance
+from flexshop.solvers import solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, check_schedule, decode, makespan
 
-from oracles import plain_branch_and_bound, with_full_overlap
+from oracles import brute_force, plain_branch_and_bound, with_full_overlap
 from test_timing import serial_instance
 
 
@@ -95,32 +94,6 @@ def test_brute_force_is_deterministic():
     b = brute_force(flexible_instance())
     assert a.schedule == b.schedule
     assert (a.status, a.makespan, a.nodes) == (b.status, b.makespan, b.nodes)
-
-
-def test_brute_force_stops_at_its_limits():
-    inst = generate(replace(params_for_class("small", 15), seed=42))
-    res = brute_force(inst, node_limit=200)
-    assert (res.status, res.nodes, res.lower_bound, res.gap) == ("limit", 200, None, None)
-    assert check_schedule(inst, res.schedule) == []
-    res = brute_force(inst, time_limit=0)
-    assert (res.status, res.nodes, res.schedule) == ("limit", 0, None)
-
-
-def test_brute_force_under_a_limit_does_not_list_every_permutation_first():
-    # nine operations on one machine: 362,880 sequences, tens of MB if listed
-    n = 9
-    inst = Instance(num_machines=1,
-                    operations=tuple(Operation(i, i, {1: i}) for i in range(1, n + 1)),
-                    arcs=(), machines=(Machine(1, setup=SetupRule(1, 2, 0, 0)),))
-    tracemalloc.start()
-    try:
-        res = brute_force(inst, node_limit=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (res.status, res.nodes) == ("limit", 10)
-    assert res.schedule.sequences[1] == tuple(range(1, n + 1))  # ties keep the first structure
-    assert peak < 2_000_000
 
 
 def pinned_at_zero() -> Instance:
