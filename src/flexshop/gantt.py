@@ -59,9 +59,7 @@ def render_svg(inst: Instance, sched: Schedule) -> str:
 
     for i in sorted(sched.ops):
         so = sched.ops[i]
-        if so.machine not in rows:
-            continue
-        y = rows[so.machine]
+        y = rows[inst.machine(so.machine).id]
         if so.setup_len > 0:
             parts.append(f'<rect x="{x(so.setup_start)}" y="{y + 5:.2f}" '
                          f'width="{w(so.start - so.setup_start)}" height="{_ROW - 10:.2f}" '

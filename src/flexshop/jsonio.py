@@ -23,13 +23,19 @@ Schedules::
                      "start": 5, "partial_completion": 9, "completion": 11}],
      "sequences": {"2": [1]}}
 
-Malformed input raises :class:`FormatError`; the CLI maps that to exit
-code 2, keeping it distinct from domain violations (exit 1).
+Record keys follow the model's dataclass fields in field order: an
+operation holds those of :class:`Operation`, a schedule record "id" and then
+those of :class:`ScheduledOp`, a "setup_rule" those of :class:`SetupRule`.
+A field with a default may be omitted; the others are required. Malformed
+input, including JSON the parser cannot read (nested too deep, say), raises
+:class:`FormatError`; the CLI maps that to exit code 2, keeping it distinct
+from domain violations (exit 1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from typing import Any
 
@@ -41,12 +47,18 @@ class FormatError(ValueError):
     """The payload is not structurally valid instance/schedule JSON."""
 
 
-def _need(obj: dict, key: str, ctx: str) -> Any:
+def _need(obj: Any, key: str, ctx: str, kind: type | None = None, default: Any = dataclasses.MISSING) -> Any:
+    """``obj[key]``, required unless a default is given; with `kind` (list or dict) the value must be one."""
     if not isinstance(obj, dict):
         raise FormatError(f"{ctx}: expected an object, got {type(obj).__name__}")
     if key not in obj:
-        raise FormatError(f"{ctx}: missing key {key!r}")
-    return obj[key]
+        if default is dataclasses.MISSING:
+            raise FormatError(f"{ctx}: missing key {key!r}")
+        return default
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise FormatError(f"{ctx}.{key}: expected {'a list' if kind is list else 'an object'}")
+    return value
 
 
 def _as_int(value: Any, ctx: str) -> int:
@@ -62,6 +74,29 @@ def _int_key(key: str, ctx: str) -> int:
         raise FormatError(f"{ctx}: key {key!r} is not an integer") from None
 
 
+def _parse(text: str, what: str) -> Any:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep for the decoder
+        raise FormatError(f"{what}: invalid JSON: {exc}") from None
+
+
+_fields = functools.cache(dataclasses.fields)  # keyed by class; fields() builds a new tuple on every call
+
+
+def _to_record(obj: Any, **given: Any) -> dict:
+    """Dataclass `obj` as a JSON object in field order; `given` replaces the values of those fields."""
+    return {f.name: given[f.name] if f.name in given else getattr(obj, f.name) for f in _fields(type(obj))}
+
+
+def _from_record(cls: type, raw: Any, ctx: str, **given: Any) -> Any:
+    """Dataclass `cls` from JSON object `raw`: `given` fields as passed, every other one an integer."""
+    for f in _fields(cls):
+        if f.name not in given:
+            given[f.name] = _as_int(_need(raw, f.name, ctx, default=f.default), f"{ctx}.{f.name}")
+    return cls(**given)
+
+
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
@@ -73,25 +108,16 @@ def instance_to_dict(inst: Instance) -> dict:
         entry: dict[str, Any] = {"id": mc.id, "windows": [[b, e] for b, e in mc.windows]}
         setup = mc.setup
         if isinstance(setup, SetupRule):
-            entry["setup_rule"] = dataclasses.asdict(setup)
+            entry["setup_rule"] = _to_record(setup)
         else:
             entry["setup_first"] = {str(i): g for i, g in sorted(setup.firsts.items())}
             entry["setup_between"] = {f"{i},{j}": g for (i, j), g in sorted(setup.pairs.items())}
         machines.append(entry)
 
-    operations = []
-    for op in sorted(inst.operations, key=lambda o: o.id):
-        operations.append({
-            "id": op.id,
-            "job": op.job,
-            "eligible": {str(k): p for k, p in sorted(op.eligible.items())},
-            "theta_hundredths": op.theta_hundredths,
-            "release": op.release,
-            "fixed": None if op.fixed is None else {"machine": op.fixed[0], "start": op.fixed[1]},
-            "size": op.size,
-            "color": op.color,
-            "varnish": op.varnish,
-        })
+    operations = [
+        _to_record(op, eligible={str(k): p for k, p in sorted(op.eligible.items())},
+                   fixed=None if op.fixed is None else {"machine": op.fixed[0], "start": op.fixed[1]})
+        for op in sorted(inst.operations, key=lambda o: o.id)]
 
     return {
         "m": inst.num_machines,
@@ -107,17 +133,11 @@ def instance_from_dict(data: Any) -> Instance:
     m = _as_int(_need(data, "m", "instance"), "instance.m")
 
     machines = []
-    raw_machines = _need(data, "machines", "instance")
-    if not isinstance(raw_machines, list):
-        raise FormatError("instance.machines: expected a list")
-    for idx, raw in enumerate(raw_machines):
+    for idx, raw in enumerate(_need(data, "machines", "instance", list)):
         ctx = f"machine[{idx}]"
         mid = _as_int(_need(raw, "id", ctx), f"{ctx}.id")
-        raw_windows = raw.get("windows", [])
-        if not isinstance(raw_windows, list):
-            raise FormatError(f"{ctx}.windows: expected a list")
         windows = []
-        for w in raw_windows:
+        for w in _need(raw, "windows", ctx, list, default=[]):
             if not isinstance(w, list) or len(w) != 2:
                 raise FormatError(f"{ctx}.windows: each window is a [begin, end] pair")
             windows.append((_as_int(w[0], f"{ctx} window begin"), _as_int(w[1], f"{ctx} window end")))
@@ -125,19 +145,12 @@ def instance_from_dict(data: Any) -> Instance:
         if "setup_rule" in raw:
             if "setup_first" in raw or "setup_between" in raw:
                 raise FormatError(f"{ctx}: has both a setup_rule and setup maps; give one form")
-            setup: SetupRule | SetupTable = SetupRule(**{
-                f.name: _as_int(_need(raw["setup_rule"], f.name, f"{ctx}.setup_rule"), f"{ctx}.{f.name}")
-                for f in dataclasses.fields(SetupRule)})
+            setup: SetupRule | SetupTable = _from_record(SetupRule, raw["setup_rule"], f"{ctx}.setup_rule")
         else:
-            raw_first = _need(raw, "setup_first", ctx)
-            if not isinstance(raw_first, dict):
-                raise FormatError(f"{ctx}.setup_first: expected an object")
-            firsts = {_int_key(i, f"{ctx}.setup_first"): _as_int(g, f"{ctx}.setup_first") for i, g in raw_first.items()}
-            raw_between = _need(raw, "setup_between", ctx)
-            if not isinstance(raw_between, dict):
-                raise FormatError(f"{ctx}.setup_between: expected an object")
+            firsts = {_int_key(i, f"{ctx}.setup_first"): _as_int(g, f"{ctx}.setup_first")
+                      for i, g in _need(raw, "setup_first", ctx, dict).items()}
             pairs = {}
-            for key, g in raw_between.items():
+            for key, g in _need(raw, "setup_between", ctx, dict).items():
                 parts = str(key).split(",")
                 if len(parts) != 2:
                     raise FormatError(f"{ctx}.setup_between: key {key!r} is not 'pred,succ'")
@@ -147,37 +160,20 @@ def instance_from_dict(data: Any) -> Instance:
         machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))
 
     operations = []
-    raw_ops = _need(data, "operations", "instance")
-    if not isinstance(raw_ops, list):
-        raise FormatError("instance.operations: expected a list")
-    for idx, raw in enumerate(raw_ops):
+    for idx, raw in enumerate(_need(data, "operations", "instance", list)):
         ctx = f"operation[{idx}]"
         raw_eligible = _need(raw, "eligible", ctx)
         if not isinstance(raw_eligible, dict) or not raw_eligible:
             raise FormatError(f"{ctx}.eligible: expected a non-empty object")
         eligible = {_int_key(k, f"{ctx}.eligible"): _as_int(p, f"{ctx}.eligible") for k, p in raw_eligible.items()}
-        raw_fixed = raw.get("fixed")
-        fixed = None
-        if raw_fixed is not None:
-            fixed = (_as_int(_need(raw_fixed, "machine", f"{ctx}.fixed"), f"{ctx}.fixed.machine"),
-                     _as_int(_need(raw_fixed, "start", f"{ctx}.fixed"), f"{ctx}.fixed.start"))
-        operations.append(Operation(
-            id=_as_int(_need(raw, "id", ctx), f"{ctx}.id"),
-            job=_as_int(_need(raw, "job", ctx), f"{ctx}.job"),
-            eligible=eligible,
-            theta_hundredths=_as_int(raw.get("theta_hundredths", 100), f"{ctx}.theta_hundredths"),
-            release=_as_int(raw.get("release", 0), f"{ctx}.release"),
-            fixed=fixed,
-            size=_as_int(raw.get("size", 1), f"{ctx}.size"),
-            color=_as_int(raw.get("color", 1), f"{ctx}.color"),
-            varnish=_as_int(raw.get("varnish", 1), f"{ctx}.varnish"),
-        ))
+        fixed = _need(raw, "fixed", ctx, default=None)
+        if fixed is not None:
+            fixed = (_as_int(_need(fixed, "machine", f"{ctx}.fixed"), f"{ctx}.fixed.machine"),
+                     _as_int(_need(fixed, "start", f"{ctx}.fixed"), f"{ctx}.fixed.start"))
+        operations.append(_from_record(Operation, raw, ctx, eligible=eligible, fixed=fixed))
 
-    raw_arcs = _need(data, "arcs", "instance")
-    if not isinstance(raw_arcs, list):
-        raise FormatError("instance.arcs: expected a list")
     arcs = []
-    for arc in raw_arcs:
+    for arc in _need(data, "arcs", "instance", list):
         if not isinstance(arc, list) or len(arc) != 2:
             raise FormatError("instance.arcs: each arc is a [tail, head] pair")
         arcs.append((_as_int(arc[0], "arc tail"), _as_int(arc[1], "arc head")))
@@ -190,11 +186,7 @@ def dumps_instance(inst: Instance) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"instance: invalid JSON: {exc}") from None
-    return instance_from_dict(data)
+    return instance_from_dict(_parse(text, "instance"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +195,8 @@ def loads_instance(text: str) -> Instance:
 
 
 def schedule_to_dict(sched: Schedule) -> dict:
-    operations = []
-    for op_id in sorted(sched.ops):
-        so = sched.ops[op_id]
-        operations.append({
-            "id": op_id,
-            "machine": so.machine,
-            "setup_start": so.setup_start,
-            "setup_len": so.setup_len,
-            "start": so.start,
-            "partial_completion": so.partial_completion,
-            "completion": so.completion,
-        })
     return {
-        "operations": operations,
+        "operations": [{"id": op_id, **_to_record(sched.ops[op_id])} for op_id in sorted(sched.ops)],
         "sequences": {str(k): list(seq) for k, seq in sorted(sched.sequences.items())},
     }
 
@@ -224,28 +204,15 @@ def schedule_to_dict(sched: Schedule) -> dict:
 def schedule_from_dict(data: Any) -> Schedule:
     if not isinstance(data, dict):
         raise FormatError("schedule: expected a JSON object at top level")
-    raw_ops = _need(data, "operations", "schedule")
-    if not isinstance(raw_ops, list):
-        raise FormatError("schedule.operations: expected a list")
     ops: dict[int, ScheduledOp] = {}
-    for idx, raw in enumerate(raw_ops):
+    for idx, raw in enumerate(_need(data, "operations", "schedule", list)):
         ctx = f"schedule operation[{idx}]"
         op_id = _as_int(_need(raw, "id", ctx), f"{ctx}.id")
         if op_id in ops:
             raise FormatError(f"{ctx}: duplicate operation id {op_id}")
-        ops[op_id] = ScheduledOp(
-            machine=_as_int(_need(raw, "machine", ctx), f"{ctx}.machine"),
-            setup_start=_as_int(_need(raw, "setup_start", ctx), f"{ctx}.setup_start"),
-            setup_len=_as_int(_need(raw, "setup_len", ctx), f"{ctx}.setup_len"),
-            start=_as_int(_need(raw, "start", ctx), f"{ctx}.start"),
-            partial_completion=_as_int(_need(raw, "partial_completion", ctx), f"{ctx}.partial_completion"),
-            completion=_as_int(_need(raw, "completion", ctx), f"{ctx}.completion"),
-        )
-    raw_seq = _need(data, "sequences", "schedule")
-    if not isinstance(raw_seq, dict):
-        raise FormatError("schedule.sequences: expected an object")
+        ops[op_id] = _from_record(ScheduledOp, raw, ctx)
     sequences = {}
-    for key, ids in raw_seq.items():
+    for key, ids in _need(data, "sequences", "schedule", dict).items():
         if not isinstance(ids, list):
             raise FormatError(f"schedule.sequences[{key}]: expected a list of op ids")
         sequences[_int_key(key, "schedule.sequences")] = tuple(_as_int(i, "sequence entry") for i in ids)
@@ -257,11 +224,7 @@ def dumps_schedule(sched: Schedule) -> str:
 
 
 def loads_schedule(text: str) -> Schedule:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"schedule: invalid JSON: {exc}") from None
-    return schedule_from_dict(data)
+    return schedule_from_dict(_parse(text, "schedule"))
 
 
 # ---------------------------------------------------------------------------

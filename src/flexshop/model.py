@@ -256,7 +256,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
     if inst.num_machines < 1:
         report.append(Violation("machine count", (), f"need at least one machine, got {inst.num_machines}"))
     machine_ids = {mc.id for mc in inst.machines}
-    if sorted(machine_ids) != list(range(1, inst.num_machines + 1)):
+    n_machines = len(inst.machines)  # compared first: m is untrusted and may be huge
+    if n_machines != inst.num_machines or sorted(mc.id for mc in inst.machines) != list(range(1, n_machines + 1)):
         report.append(Violation("machine ids", (), f"machine ids must be 1..{inst.num_machines}"))
 
     op_ids = [op.id for op in inst.operations]

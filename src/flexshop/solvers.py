@@ -92,16 +92,14 @@ class _Bounder:
                 lb = max(lb, rec.completion)
                 continue
             h = self.inst.op(i).release
-            floor = 0
             for p in self.preds[i]:
                 prec = engine.placed.get(p)
                 if prec is not None:
                     h = max(h, prec.partial_completion)
-                    floor = max(floor, prec.completion)
                 else:
                     h = max(h, head[p] + self.pbmin[p])
             head[i] = h
-            lb = max(lb, h + self.pmin[i], floor)
+            lb = max(lb, h + self.pmin[i])
 
         owed: dict[int, int] = {}
         for i, k in self.solo.items():
@@ -231,7 +229,7 @@ def solve_greedy(inst: Instance) -> Schedule:
         best = None  # (completion, op, machine, record); the key decides ties, not the scan order
         for i in engine.ready:
             op = inst.op(i)
-            for k in sorted(op.eligible):
+            for k in op.eligible:
                 at_k = cache[k]
                 if i in at_k:
                     rec = at_k[i]

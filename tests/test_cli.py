@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -225,6 +226,47 @@ def test_check_rejects_unknown_ids(tmp_path, capsys):
     sched_path.write_text(json.dumps(ghost))
     assert main(["check", str(inst_path), str(sched_path)]) == 2
     assert "unknown" in capsys.readouterr().err
+
+
+def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1):
+    """A one-operation instance and a schedule for it, with the given faults."""
+    instance = {"m": m, "arcs": [],
+                "machines": [{**mc, "setup_rule": {"st_smaller": 0, "st_larger": 0, "ct": 0, "vt": 0}}
+                             for mc in machines],
+                "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}}]}
+    schedule = {"operations": [{"id": sched_op, "machine": sched_machine, "setup_start": 0, "setup_len": 0,
+                                "start": 0, "partial_completion": 5, "completion": 5}],
+                "sequences": {str(sched_machine): [sched_op]}}
+    return instance, schedule
+
+
+DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("command, instance, schedule, code, message", [
+    pytest.param("solve", DEEP, None, 2, "error: instance: invalid JSON: ", id="deep-instance"),
+    pytest.param("check", _hostile()[0], DEEP, 2, "error: schedule: invalid JSON: ", id="deep-schedule"),
+    pytest.param("solve", _hostile(m=10**19)[0], None, 1, "machine ids must be 1..10000000000000000000",
+                 id="m-1e19"),
+    pytest.param("export-lp", _hostile(m=10**9, machines=())[0], None, 1, "machine ids must be 1..1000000000",
+                 id="m-1e9-no-machines"),
+    pytest.param("solve", _hostile(m=2, machines=({"id": 1}, {"id": 2}, {"id": 2}))[0], None, 1,
+                 "machine ids must be 1..2", id="duplicate-machine-id"),
+    pytest.param("gantt", *_hostile(sched_machine=9), 2, "error: unknown machine id 9", id="gantt-unknown-machine"),
+    pytest.param("gantt", *_hostile(sched_op=99), 2, "error: unknown operation id 99", id="gantt-unknown-operation"),
+])
+def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, command, instance, schedule, code,
+                                                          message):
+    paths = []
+    for name, body in (("inst.json", instance), ("sched.json", schedule)):
+        if body is not None:
+            (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body))
+            paths.append(str(tmp_path / name))
+    t0 = time.perf_counter()
+    assert main([command, *paths]) == code
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_invalid_instance_exits_one(tmp_path, capsys):
