@@ -61,9 +61,15 @@ def _need(obj: Any, key: str, ctx: str, kind: type | None = None, default: Any =
     return value
 
 
+def _brief(value: Any) -> str:
+    """``repr(value)`` cut to about 80 characters, so that a huge input value cannot flood a message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:72] + "...[cut]"
+
+
 def _as_int(value: Any, ctx: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{ctx}: expected an integer, got {value!r}")
+        raise FormatError(f"{ctx}: expected an integer, got {_brief(value)}")
     return value
 
 
@@ -71,7 +77,7 @@ def _int_key(key: str, ctx: str) -> int:
     try:
         return int(key)
     except (TypeError, ValueError):
-        raise FormatError(f"{ctx}: key {key!r} is not an integer") from None
+        raise FormatError(f"{ctx}: key {_brief(key)} is not an integer") from None
 
 
 def _parse(text: str, what: str) -> Any:
@@ -153,8 +159,9 @@ def instance_from_dict(data: Any) -> Instance:
             for key, g in _need(raw, "setup_between", ctx, dict).items():
                 parts = str(key).split(",")
                 if len(parts) != 2:
-                    raise FormatError(f"{ctx}.setup_between: key {key!r} is not 'pred,succ'")
-                pairs[(_int_key(parts[0], ctx), _int_key(parts[1], ctx))] = _as_int(g, f"{ctx}.setup_between[{key}]")
+                    raise FormatError(f"{ctx}.setup_between: key {_brief(key)} is not 'pred,succ'")
+                pair = (_int_key(parts[0], ctx), _int_key(parts[1], ctx))
+                pairs[pair] = _as_int(g, f"{ctx}.setup_between[{_brief(key)}]")
             setup = SetupTable(firsts=firsts, pairs=pairs)
 
         machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))
@@ -214,7 +221,7 @@ def schedule_from_dict(data: Any) -> Schedule:
     sequences = {}
     for key, ids in _need(data, "sequences", "schedule", dict).items():
         if not isinstance(ids, list):
-            raise FormatError(f"schedule.sequences[{key}]: expected a list of op ids")
+            raise FormatError(f"schedule.sequences[{_brief(key)}]: expected a list of op ids")
         sequences[_int_key(key, "schedule.sequences")] = tuple(_as_int(i, "sequence entry") for i in ids)
     return Schedule(ops=ops, sequences=sequences)
 

@@ -10,11 +10,12 @@ schedule.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass
 from time import perf_counter
 
-from .model import Instance, Schedule, topological_order
+from .model import Instance, Schedule, ScheduledOp, topological_order
 from .timing import DecodeInfeasible, PlacementEngine, makespan
 
 _INF = float("inf")
@@ -64,51 +65,103 @@ class _SearchLimit(Exception):
 
 
 class _Bounder:
-    """Lower bounds for partial placements, all three parts independently valid:
+    """A lower bound on every completion of the engine's partial placement.
 
-    the largest placed completion; a head recursion through the precedence
-    graph (an unplaced operation starts no earlier than its release and its
+    The bound is the largest of three independently valid parts: the largest
+    placed completion; a head recursion through the precedence graph (an
+    unplaced operation starts no earlier than its release and its
     predecessors' partial completions, placed ones exact, unplaced ones
-    bounded by head plus their own minimum partial length); and per machine
-    the completion of its tail, the last operation of its sequence in the
-    engine, plus the processing still owed to it by unplaced operations
-    eligible nowhere else.
+    bounded by head plus their own minimum partial length, and completes no
+    earlier than head plus its minimum processing time); and per machine the
+    completion of its tail plus the processing still owed to it by unplaced
+    operations eligible nowhere else.
+
+    `root` is the bound of the empty placement. The bound is then kept
+    alongside the engine rather than recomputed: :meth:`push` follows each
+    ``engine.commit`` and :meth:`pop` precedes each ``engine.undo``. A commit
+    only ever raises heads, since a placed operation starts at or after its
+    head, so the first two parts stay one running maximum that a push folds
+    the raised values into. A push walks only the descendants of the placed
+    operation whose head rises, and loops over the machines with single-machine
+    operations for the third part. Every value a push overwrites goes on a
+    trail, and a pop restores them.
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
-        self.topo = topological_order(inst)
-        self.preds = inst.predecessors
+        topo = topological_order(inst)
+        self.rank = {i: n for n, i in enumerate(topo)}
+        self.succs = inst.successors
+        ops = inst.ops_by_id
         self.pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
         self.pbmin = {op.id: min(op.partial_units(k) for k in op.eligible) for op in inst.operations}
-        self.solo = {op.id: next(iter(op.eligible)) for op in inst.operations if len(op.eligible) == 1}
+        self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
+        self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
+        for op in inst.operations:
+            if len(op.eligible) == 1:
+                [(k, p)] = op.eligible.items()
+                self.solo[op.id] = p
+                self.owed[k] = self.owed.get(k, 0) + p
+        self.tail = dict.fromkeys(self.owed, 0)  # machine owed work -> completion of its last operation
 
-    def bound(self, engine: PlacementEngine) -> int:
-        lb = 0
         head: dict[int, int] = {}
-        for i in self.topo:
-            rec = engine.placed.get(i)
-            if rec is not None:
-                lb = max(lb, rec.completion)
-                continue
-            h = self.inst.op(i).release
-            for p in self.preds[i]:
-                prec = engine.placed.get(p)
-                if prec is not None:
-                    h = max(h, prec.partial_completion)
-                else:
-                    h = max(h, head[p] + self.pbmin[p])
-            head[i] = h
-            lb = max(lb, h + self.pmin[i])
+        for i in topo:
+            head[i] = max([ops[i].release, *(head[p] + self.pbmin[p] for p in inst.predecessors[i])])
+        self.head = head
+        # the largest placed completion or unplaced head + pmin; nothing is placed yet
+        self.reach = max((head[i] + self.pmin[i] for i in topo), default=0)
+        self.root = self.bound()
+        self._trail: list[tuple[int, int]] = []  # (operation, its head before a push raised it)
+        self._frames: list[tuple] = []  # per push: trail length, reach, machine, its tail and owed before
 
-        owed: dict[int, int] = {}
-        for i, k in self.solo.items():
-            if i not in engine.placed:
-                owed[k] = owed.get(k, 0) + self.inst.op(i).eligible[k]
-        for k, extra in owed.items():
-            seq = engine.seqs[k]
-            lb = max(lb, (engine.placed[seq[-1]].completion if seq else 0) + extra)
+    def push(self, i: int, rec: ScheduledOp) -> int:
+        """Account for the commit of `i` at `rec`; returns the bound of the new placement."""
+        head, pbmin, pmin, succs, rank, trail = self.head, self.pbmin, self.pmin, self.succs, self.rank, self._trail
+        k, tail, owed = rec.machine, self.tail, self.owed
+        self._frames.append((len(trail), self.reach, k, tail.get(k), owed.get(k)))
+        if i in self.solo:
+            owed[k] -= self.solo[i]
+        if k in tail:
+            tail[k] = rec.completion
+
+        reach = self.reach if self.reach > rec.completion else rec.completion
+        j, out = i, rec.partial_completion  # out: the earliest start j allows its successors
+        queue: list[tuple[int, int]] = []  # raised descendants by topological rank
+        queued: set[int] = set()
+        while True:
+            for s in succs[j]:
+                if out > head[s]:
+                    trail.append((s, head[s]))
+                    head[s] = out
+                    if s not in queued:
+                        queued.add(s)
+                        heapq.heappush(queue, (rank[s], s))
+            if not queue:
+                break
+            _, j = heapq.heappop(queue)  # every raise of j comes from a lower rank, so is in
+            if head[j] + pmin[j] > reach:
+                reach = head[j] + pmin[j]
+            out = head[j] + pbmin[j]
+        self.reach = reach
+        return self.bound()
+
+    def bound(self) -> int:
+        """The bound of the current placement."""
+        lb, owed = self.reach, self.owed
+        for k, c in self.tail.items():
+            if c + owed[k] > lb:
+                lb = c + owed[k]
         return lb
+
+    def pop(self) -> None:
+        """Reverse the latest push."""
+        mark, self.reach, k, tail_k, owed_k = self._frames.pop()
+        head, trail = self.head, self._trail
+        while len(trail) > mark:
+            j, h = trail.pop()
+            head[j] = h
+        if tail_k is not None:
+            self.tail[k] = tail_k
+            self.owed[k] = owed_k
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +183,9 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     is reached only through its id-ascending append order, the first one this
     depth-first order visits anyway, and later visits could only tie the
     incumbent, never replace it. Skipped children are not nodes.
+    The bound is kept incrementally (see :class:`_Bounder`): an append
+    updates it along the appended operation's descendants only and an undo
+    restores it from a trail, with no pass over every operation.
     Limits are only checked between nodes, so runs are reproducible: a fixed
     node limit always explores the same tree regardless of wall time. With a
     tripped limit the result carries the best incumbent, the root bound, and
@@ -148,7 +204,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     except DecodeInfeasible:
         pass
 
-    root_lb = bounder.bound(engine)
+    root_lb = bounder.root
     nodes = 0
     if incumbent is not None and ub <= root_lb:
         return _result("optimal", t0, 0, incumbent, ub)
@@ -162,12 +218,6 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
 
     def descend(last: float = -_INF, last_k: int | None = None) -> None:
         nonlocal incumbent, ub, nodes
-        if len(engine.placed) == len(ids):
-            mk = max(so.completion for so in engine.placed.values())
-            if mk < ub:
-                ub = mk
-                incumbent = engine.schedule()
-            return
         for i in sorted(engine.ready):  # a copy: commit and undo below change the set
             commutes = i < last and last not in inst.predecessors[i]
             for k in machine_order[i]:
@@ -182,8 +232,14 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                     continue
                 engine.commit(i, rec)
                 nodes += 1
-                if bounder.bound(engine) < ub:
-                    descend(i, k)
+                lb = bounder.push(i, rec)
+                if lb < ub:
+                    if len(engine.placed) < len(ids):
+                        descend(i, k)
+                    else:  # a leaf's bound is its makespan
+                        ub = lb
+                        incumbent = engine.schedule()
+                bounder.pop()
                 engine.undo(i)
 
     hit_limit = False
@@ -268,4 +324,4 @@ def greedy_result(inst: Instance) -> SolveResult:
     """
     t0 = perf_counter()
     sched = solve_greedy(inst)
-    return _result("feasible", t0, 0, sched, _Bounder(inst).bound(PlacementEngine(inst)))
+    return _result("feasible", t0, 0, sched, _Bounder(inst).root)

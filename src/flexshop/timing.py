@@ -78,7 +78,11 @@ class PlacementEngine:
     machine's operations in append order (its tail is the last entry),
     `pred_left` counts each operation's unplaced graph predecessors, and
     `ready` holds the unplaced operations whose count is zero. Only
-    :meth:`commit` and :meth:`undo` change them.
+    :meth:`commit` and :meth:`undo` change them. The instance data a
+    placement reads is bound once, at construction: `ops` (each operation
+    record by id), `calendars` and `setups` (each machine's windows and
+    setup object), `partial` (each operation's partial length per eligible
+    machine), and the graph's `preds` and `succs`.
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
@@ -90,8 +94,10 @@ class PlacementEngine:
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
+        self.ops = inst.ops_by_id
         self.calendars = {mc.id: mc.windows for mc in inst.machines}
+        self.setups = {mc.id: mc.setup for mc in inst.machines}
+        self.partial = {op.id: {k: op.partial_units(k) for k in op.eligible} for op in inst.operations}
         self.preds = inst.predecessors
         self.succs = inst.successors
         self.placed: dict[int, ScheduledOp] = {}
@@ -105,26 +111,30 @@ class PlacementEngine:
         Raises DecodeInfeasible when a pinned operation cannot run exactly at
         its pinned start in this position.
         """
-        inst = self.inst
-        op = inst.op(op_id)
+        op = self.ops[op_id]
         calendar = self.calendars[machine_id]
         seq = self.seqs[machine_id]
+        placed = self.placed
+        start_floor = op.release
         if not seq:
-            setup_len = inst.setup_first(machine_id, op_id)
-            start_floor = op.release
+            setup_len = self.setups[machine_id].first(op)
         else:
             prev = seq[-1]
-            setup_len = inst.setup_between(machine_id, prev, op_id)
-            start_floor = max(op.release, self.placed[prev].completion + setup_len)
+            setup_len = self.setups[machine_id].between(self.ops[prev], op)
+            setup_start = placed[prev].completion
+            if setup_start + setup_len > start_floor:
+                start_floor = setup_start + setup_len
 
         completion_floor = 0
         for p in self.preds[op_id]:
-            rec = self.placed[p]
-            start_floor = max(start_floor, rec.partial_completion)
-            completion_floor = max(completion_floor, rec.completion)
+            rec = placed[p]
+            if rec.partial_completion > start_floor:
+                start_floor = rec.partial_completion
+            if rec.completion > completion_floor:
+                completion_floor = rec.completion
 
         proc = op.eligible[machine_id]
-        partial = op.partial_units(machine_id)
+        partial = self.partial[op_id][machine_id]
 
         if op.fixed is not None:
             pinned = op.fixed[1]
@@ -149,7 +159,7 @@ class PlacementEngine:
             setup_start=s - setup_len,
             setup_len=setup_len,
             start=s,
-            partial_completion=_finish(calendar, s, partial),
+            partial_completion=completion if partial == proc else _finish(calendar, s, partial),
             completion=completion,
         )
 

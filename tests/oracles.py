@@ -5,9 +5,10 @@ time and legality is re-derived from first principles at each step. Keep
 the placement oracles free of flexshop.timing so the two code paths cannot
 share a bug. The search oracles are the exception: :func:`brute_force`
 decodes through :func:`flexshop.timing.decode` and
-:func:`plain_branch_and_bound` shares the exact search's placements and
-bound, both on purpose, because they check the search (which structures
-it visits and which it prunes), not the placements.
+:func:`plain_branch_and_bound` shares the exact search's placements, both on
+purpose, because they check the search (which structures it visits and
+which it prunes), not the placements. The search's bound, kept incrementally
+there, is recomputed from scratch here by :func:`full_pass_bound`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import dataclasses
 import itertools
 from time import perf_counter
 
-from flexshop.model import Instance, Schedule
-from flexshop.solvers import SolveResult, _Bounder, solve_greedy
+from flexshop.model import Instance, Schedule, topological_order
+from flexshop.solvers import SolveResult, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, decode, makespan
 
 
@@ -90,19 +91,62 @@ def with_full_overlap(inst: Instance) -> Instance:
     return Instance(num_machines=inst.num_machines, operations=ops, arcs=inst.arcs, machines=inst.machines)
 
 
+def full_pass_bound(inst: Instance, engine: PlacementEngine) -> int:
+    """The exact search's lower bound on `engine`'s placement, from one pass over every operation.
+
+    Three parts, each valid on its own: the largest placed completion; a
+    head recursion through the precedence graph (an unplaced operation
+    starts no earlier than its release and its predecessors' partial
+    completions, placed ones exact, unplaced ones bounded by head plus their
+    own minimum partial length); and per machine the completion of its tail,
+    the last operation of its sequence in the engine, plus the processing
+    still owed to it by unplaced operations eligible nowhere else.
+    """
+    preds = inst.predecessors
+    pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
+    pbmin = {op.id: min(op.partial_units(k) for k in op.eligible) for op in inst.operations}
+    solo = {op.id: next(iter(op.eligible)) for op in inst.operations if len(op.eligible) == 1}
+
+    lb = 0
+    head: dict[int, int] = {}
+    for i in topological_order(inst):
+        rec = engine.placed.get(i)
+        if rec is not None:
+            lb = max(lb, rec.completion)
+            continue
+        h = inst.op(i).release
+        for p in preds[i]:
+            prec = engine.placed.get(p)
+            if prec is not None:
+                h = max(h, prec.partial_completion)
+            else:
+                h = max(h, head[p] + pbmin[p])
+        head[i] = h
+        lb = max(lb, h + pmin[i])
+
+    owed: dict[int, int] = {}
+    for i, k in solo.items():
+        if i not in engine.placed:
+            owed[k] = owed.get(k, 0) + inst.op(i).eligible[k]
+    for k, extra in owed.items():
+        seq = engine.seqs[k]
+        lb = max(lb, (engine.placed[seq[-1]].completion if seq else 0) + extra)
+    return lb
+
+
 def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
     """`solve_exact` branching on every interleaving of appends, no reduction.
 
     Same greedy incumbent, root test, child order, bound and node-limit rule.
     Returns (status, schedule, nodes).
     """
-    engine, bounder = PlacementEngine(inst), _Bounder(inst)
+    engine = PlacementEngine(inst)
     try:
         best = solve_greedy(inst)
     except DecodeInfeasible:
         best = None
     ub = float("inf") if best is None else makespan(best)
-    if best is not None and ub <= bounder.bound(engine):
+    if best is not None and ub <= full_pass_bound(inst, engine):
         return "optimal", best, 0
     order = {op.id: sorted(op.eligible, key=lambda k: (op.eligible[k], k)) for op in inst.operations}
     nodes = 0
@@ -124,7 +168,7 @@ def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
                     continue
                 engine.commit(i, rec)
                 nodes += 1
-                going = bounder.bound(engine) >= ub or descend()
+                going = full_pass_bound(inst, engine) >= ub or descend()
                 engine.undo(i)
                 if not going:
                     return False

@@ -228,12 +228,15 @@ def test_check_rejects_unknown_ids(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
-def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1):
+RULE = {"setup_rule": {"st_smaller": 0, "st_larger": 0, "ct": 0, "vt": 0}}
+HUGE = "9" * 10_000_000
+
+
+def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1, setup=RULE, op=None):
     """A one-operation instance and a schedule for it, with the given faults."""
     instance = {"m": m, "arcs": [],
-                "machines": [{**mc, "setup_rule": {"st_smaller": 0, "st_larger": 0, "ct": 0, "vt": 0}}
-                             for mc in machines],
-                "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}}]}
+                "machines": [{**mc, **setup} for mc in machines],
+                "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}, **(op or {})}]}
     schedule = {"operations": [{"id": sched_op, "machine": sched_machine, "setup_start": 0, "setup_len": 0,
                                 "start": 0, "partial_completion": 5, "completion": 5}],
                 "sequences": {str(sched_machine): [sched_op]}}
@@ -254,6 +257,12 @@ DEEP = "[" * 200_000
                  "machine ids must be 1..2", id="duplicate-machine-id"),
     pytest.param("gantt", *_hostile(sched_machine=9), 2, "error: unknown machine id 9", id="gantt-unknown-machine"),
     pytest.param("gantt", *_hostile(sched_op=99), 2, "error: unknown operation id 99", id="gantt-unknown-operation"),
+    pytest.param("solve", _hostile(op={"release": HUGE})[0], None, 2,
+                 "error: operation[0].release: expected an integer, got '999", id="release-10MB-string"),
+    pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {HUGE: 0}})[0], None, 2,
+                 "error: machine[0].setup_between: key '999", id="setup-key-10MB"),
+    pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1," + HUGE: 0}})[0], None, 2,
+                 "error: machine[0]: key '999", id="setup-key-10MB-succ"),
 ])
 def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, command, instance, schedule, code,
                                                           message):
@@ -267,6 +276,7 @@ def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, comma
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert len(err.encode()) < 1024
 
 
 def test_invalid_instance_exits_one(tmp_path, capsys):

@@ -4,10 +4,10 @@ import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.model import CycleError, Instance, Machine, Operation, SetupTable, validate_instance
-from flexshop.solvers import solve_exact, solve_greedy
-from flexshop.timing import DecodeInfeasible, check_schedule, decode, makespan
+from flexshop.solvers import _Bounder, solve_exact, solve_greedy
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
-from oracles import brute_force, plain_branch_and_bound, with_full_overlap
+from oracles import brute_force, full_pass_bound, plain_branch_and_bound, with_full_overlap
 from test_timing import serial_instance
 
 
@@ -201,8 +201,8 @@ def reversed_ids(inst: Instance) -> Instance:
                    arcs=tuple((top - i, top - j) for i, j in inst.arcs))
 
 
-def test_exact_returns_the_unreduced_incumbent():
-    # skipping commuting appends must leave the incumbent byte-identical
+def unreduced_cases() -> list[Instance]:
+    """Small two-job instances, some with full overlap, a pin, or arcs running to lower ids."""
     cases = []
     for seed in range(1, 31):
         base = generate(GenParams(n=2, o_min=2, o_max=3, m_min=2, m_max=3, q=2, seed=seed))
@@ -213,6 +213,13 @@ def test_exact_returns_the_unreduced_incumbent():
             cases.append(pinned_variant(base, 20 + seed))
         if seed % 4 == 1:
             cases.append(reversed_ids(base))
+    return cases
+
+
+def test_exact_returns_the_unreduced_incumbent():
+    # skipping commuting appends must leave the incumbent byte-identical, and
+    # the plain search prunes on a bound recomputed from scratch at each node
+    cases = unreduced_cases()
     assert len(cases) >= 40
     assert sum(any(op.fixed for op in inst.operations) for inst in cases) >= 10
     assert sum(any(i > j for i, j in inst.arcs) for inst in cases) >= 5
@@ -230,6 +237,42 @@ def test_exact_returns_the_unreduced_incumbent():
         saved += plain_nodes - res.nodes
     assert statuses == {"optimal", "infeasible"}
     assert saved > 0
+
+
+def walk_every_append(inst: Instance, node_limit: int) -> int:
+    """Check the incremental bound against the full pass at every append, depth first; returns the nodes."""
+    engine, bounder = PlacementEngine(inst), _Bounder(inst)
+    assert bounder.root == bounder.bound() == full_pass_bound(inst, engine)
+    nodes = 0
+
+    def descend() -> None:
+        nonlocal nodes
+        for i in sorted(engine.ready):
+            for k in sorted(inst.op(i).eligible):
+                if nodes >= node_limit:
+                    return
+                try:
+                    rec = engine.placement(i, k)
+                except DecodeInfeasible:
+                    continue
+                before = bounder.bound()
+                engine.commit(i, rec)
+                nodes += 1
+                assert bounder.push(i, rec) == full_pass_bound(inst, engine), (i, k)
+                descend()
+                bounder.pop()
+                engine.undo(i)
+                assert bounder.bound() == before == full_pass_bound(inst, engine), (i, k)
+
+    descend()
+    return nodes
+
+
+def test_incremental_bound_equals_the_full_pass_at_every_node():
+    nodes = sum(walk_every_append(inst, 400) for inst in unreduced_cases())
+    for seed in range(1, 13):
+        nodes += walk_every_append(generate(replace(params_for_class("small", 1), seed=seed)), 1_000)
+    assert nodes > 25_000
 
 
 def test_skipped_appends_never_drop_the_only_feasible_order():
