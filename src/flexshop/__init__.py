@@ -11,8 +11,8 @@ command-line front end.
 """
 
 from .generator import GenParams, JobDag, gen_job_dag, generate, params_for_class
-from .jsonio import (FormatError, dumps_instance, dumps_report, dumps_schedule,
-                     instance_from_dict, instance_to_dict, loads_instance,
+from .jsonio import (FormatError, dumps_instance, dumps_manifest, dumps_report, dumps_result,
+                     dumps_schedule, instance_from_dict, instance_to_dict, loads_instance,
                      loads_schedule, schedule_from_dict, schedule_to_dict)
 from .milp import MilpModel, Row, RowViolation, Var, build_model, emit_lp, evaluate_schedule
 from .model import (BigM, CycleError, Instance, Machine, Operation, Schedule,
@@ -30,8 +30,8 @@ __all__ = [
     "Instance", "JobDag", "Machine", "MilpModel", "Operation", "Rng", "Row",
     "RowViolation", "Schedule", "ScheduledOp", "SetupRule", "SetupTable", "SolveResult",
     "Var", "Violation", "big_m_constants", "build_model",
-    "check_schedule", "decode", "dumps_instance", "dumps_report",
-    "dumps_schedule", "emit_lp", "evaluate_schedule", "gen_job_dag",
+    "check_schedule", "decode", "dumps_instance", "dumps_manifest",
+    "dumps_report", "dumps_result", "dumps_schedule", "emit_lp", "evaluate_schedule", "gen_job_dag",
     "generate", "greedy_result", "instance_from_dict", "instance_to_dict",
     "loads_instance", "loads_schedule", "makespan", "params_for_class",
     "render_svg", "schedule_from_dict", "schedule_to_dict", "solve_exact",

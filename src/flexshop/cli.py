@@ -8,7 +8,6 @@ found, instance invalid, no feasible schedule), 2 malformed input or usage.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -16,7 +15,8 @@ from dataclasses import replace
 from . import __version__
 from .gantt import render_svg
 from .generator import generate, params_for_class
-from .jsonio import FormatError, dumps_instance, dumps_report, loads_instance, loads_schedule
+from .jsonio import (FormatError, dumps_instance, dumps_manifest, dumps_report, dumps_result, loads_instance,
+                     loads_schedule)
 from .milp import build_model, emit_lp
 from .model import Instance, validate_instance
 from .solvers import greedy_result, solve_exact
@@ -67,7 +67,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "operations": len(inst.operations),
             "machines": inst.num_machines,
         }
-        _write(args.out + ".manifest.json", json.dumps(manifest, indent=1))
+        _write(args.out + ".manifest.json", dumps_manifest(manifest))
     return 0
 
 
@@ -82,7 +82,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         except DecodeInfeasible as exc:
             print(f"greedy failed: {exc}", file=sys.stderr)
             return 1
-    _write(args.out, json.dumps(result.to_dict(), indent=1))
+    _write(args.out, dumps_result(result))
     return 0 if result.schedule is not None else 1
 
 

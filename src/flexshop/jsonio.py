@@ -1,4 +1,4 @@
-"""JSON reading and writing for instances, schedules, reports, and results.
+"""JSON reading and writing for instances, schedules, results, and reports.
 
 Instance shape::
 
@@ -23,9 +23,16 @@ Schedules::
                      "start": 5, "partial_completion": 9, "completion": 11}],
      "sequences": {"2": [1]}}
 
+Results and reports, from ``solve`` and ``check`` ("schedule" is null when none was found)::
+
+    {"status": "optimal", "makespan": 11, "lower_bound": 11, "gap": 0.0,
+     "nodes": 7, "wall_ms": 0, "schedule": {"operations": [...], "sequences": {...}}}
+    [{"rule": "calendar", "op_ids": [3], "detail": "..."}]
+
 Record keys follow the model's dataclass fields in field order: an
 operation holds those of :class:`Operation`, a schedule record "id" and then
-those of :class:`ScheduledOp`, a "setup_rule" those of :class:`SetupRule`.
+those of :class:`ScheduledOp`, a "setup_rule" those of :class:`SetupRule`, a
+result those of :class:`SolveResult`, a report entry those of :class:`Violation`.
 A field with a default may be omitted; the others are required. Malformed
 input, including JSON the parser cannot read (nested too deep, say), raises
 :class:`FormatError`; the CLI maps that to exit code 2, keeping it distinct
@@ -40,7 +47,8 @@ import json
 from typing import Any
 
 from .model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable,
-                    Violation)
+                    Violation, brief)
+from .solvers import SolveResult
 
 
 class FormatError(ValueError):
@@ -61,15 +69,9 @@ def _need(obj: Any, key: str, ctx: str, kind: type | None = None, default: Any =
     return value
 
 
-def _brief(value: Any) -> str:
-    """``repr(value)`` cut to about 80 characters, so that a huge input value cannot flood a message."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:72] + "...[cut]"
-
-
 def _as_int(value: Any, ctx: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{ctx}: expected an integer, got {_brief(value)}")
+        raise FormatError(f"{ctx}: expected an integer, got {brief(value)}")
     return value
 
 
@@ -77,7 +79,7 @@ def _int_key(key: str, ctx: str) -> int:
     try:
         return int(key)
     except (TypeError, ValueError):
-        raise FormatError(f"{ctx}: key {_brief(key)} is not an integer") from None
+        raise FormatError(f"{ctx}: key {brief(key)} is not an integer") from None
 
 
 def _parse(text: str, what: str) -> Any:
@@ -87,6 +89,7 @@ def _parse(text: str, what: str) -> Any:
         raise FormatError(f"{what}: invalid JSON: {exc}") from None
 
 
+_dumps = functools.partial(json.dumps, indent=1)  # writes every document; no other module imports json
 _fields = functools.cache(dataclasses.fields)  # keyed by class; fields() builds a new tuple on every call
 
 
@@ -159,9 +162,9 @@ def instance_from_dict(data: Any) -> Instance:
             for key, g in _need(raw, "setup_between", ctx, dict).items():
                 parts = str(key).split(",")
                 if len(parts) != 2:
-                    raise FormatError(f"{ctx}.setup_between: key {_brief(key)} is not 'pred,succ'")
+                    raise FormatError(f"{ctx}.setup_between: key {brief(key)} is not 'pred,succ'")
                 pair = (_int_key(parts[0], ctx), _int_key(parts[1], ctx))
-                pairs[pair] = _as_int(g, f"{ctx}.setup_between[{_brief(key)}]")
+                pairs[pair] = _as_int(g, f"{ctx}.setup_between[{brief(key)}]")
             setup = SetupTable(firsts=firsts, pairs=pairs)
 
         machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))
@@ -189,7 +192,7 @@ def instance_from_dict(data: Any) -> Instance:
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=1)
+    return _dumps(instance_to_dict(inst))
 
 
 def loads_instance(text: str) -> Instance:
@@ -221,13 +224,13 @@ def schedule_from_dict(data: Any) -> Schedule:
     sequences = {}
     for key, ids in _need(data, "sequences", "schedule", dict).items():
         if not isinstance(ids, list):
-            raise FormatError(f"schedule.sequences[{_brief(key)}]: expected a list of op ids")
+            raise FormatError(f"schedule.sequences[{brief(key)}]: expected a list of op ids")
         sequences[_int_key(key, "schedule.sequences")] = tuple(_as_int(i, "sequence entry") for i in ids)
     return Schedule(ops=ops, sequences=sequences)
 
 
 def dumps_schedule(sched: Schedule) -> str:
-    return json.dumps(schedule_to_dict(sched), indent=1)
+    return _dumps(schedule_to_dict(sched))
 
 
 def loads_schedule(text: str) -> Schedule:
@@ -235,9 +238,18 @@ def loads_schedule(text: str) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Results, reports, and manifests
 # ---------------------------------------------------------------------------
 
 
+def dumps_result(result: SolveResult) -> str:
+    schedule = None if result.schedule is None else schedule_to_dict(result.schedule)
+    return _dumps(_to_record(result, schedule=schedule))
+
+
 def dumps_report(violations: list[Violation]) -> str:
-    return json.dumps([v.to_dict() for v in violations], indent=1)
+    return _dumps([_to_record(v) for v in violations])  # op_ids: a tuple encodes as an array
+
+
+def dumps_manifest(manifest: dict[str, Any]) -> str:
+    return _dumps(manifest)

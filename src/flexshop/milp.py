@@ -78,8 +78,6 @@ def build_model(inst: Instance) -> MilpModel:
     windows = {k: inst.machine(k).windows for k in hosts}
     has_succ = sorted({i for i, _ in inst.arcs})
     arcs = sorted(inst.arcs)
-    gap_pairs = [(i, j) for i in ops for j in ops
-                 if i != j and not set(eligible[i]).isdisjoint(eligible[j])]
 
     variables: list[Var] = []
     for i in ops:
@@ -203,11 +201,12 @@ def build_model(inst: Instance) -> MilpModel:
         row(f"setup_len_def_{j}",
             [(1, f"xi_{j}")] + [(-1, f"xib_{j}_{k}") for k in eligible[j]], "=", 0)
 
-    for i, j in gap_pairs:
-        shared = [k for k in eligible[i] if k in op_of[j].eligible]
-        terms = [(1, f"c_{i}"), (-1, f"s_{j}"), (1, f"xi_{j}")]
-        terms += [(m2, _y(i, j, k)) for k in shared]
-        row(f"machine_gap_{i}_{j}", terms, "<=", m2)
+    for i in ops:
+        for j in ops:
+            shared = [k for k in eligible[i] if k in op_of[j].eligible]
+            if i != j and shared:
+                row(f"machine_gap_{i}_{j}", [(1, f"c_{i}"), (-1, f"s_{j}"), (1, f"xi_{j}")]
+                    + [(m2, _y(i, j, k)) for k in shared], "<=", m2)
     for i in ops:
         row(f"setup_within_start_{i}", [(1, f"s_{i}"), (-1, f"xi_{i}")], ">=", 0)
 

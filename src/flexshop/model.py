@@ -40,9 +40,6 @@ class Violation:
     op_ids: tuple[int, ...]
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "op_ids": list(self.op_ids), "detail": self.detail}
-
     def __str__(self) -> str:
         return f"{self.rule} {list(self.op_ids)}: {self.detail}"
 
@@ -242,9 +239,15 @@ class BigM:
 # ---------------------------------------------------------------------------
 
 
+def brief(value: object) -> str:
+    """``repr(value)`` cut to about 80 characters, so that a huge input value cannot flood a message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:72] + "...[cut]"
+
+
 def _check_time(target: list[Violation], rule: str, op_ids: tuple[int, ...], label: str, value: int) -> bool:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= MAX_TIME:
-        target.append(Violation(rule, op_ids, f"{label} must be a non-negative 64-bit integer, got {value!r}"))
+        target.append(Violation(rule, op_ids, f"{label} must be a non-negative 64-bit integer, got {brief(value)}"))
         return False
     return True
 
@@ -254,11 +257,11 @@ def validate_instance(inst: Instance) -> list[Violation]:
     report: list[Violation] = []
 
     if inst.num_machines < 1:
-        report.append(Violation("machine count", (), f"need at least one machine, got {inst.num_machines}"))
+        report.append(Violation("machine count", (), f"need at least one machine, got {brief(inst.num_machines)}"))
     machine_ids = {mc.id for mc in inst.machines}
     n_machines = len(inst.machines)  # compared first: m is untrusted and may be huge
     if n_machines != inst.num_machines or sorted(mc.id for mc in inst.machines) != list(range(1, n_machines + 1)):
-        report.append(Violation("machine ids", (), f"machine ids must be 1..{inst.num_machines}"))
+        report.append(Violation("machine ids", (), f"machine ids must be 1..{brief(inst.num_machines)}"))
 
     op_ids = [op.id for op in inst.operations]
     if sorted(op_ids) != list(range(1, len(op_ids) + 1)):
@@ -273,11 +276,11 @@ def validate_instance(inst: Instance) -> list[Violation]:
             report.append(Violation("eligibility", (op.id,), "empty eligible-machine set"))
         for k, p in op.eligible.items():
             if k not in machine_ids:
-                report.append(Violation("eligibility", (op.id,), f"eligible machine {k} does not exist"))
+                report.append(Violation("eligibility", (op.id,), f"eligible machine {brief(k)} does not exist"))
             if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= MAX_TIME:
-                report.append(Violation("processing time", (op.id,), f"p on machine {k} must be an integer >= 1, got {p!r}"))
+                report.append(Violation("processing time", (op.id,), f"p on machine {k} must be an integer >= 1, got {brief(p)}"))
         if not 1 <= op.theta_hundredths <= 100:
-            report.append(Violation("overlap fraction", (op.id,), f"theta_hundredths must be in 1..100, got {op.theta_hundredths}"))
+            report.append(Violation("overlap fraction", (op.id,), f"theta_hundredths must be in 1..100, got {brief(op.theta_hundredths)}"))
         _check_time(report, "release", (op.id,), "release", op.release)
         if op.fixed is not None:
             k_fix, s_fix = op.fixed

@@ -4,8 +4,8 @@ Both grow schedules in a :class:`flexshop.timing.PlacementEngine`, appending
 operations from its ready set, so a schedule either returns is by
 construction the left-tight decoding of its decision structure and passes
 the checker. :func:`solve_exact` and :func:`greedy_result` report through
-one :class:`SolveResult` path; :func:`solve_greedy` returns the bare
-schedule.
+one :class:`SolveResult` path, whose fields are the result document's keys
+in order; :func:`solve_greedy` returns the bare schedule.
 """
 
 from __future__ import annotations
@@ -24,27 +24,12 @@ _INF = float("inf")
 @dataclass(frozen=True)
 class SolveResult:
     status: str  # optimal | feasible | infeasible | limit
-    schedule: Schedule | None
     makespan: int | None
     lower_bound: int | None
     gap: float | None
     nodes: int
     wall_ms: int
-
-    def to_dict(self) -> dict:
-        # Looked up on jsonio at call time, not bound here: bench/spans.py times
-        # the jsonio layer by patching schedule_to_dict on that module only.
-        from .jsonio import schedule_to_dict
-
-        return {
-            "status": self.status,
-            "makespan": self.makespan,
-            "lower_bound": self.lower_bound,
-            "gap": self.gap,
-            "nodes": self.nodes,
-            "wall_ms": self.wall_ms,
-            "schedule": None if self.schedule is None else schedule_to_dict(self.schedule),
-        }
+    schedule: Schedule | None
 
 
 def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None,
@@ -52,7 +37,8 @@ def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None
     """A result timed from `t0`; makespan and gap follow from the schedule."""
     mk = None if schedule is None else makespan(schedule)
     gap = None if mk is None or lower_bound is None else (mk - lower_bound) / (1e-10 + mk)
-    return SolveResult(status, schedule, mk, lower_bound, gap, nodes, int((perf_counter() - t0) * 1000))
+    return SolveResult(status=status, makespan=mk, lower_bound=lower_bound, gap=gap, nodes=nodes,
+                       wall_ms=int((perf_counter() - t0) * 1000), schedule=schedule)
 
 
 class _SearchLimit(Exception):

@@ -361,7 +361,6 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
 
     for k, seq_ids in sorted(sched.sequences.items()):
         placed = [i for i in seq_ids if i in sched.ops]
-        calendar = inst.machine(k).windows
         for pos, i in enumerate(placed):
             so = sched.ops[i]
             if so.machine != k:

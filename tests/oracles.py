@@ -212,5 +212,7 @@ def brute_force(inst: Instance) -> SolveResult:
                 best, best_mk = sched, mk
     wall_ms = int((perf_counter() - t0) * 1000)
     if best is None:
-        return SolveResult("infeasible", None, None, None, None, tried, wall_ms)
-    return SolveResult("optimal", best, best_mk, best_mk, 0.0, tried, wall_ms)
+        return SolveResult(status="infeasible", makespan=None, lower_bound=None, gap=None, nodes=tried,
+                           wall_ms=wall_ms, schedule=None)
+    return SolveResult(status="optimal", makespan=best_mk, lower_bound=best_mk, gap=0.0, nodes=tried,
+                       wall_ms=wall_ms, schedule=best)

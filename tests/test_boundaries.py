@@ -1,4 +1,5 @@
-"""Module boundaries: no private names cross modules, and no module-level import goes unused."""
+"""Module boundaries: no private names cross modules, only jsonio reads or writes JSON, and no
+module-level import goes unused."""
 
 import ast
 import pathlib
@@ -25,6 +26,21 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                           f"{'.' * node.level}{node.module or ''}"
                           for alias in node.names if is_private(alias.name)]
     assert offenders == []
+
+
+def test_only_jsonio_imports_json():
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "json" for module in modules):
+                importers.add(path.name)
+    assert importers == {"jsonio.py"}
 
 
 def test_every_exported_name_resolves():

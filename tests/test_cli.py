@@ -85,6 +85,19 @@ def test_solve_exact_without_limits_stops_at_the_default_node_cap(tmp_path, caps
     assert json.loads(capsys.readouterr().out) == []
 
 
+def test_solve_without_a_schedule_writes_a_null_schedule(tmp_path, capsys):
+    # two operations pinned to the same start on one machine cannot both run
+    inst_path = tmp_path / "pins.json"
+    inst_path.write_text(json.dumps({
+        "m": 1, "arcs": [], "machines": [{"id": 1, **RULE}],
+        "operations": [{"id": i, "job": i, "eligible": {"1": 5}, "fixed": {"machine": 1, "start": 3}}
+                       for i in (1, 2)]}))
+    assert main(["solve", str(inst_path), "--alg", "exact"]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert list(result) == ["status", "makespan", "lower_bound", "gap", "nodes", "wall_ms", "schedule"]
+    assert result["status"] == "infeasible" and result["schedule"] is None
+
+
 def test_solve_has_no_brute_force(tmp_path, capsys):
     # exhaustive enumeration is a test oracle (tests/oracles.py), not a solver
     inst_path = gen_instance(tmp_path)
@@ -230,6 +243,7 @@ def test_check_rejects_unknown_ids(tmp_path, capsys):
 
 RULE = {"setup_rule": {"st_smaller": 0, "st_larger": 0, "ct": 0, "vt": 0}}
 HUGE = "9" * 10_000_000
+BIG = 10**4000  # an integer JSON reads, under Python's 4,300-digit limit on int/str conversion
 
 
 def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1, setup=RULE, op=None):
@@ -263,6 +277,20 @@ DEEP = "[" * 200_000
                  "error: machine[0].setup_between: key '999", id="setup-key-10MB"),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1," + HUGE: 0}})[0], None, 2,
                  "error: machine[0]: key '999", id="setup-key-10MB-succ"),
+    pytest.param("solve", _hostile(op={"release": BIG})[0], None, 1,
+                 "release must be a non-negative 64-bit integer, got 1000", id="release-1e4000"),
+    pytest.param("solve", _hostile(op={"theta_hundredths": BIG})[0], None, 1,
+                 "theta_hundredths must be in 1..100, got 1000", id="theta-1e4000"),
+    pytest.param("solve", _hostile(op={"eligible": {"1": BIG}})[0], None, 1,
+                 "p on machine 1 must be an integer >= 1, got 1000", id="p-1e4000"),
+    pytest.param("solve", _hostile(m=BIG)[0], None, 1, "machine ids must be 1..1000", id="m-1e4000"),
+    pytest.param("solve", _hostile(m=-BIG)[0], None, 1, "need at least one machine, got -1000", id="m-minus-1e4000"),
+    pytest.param("solve", _hostile(op={"eligible": {str(BIG): 5}})[0], None, 1, "eligible machine 1000",
+                 id="eligible-machine-1e4000"),
+    pytest.param("solve", _hostile(machines=({"id": 1, "windows": [[BIG, BIG + 1]]},))[0], None, 1,
+                 "machine 1 window begin must be a non-negative 64-bit integer, got 1000", id="window-1e4000"),
+    pytest.param("solve", _hostile(setup={"setup_rule": {**RULE["setup_rule"], "ct": BIG}})[0], None, 1,
+                 "machine 1 rule ct must be a non-negative 64-bit integer, got 1000", id="rule-ct-1e4000"),
 ])
 def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, command, instance, schedule, code,
                                                           message):

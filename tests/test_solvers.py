@@ -1,8 +1,10 @@
+import json
 from dataclasses import replace
 
 import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
+from flexshop.jsonio import dumps_result
 from flexshop.model import CycleError, Instance, Machine, Operation, SetupTable, validate_instance
 from flexshop.solvers import _Bounder, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
@@ -383,6 +385,6 @@ def test_greedy_raises_when_pins_block_everything():
 
 def test_solve_result_serializes():
     res = brute_force(serial_instance())
-    d = res.to_dict()
+    d = json.loads(dumps_result(res))
     assert d["status"] == "optimal" and d["makespan"] == 12
     assert d["schedule"]["sequences"] == {"1": [1, 2]}
