@@ -14,7 +14,7 @@ from .generator import GenParams, JobDag, gen_job_dag, generate, params_for_clas
 from .jsonio import (FormatError, dumps_instance, dumps_manifest, dumps_report, dumps_result,
                      dumps_schedule, instance_from_dict, instance_to_dict, loads_instance,
                      loads_schedule, schedule_from_dict, schedule_to_dict)
-from .milp import MilpModel, Row, RowViolation, Var, build_model, emit_lp, evaluate_schedule
+from .milp import MilpModel, Row, RowViolation, build_model, emit_lp, evaluate_schedule
 from .model import (BigM, CycleError, Instance, Machine, Operation, Schedule,
                     ScheduledOp, SetupRule, SetupTable, Violation, big_m_constants,
                     topological_order, validate_instance)
@@ -29,7 +29,7 @@ __all__ = [
     "BigM", "CycleError", "DecodeInfeasible", "FormatError", "GenParams",
     "Instance", "JobDag", "Machine", "MilpModel", "Operation", "Rng", "Row",
     "RowViolation", "Schedule", "ScheduledOp", "SetupRule", "SetupTable", "SolveResult",
-    "Var", "Violation", "big_m_constants", "build_model",
+    "Violation", "big_m_constants", "build_model",
     "check_schedule", "decode", "dumps_instance", "dumps_manifest",
     "dumps_report", "dumps_result", "dumps_schedule", "emit_lp", "evaluate_schedule", "gen_job_dag",
     "generate", "greedy_result", "instance_from_dict", "instance_to_dict",

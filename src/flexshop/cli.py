@@ -15,8 +15,7 @@ from dataclasses import replace
 from . import __version__
 from .gantt import render_svg
 from .generator import generate, params_for_class
-from .jsonio import (FormatError, dumps_instance, dumps_manifest, dumps_report, dumps_result, loads_instance,
-                     loads_schedule)
+from .jsonio import dumps_instance, dumps_manifest, dumps_report, dumps_result, loads_instance, loads_schedule
 from .milp import build_model, emit_lp
 from .model import Instance, validate_instance
 from .solvers import greedy_result, solve_exact
@@ -88,11 +87,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
-    sched = loads_schedule(_read(args.schedule))
-    try:
-        report = check_schedule(inst, sched)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    report = check_schedule(inst, loads_schedule(_read(args.schedule)))
     _write(args.out, dumps_report(report))
     return 1 if report else 0
 
@@ -169,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -17,6 +17,12 @@ machine the immediate-predecessor pairs satisfy ``sum(y) >= sum(x) - 1``
 rather than equality, so an entirely unused machine (``sum(x) = 0``) stays
 feasible. The degree caps and the gap rows still force one simple chain
 through every operation the machine actually hosts.
+
+Each variable name is formatted once, in the name tables at the top of
+:func:`build_model`; the rows look names up there, so a row that names an
+undeclared variable fails with KeyError. :func:`schedule_values` formats the
+same names on its own on purpose: it is the independent side of the row
+check, and a mismatch shows up as violated rows on a proven optimum.
 """
 
 from __future__ import annotations
@@ -27,13 +33,7 @@ from .model import Instance, Schedule, big_m_constants
 from .timing import makespan as schedule_makespan
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    kind: str  # "B" binary, "C" continuous; every variable is non-negative
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     name: str
     terms: tuple[tuple[int, str], ...]
@@ -43,7 +43,8 @@ class Row:
 
 @dataclass(frozen=True)
 class MilpModel:
-    variables: tuple[Var, ...]
+    binaries: tuple[str, ...]  # variable names in declaration order
+    continuous: tuple[str, ...]  # every variable, binary or not, is non-negative
     constraints: tuple[Row, ...]
     objective: str = "Cmax"
 
@@ -59,14 +60,6 @@ class RowViolation:
         return f"{self.name}: {self.lhs} {self.sense} {self.rhs} fails"
 
 
-def _x(i: int, k: int) -> str:
-    return f"x_{i}_{k}"
-
-
-def _y(i: int, j: int, k: int) -> str:
-    return f"yI_{i}_{j}_{k}"
-
-
 def build_model(inst: Instance) -> MilpModel:
     bigm = big_m_constants(inst)
     m1, m2, m3 = bigm.m1, bigm.m2, bigm.m3
@@ -79,30 +72,18 @@ def build_model(inst: Instance) -> MilpModel:
     has_succ = sorted({i for i, _ in inst.arcs})
     arcs = sorted(inst.arcs)
 
-    variables: list[Var] = []
-    for i in ops:
-        for k in eligible[i]:
-            variables.append(Var(_x(i, k), "B"))
-    for k, here in hosts.items():
-        for i in here:
-            for j in here:
-                if i != j:
-                    variables.append(Var(_y(i, j, k), "B"))
-    for prefix in ("v", "w", "wb"):
-        for i in ops:
-            for k in eligible[i]:
-                for ell in range(1, len(windows[k]) + 1):
-                    variables.append(Var(f"{prefix}_{i}_{k}_{ell}", "B"))
-    for prefix in ("s", "c", "cb", "pp", "ppb", "u", "ub"):
-        for i in ops:
-            variables.append(Var(f"{prefix}_{i}", "C"))
-    for prefix in ("xih", "xib"):
-        for i in ops:
-            for k in eligible[i]:
-                variables.append(Var(f"{prefix}_{i}_{k}", "C"))
-    for i in ops:
-        variables.append(Var(f"xi_{i}", "C"))
-    variables.append(Var("Cmax", "C"))
+    # The name tables, in declaration order; rows only look names up.
+    per_ik = [(i, k) for i in ops for k in eligible[i]]
+    per_ikl = [(i, k, ell) for i, k in per_ik for ell in range(1, len(windows[k]) + 1)]
+    x, xih, xib = ({(i, k): f"{p}_{i}_{k}" for i, k in per_ik} for p in ("x", "xih", "xib"))
+    y = {(i, j, k): f"yI_{i}_{j}_{k}" for k, here in hosts.items() for i in here for j in here if i != j}
+    v, w, wb = ({(i, k, ell): f"{p}_{i}_{k}_{ell}" for i, k, ell in per_ikl} for p in ("v", "w", "wb"))
+    s, c, cb, pp, ppb, u, ub, xi = ({i: f"{p}_{i}" for i in ops}
+                                    for p in ("s", "c", "cb", "pp", "ppb", "u", "ub", "xi"))
+    cmax = "Cmax"
+    binaries = (*x.values(), *y.values(), *v.values(), *w.values(), *wb.values())
+    continuous = (*s.values(), *c.values(), *cb.values(), *pp.values(), *ppb.values(), *u.values(),
+                  *ub.values(), *xih.values(), *xib.values(), *xi.values(), cmax)
 
     rows: list[Row] = []
 
@@ -110,18 +91,18 @@ def build_model(inst: Instance) -> MilpModel:
         rows.append(Row(name, tuple(terms), sense, rhs))
 
     for i in ops:
-        row(f"assign_{i}", [(1, _x(i, k)) for k in eligible[i]], "=", 1)
+        row(f"assign_{i}", [(1, x[i, k]) for k in eligible[i]], "=", 1)
     for i in ops:
         row(f"proc_def_{i}",
-            [(1, f"pp_{i}")] + [(-op_of[i].eligible[k], _x(i, k)) for k in eligible[i]], "=", 0)
+            [(1, pp[i])] + [(-op_of[i].eligible[k], x[i, k]) for k in eligible[i]], "=", 0)
     for i in ops:
-        row(f"release_{i}", [(1, f"s_{i}")], ">=", op_of[i].release)
+        row(f"release_{i}", [(1, s[i])], ">=", op_of[i].release)
     for i in ops:
         if op_of[i].fixed is not None:
-            row(f"fix_start_{i}", [(1, f"s_{i}")], "=", op_of[i].fixed[1])
+            row(f"fix_start_{i}", [(1, s[i])], "=", op_of[i].fixed[1])
     for i in has_succ:
         row(f"overlap_def_{i}",
-            [(1, f"ppb_{i}")] + [(-op_of[i].partial_units(k), _x(i, k)) for k in eligible[i]], "=", 0)
+            [(1, ppb[i])] + [(-op_of[i].partial_units(k), x[i, k]) for k in eligible[i]], "=", 0)
 
     def window_quads(i: int) -> list[tuple[int, int, int, int]]:
         """(machine, window index, begin, end) across the op's eligible machines."""
@@ -130,108 +111,92 @@ def build_model(inst: Instance) -> MilpModel:
                 for ell, (b, e) in enumerate(windows[k], start=1)]
 
     for i in ops:
-        terms: list[tuple[int, str]] = [(1, f"u_{i}")]
+        terms: list[tuple[int, str]] = [(1, u[i])]
         for k, ell, b, e in window_quads(i):
-            terms.append((e - b, f"v_{i}_{k}_{ell}"))
-            terms.append((-(e - b), f"w_{i}_{k}_{ell}"))
+            terms.append((e - b, v[i, k, ell]))
+            terms.append((-(e - b), w[i, k, ell]))
         row(f"unavail_sum_{i}", terms, "=", 0)
     for i in ops:
-        terms = [(1, f"ub_{i}")]
+        terms = [(1, ub[i])]
         for k, ell, b, e in window_quads(i):
-            terms.append((e - b, f"v_{i}_{k}_{ell}"))
-            terms.append((-(e - b), f"wb_{i}_{k}_{ell}"))
+            terms.append((e - b, v[i, k, ell]))
+            terms.append((-(e - b), wb[i, k, ell]))
         row(f"overlap_unavail_sum_{i}", terms, "=", 0)
 
     for i in ops:
-        row(f"start_before_partial_{i}", [(1, f"s_{i}"), (-1, f"cb_{i}")], "<=", 0)
+        row(f"start_before_partial_{i}", [(1, s[i]), (-1, cb[i])], "<=", 0)
     for i in ops:
-        row(f"partial_before_completion_{i}", [(1, f"cb_{i}"), (-1, f"c_{i}")], "<=", 0)
+        row(f"partial_before_completion_{i}", [(1, cb[i]), (-1, c[i])], "<=", 0)
     for i in ops:
-        row(f"completion_def_{i}",
-            [(1, f"s_{i}"), (1, f"pp_{i}"), (1, f"u_{i}"), (-1, f"c_{i}")], "=", 0)
+        row(f"completion_def_{i}", [(1, s[i]), (1, pp[i]), (1, u[i]), (-1, c[i])], "=", 0)
     for i in ops:
-        row(f"partial_completion_def_{i}",
-            [(1, f"s_{i}"), (1, f"ppb_{i}"), (1, f"ub_{i}"), (-1, f"cb_{i}")], "=", 0)
+        row(f"partial_completion_def_{i}", [(1, s[i]), (1, ppb[i]), (1, ub[i]), (-1, cb[i])], "=", 0)
     for i in ops:
-        row(f"makespan_{i}", [(1, f"c_{i}"), (-1, "Cmax")], "<=", 0)
+        row(f"makespan_{i}", [(1, c[i]), (-1, cmax)], "<=", 0)
 
     for i, j in arcs:
-        row(f"overlap_start_{i}_{j}", [(1, f"cb_{i}"), (-1, f"s_{j}")], "<=", 0)
+        row(f"overlap_start_{i}_{j}", [(1, cb[i]), (-1, s[j])], "<=", 0)
     for i, j in arcs:
-        row(f"end_order_{i}_{j}", [(1, f"c_{i}"), (-1, f"c_{j}")], "<=", 0)
+        row(f"end_order_{i}_{j}", [(1, c[i]), (-1, c[j])], "<=", 0)
 
+    for (i, j, k), yijk in y.items():
+        row(f"imm_x_pred_{i}_{j}_{k}", [(1, yijk), (-1, x[i, k])], "<=", 0)
+        row(f"imm_x_succ_{i}_{j}_{k}", [(1, yijk), (-1, x[j, k])], "<=", 0)
     for k, here in hosts.items():
-        for i in here:
-            for j in here:
-                if i != j:
-                    row(f"imm_x_pred_{i}_{j}_{k}", [(1, _y(i, j, k)), (-1, _x(i, k))], "<=", 0)
-                    row(f"imm_x_succ_{i}_{j}_{k}", [(1, _y(i, j, k)), (-1, _x(j, k))], "<=", 0)
-    for k, here in hosts.items():
-        terms = [(1, _y(i, j, k)) for i in here for j in here if i != j]
-        terms += [(-1, _x(i, k)) for i in here]
+        terms = [(1, y[i, j, k]) for i in here for j in here if i != j]
+        terms += [(-1, x[i, k]) for i in here]
         if terms:
             row(f"chain_count_{k}", terms, ">=", -1)
     for k, here in hosts.items():
         for i in here:
-            terms = [(1, _y(i, j, k)) for j in here if j != i]
+            terms = [(1, y[i, j, k]) for j in here if j != i]
             if terms:
                 row(f"succ_once_{k}_{i}", terms, "<=", 1)
         for j in here:
-            terms = [(1, _y(i, j, k)) for i in here if i != j]
+            terms = [(1, y[i, j, k]) for i in here if i != j]
             if terms:
                 row(f"pred_once_{k}_{j}", terms, "<=", 1)
 
+    for j, k in per_ik:
+        gf = inst.setup_first(k, j)
+        terms = [(1, xih[j, k])]
+        for i in hosts[k]:
+            if i != j:
+                diff = inst.setup_between(k, i, j) - gf
+                if diff != 0:
+                    terms.append((-diff, y[i, j, k]))
+        row(f"setup_pick_def_{j}_{k}", terms, "=", gf)
+    for j, k in per_ik:
+        row(f"setup_sel_ub_{j}_{k}", [(1, xib[j, k]), (-m1, x[j, k])], "<=", 0)
+        row(f"setup_sel_lb_{j}_{k}", [(1, xih[j, k]), (-1, xib[j, k]), (m1, x[j, k])], "<=", m1)
+        row(f"setup_sel_cap_{j}_{k}", [(1, xib[j, k]), (-1, xih[j, k])], "<=", 0)
     for j in ops:
-        for k in eligible[j]:
-            gf = inst.setup_first(k, j)
-            terms = [(1, f"xih_{j}_{k}")]
-            for i in hosts[k]:
-                if i != j:
-                    diff = inst.setup_between(k, i, j) - gf
-                    if diff != 0:
-                        terms.append((-diff, _y(i, j, k)))
-            row(f"setup_pick_def_{j}_{k}", terms, "=", gf)
-    for j in ops:
-        for k in eligible[j]:
-            row(f"setup_sel_ub_{j}_{k}", [(1, f"xib_{j}_{k}"), (-m1, _x(j, k))], "<=", 0)
-            row(f"setup_sel_lb_{j}_{k}",
-                [(1, f"xih_{j}_{k}"), (-1, f"xib_{j}_{k}"), (m1, _x(j, k))], "<=", m1)
-            row(f"setup_sel_cap_{j}_{k}", [(1, f"xib_{j}_{k}"), (-1, f"xih_{j}_{k}")], "<=", 0)
-    for j in ops:
-        row(f"setup_len_def_{j}",
-            [(1, f"xi_{j}")] + [(-1, f"xib_{j}_{k}") for k in eligible[j]], "=", 0)
+        row(f"setup_len_def_{j}", [(1, xi[j])] + [(-1, xib[j, k]) for k in eligible[j]], "=", 0)
 
     for i in ops:
         for j in ops:
             shared = [k for k in eligible[i] if k in op_of[j].eligible]
             if i != j and shared:
-                row(f"machine_gap_{i}_{j}", [(1, f"c_{i}"), (-1, f"s_{j}"), (1, f"xi_{j}")]
-                    + [(m2, _y(i, j, k)) for k in shared], "<=", m2)
+                row(f"machine_gap_{i}_{j}", [(1, c[i]), (-1, s[j]), (1, xi[j])]
+                    + [(m2, y[i, j, k]) for k in shared], "<=", m2)
     for i in ops:
-        row(f"setup_within_start_{i}", [(1, f"s_{i}"), (-1, f"xi_{i}")], ">=", 0)
+        row(f"setup_within_start_{i}", [(1, s[i]), (-1, xi[i])], ">=", 0)
 
-    for i in ops:
-        for k in eligible[i]:
-            for ell, (b, e) in enumerate(windows[k], start=1):
-                tag = f"{i}_{k}_{ell}"
-                row(f"win_sv_{tag}", [(1, f"v_{tag}"), (-1, _x(i, k))], "<=", 0)
-                row(f"win_s_ub_{tag}",
-                    [(1, f"s_{i}"), (-m2, f"v_{tag}"), (m2, _x(i, k))], "<=", b - 1 + m2)
-                row(f"win_setup_lb_{tag}",
-                    [(1, f"s_{i}"), (-1, f"xi_{i}"), (-m3, f"v_{tag}"), (-m3, _x(i, k))],
-                    ">=", e - 2 * m3)
-                row(f"win_cw_{tag}", [(1, f"w_{tag}"), (-1, _x(i, k))], "<=", 0)
-                row(f"win_c_ub_{tag}",
-                    [(1, f"c_{i}"), (-m2, f"w_{tag}"), (m2, _x(i, k))], "<=", b + m2)
-                row(f"win_c_lb_{tag}",
-                    [(1, f"c_{i}"), (-m3, f"w_{tag}"), (-m3, _x(i, k))], ">=", e + 1 - 2 * m3)
-                row(f"win_pw_{tag}", [(1, f"wb_{tag}"), (-1, _x(i, k))], "<=", 0)
-                row(f"win_pc_ub_{tag}",
-                    [(1, f"cb_{i}"), (-m2, f"wb_{tag}"), (m2, _x(i, k))], "<=", b + m2)
-                row(f"win_pc_lb_{tag}",
-                    [(1, f"cb_{i}"), (-m3, f"wb_{tag}"), (-m3, _x(i, k))], ">=", e + 1 - 2 * m3)
+    for i, k, ell in per_ikl:
+        b, e = windows[k][ell - 1]
+        tag = f"{i}_{k}_{ell}"
+        row(f"win_sv_{tag}", [(1, v[i, k, ell]), (-1, x[i, k])], "<=", 0)
+        row(f"win_s_ub_{tag}", [(1, s[i]), (-m2, v[i, k, ell]), (m2, x[i, k])], "<=", b - 1 + m2)
+        row(f"win_setup_lb_{tag}",
+            [(1, s[i]), (-1, xi[i]), (-m3, v[i, k, ell]), (-m3, x[i, k])], ">=", e - 2 * m3)
+        row(f"win_cw_{tag}", [(1, w[i, k, ell]), (-1, x[i, k])], "<=", 0)
+        row(f"win_c_ub_{tag}", [(1, c[i]), (-m2, w[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
+        row(f"win_c_lb_{tag}", [(1, c[i]), (-m3, w[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
+        row(f"win_pw_{tag}", [(1, wb[i, k, ell]), (-1, x[i, k])], "<=", 0)
+        row(f"win_pc_ub_{tag}", [(1, cb[i]), (-m2, wb[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
+        row(f"win_pc_lb_{tag}", [(1, cb[i]), (-m3, wb[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
 
-    return MilpModel(variables=tuple(variables), constraints=tuple(rows))
+    return MilpModel(binaries=binaries, continuous=continuous, constraints=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +222,9 @@ def emit_lp(model: MilpModel) -> str:
                 parts.append(f"+ {coef} {var}" if coef != 1 else f"+ {var}")
         out.append(f" {rowdef.name}: {' '.join(parts)} {rowdef.sense} {rowdef.rhs}")
     out.append("Bounds")
-    out += [f" {v.name} >= 0" for v in model.variables if v.kind == "C"]
+    out += [f" {name} >= 0" for name in model.continuous]
     out.append("Binaries")
-    out += [f" {v.name}" for v in model.variables if v.kind == "B"]
+    out += [f" {name}" for name in model.binaries]
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -287,7 +252,7 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
         so = sched.ops.get(i)
         k_here = assigned.get(i)
         for k in sorted(op.eligible):
-            val[_x(i, k)] = 1 if k == k_here else 0
+            val[f"x_{i}_{k}"] = 1 if k == k_here else 0
         if so is None:
             continue
         val[f"s_{i}"] = so.start
@@ -313,11 +278,11 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
         for a in here_set:
             for b in here_set:
                 if a != b:
-                    val[_y(a, b, k)] = 0
+                    val[f"yI_{a}_{b}_{k}"] = 0
     for k, seq in sched.sequences.items():
         for a, b in zip(seq, seq[1:]):
-            if _y(a, b, k) in val:
-                val[_y(a, b, k)] = 1
+            if f"yI_{a}_{b}_{k}" in val:
+                val[f"yI_{a}_{b}_{k}"] = 1
 
     pred_on_machine: dict[int, int | None] = {}
     for k, seq in sched.sequences.items():
@@ -342,10 +307,12 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> list[RowViolation]:
     model = build_model(inst)
     val = schedule_values(inst, sched)
     out: list[RowViolation] = []
-    for v in model.variables:
-        x = val.get(v.name, 0)
-        if x < 0 or (v.kind == "B" and x not in (0, 1)):
-            out.append(RowViolation(f"bound_{v.name}", x, "in", 0))
+    for name in model.binaries:
+        if val.get(name, 0) not in (0, 1):
+            out.append(RowViolation(f"bound_{name}", val[name], "in", 0))
+    for name in model.continuous:
+        if val.get(name, 0) < 0:
+            out.append(RowViolation(f"bound_{name}", val[name], "in", 0))
     for rowdef in model.constraints:
         lhs = sum(coef * val.get(var, 0) for coef, var in rowdef.terms)
         ok = (lhs <= rowdef.rhs if rowdef.sense == "<=" else

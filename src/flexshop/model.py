@@ -211,7 +211,7 @@ class Instance:
         return self.machine(machine_id).setup.between(self.op(pred_id), self.op(succ_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledOp:
     machine: int
     setup_start: int
@@ -297,7 +297,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
     seen_arcs = set()
     for i, j in inst.arcs:
         if i not in known or j not in known:
-            report.append(Violation("arc", (i, j), "arc references unknown operation"))
+            report.append(Violation("arc", tuple(h for h in (i, j) if h in known),
+                                    f"arc {brief([i, j])} references unknown operation"))
             continue
         if i == j:
             report.append(Violation("arc", (i,), "self-loop (a one-arc cycle)"))
@@ -306,7 +307,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
             report.append(Violation("arc", (i, j), "duplicate arc"))
         seen_arcs.add((i, j))
         if jobs[i] != jobs[j]:
-            report.append(Violation("arc", (i, j), f"arc crosses jobs {jobs[i]} and {jobs[j]}"))
+            report.append(Violation("arc", (i, j), f"arc crosses jobs {brief(jobs[i])} and {brief(jobs[j])}"))
 
     try:
         topological_order(inst)

@@ -7,7 +7,7 @@ drifts from the documented format.
 
 from __future__ import annotations
 
-from flexshop.milp import MilpModel, Row, Var
+from flexshop.milp import MilpModel, Row
 
 
 def _parse_terms(tokens: list[str]) -> tuple[tuple[int, str], ...]:
@@ -54,19 +54,19 @@ def parse_lp(text: str) -> MilpModel:
         pos += 1
 
     expect("Bounds")
-    continuous: list[Var] = []
+    continuous: list[str] = []
     while lines[pos] != "Binaries":
         tokens = lines[pos].split()
         if len(tokens) != 3 or tokens[1:] != [">=", "0"]:
             raise ValueError(f"unrecognized bound line {lines[pos]!r}")
-        continuous.append(Var(tokens[0], "C"))
+        continuous.append(tokens[0])
         pos += 1
 
     expect("Binaries")
-    binaries: list[Var] = []
+    binaries: list[str] = []
     while lines[pos] != "End":
-        binaries.append(Var(lines[pos], "B"))
+        binaries.append(lines[pos])
         pos += 1
 
-    return MilpModel(variables=tuple(binaries + continuous), constraints=tuple(rows),
+    return MilpModel(binaries=tuple(binaries), continuous=tuple(continuous), constraints=tuple(rows),
                      objective=objective)

@@ -85,17 +85,27 @@ def test_solve_exact_without_limits_stops_at_the_default_node_cap(tmp_path, caps
     assert json.loads(capsys.readouterr().out) == []
 
 
-def test_solve_without_a_schedule_writes_a_null_schedule(tmp_path, capsys):
-    # two operations pinned to the same start on one machine cannot both run
+def _two_pins(tmp_path):
+    """Two operations pinned to the same start on one machine: they cannot both run."""
     inst_path = tmp_path / "pins.json"
     inst_path.write_text(json.dumps({
         "m": 1, "arcs": [], "machines": [{"id": 1, **RULE}],
         "operations": [{"id": i, "job": i, "eligible": {"1": 5}, "fixed": {"machine": 1, "start": 3}}
                        for i in (1, 2)]}))
-    assert main(["solve", str(inst_path), "--alg", "exact"]) == 1
+    return inst_path
+
+
+def test_solve_without_a_schedule_writes_a_null_schedule(tmp_path, capsys):
+    assert main(["solve", str(_two_pins(tmp_path)), "--alg", "exact"]) == 1
     result = json.loads(capsys.readouterr().out)
     assert list(result) == ["status", "makespan", "lower_bound", "gap", "nodes", "wall_ms", "schedule"]
     assert result["status"] == "infeasible" and result["schedule"] is None
+
+
+def test_failed_greedy_exits_one_with_a_message(tmp_path, capsys):
+    assert main(["solve", str(_two_pins(tmp_path)), "--alg", "greedy"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("greedy failed:") and out == ""
 
 
 def test_solve_has_no_brute_force(tmp_path, capsys):
@@ -246,11 +256,11 @@ HUGE = "9" * 10_000_000
 BIG = 10**4000  # an integer JSON reads, under Python's 4,300-digit limit on int/str conversion
 
 
-def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1, setup=RULE, op=None):
+def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1, setup=RULE, op=None, arcs=(), more_ops=()):
     """A one-operation instance and a schedule for it, with the given faults."""
-    instance = {"m": m, "arcs": [],
+    instance = {"m": m, "arcs": list(arcs),
                 "machines": [{**mc, **setup} for mc in machines],
-                "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}, **(op or {})}]}
+                "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}, **(op or {})}, *more_ops]}
     schedule = {"operations": [{"id": sched_op, "machine": sched_machine, "setup_start": 0, "setup_len": 0,
                                 "start": 0, "partial_completion": 5, "completion": 5}],
                 "sequences": {str(sched_machine): [sched_op]}}
@@ -291,6 +301,9 @@ DEEP = "[" * 200_000
                  "machine 1 window begin must be a non-negative 64-bit integer, got 1000", id="window-1e4000"),
     pytest.param("solve", _hostile(setup={"setup_rule": {**RULE["setup_rule"], "ct": BIG}})[0], None, 1,
                  "machine 1 rule ct must be a non-negative 64-bit integer, got 1000", id="rule-ct-1e4000"),
+    pytest.param("solve", _hostile(arcs=([1, BIG],))[0], None, 1, "arc [1, 1000", id="arc-unknown-1e4000"),
+    pytest.param("solve", _hostile(arcs=([1, 2],), more_ops=({"id": 2, "job": BIG, "eligible": {"1": 5}},))[0],
+                 None, 1, "arc crosses jobs 1 and 1000", id="arc-job-1e4000"),
 ])
 def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, command, instance, schedule, code,
                                                           message):

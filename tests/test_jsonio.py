@@ -101,6 +101,9 @@ def test_schedule_round_trip():
     lambda d: d["operations"][0].__setitem__("release", "soon"),
     lambda d: d["machines"][0]["setup_between"].__setitem__("1;2", 0),
     lambda d: d["arcs"].append([1]),
+    lambda d: d["machines"][0]["windows"].append([1]),
+    lambda d: d["machines"].append(5),
+    lambda d: d.__setitem__("machines", {}),
 ])
 def test_malformed_instance_raises_format_error(mutate):
     data = instance_to_dict(sample_instance())
@@ -115,6 +118,15 @@ def test_instance_text_must_be_json():
         loads_instance("not json {")
     with pytest.raises(FormatError):
         loads_schedule("]")
+
+
+def test_top_level_arrays_and_bad_sequences_raise_format_error():
+    with pytest.raises(FormatError, match="instance: expected a JSON object at top level"):
+        loads_instance("[]")
+    with pytest.raises(FormatError, match="schedule: expected a JSON object at top level"):
+        loads_schedule("[]")
+    with pytest.raises(FormatError, match=r"schedule.sequences\['1'\]: expected a list of op ids"):
+        loads_schedule(json.dumps({"operations": [], "sequences": {"1": 1}}))
 
 
 def test_duplicate_schedule_operation_rejected():

@@ -1,6 +1,7 @@
 import pathlib
+from dataclasses import replace
 
-from flexshop.generator import GenParams, generate
+from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import loads_instance
 from flexshop.milp import build_model, emit_lp, evaluate_schedule, schedule_values
 from flexshop.model import Schedule
@@ -29,12 +30,25 @@ def test_binary_variables_of_the_chain_model():
     inst, _ = golden("chain")
     model = build_model(inst)
     # 2 assignment, 2 order, and 2 ops x 1 window x 3 indicator families
-    assert [v.name for v in model.variables if v.kind == "B"] == [
+    assert model.binaries == (
         "x_1_1", "x_2_1", "yI_1_2_1", "yI_2_1_1",
         "v_1_1_1", "v_2_1_1", "w_1_1_1", "w_2_1_1", "wb_1_1_1", "wb_2_1_1",
-    ]
-    kinds = [v.kind for v in model.variables]
-    assert kinds == ["B"] * 10 + ["C"] * (len(kinds) - 10)  # binaries declared first
+    )
+    assert model.continuous == (
+        "s_1", "s_2", "c_1", "c_2", "cb_1", "cb_2", "pp_1", "pp_2", "ppb_1", "ppb_2",
+        "u_1", "u_2", "ub_1", "ub_2", "xih_1_1", "xih_2_1", "xib_1_1", "xib_2_1", "xi_1", "xi_2", "Cmax",
+    )
+
+
+def test_every_variable_a_row_names_is_declared_once():
+    models = [build_model(golden(name)[0]) for name in ("single", "chain", "flex")]
+    models += [build_model(generate(replace(params_for_class(cls, k), seed=7)))
+               for cls, k in (("small", 5), ("medium", 1))]
+    for model in models:
+        declared = model.binaries + model.continuous
+        assert len(set(declared)) == len(declared)
+        used = {var for r in model.constraints for _, var in r.terms} | {model.objective}
+        assert used <= set(declared), sorted(used - set(declared))[:5]
 
 
 def test_lp_round_trip_is_identity():
@@ -51,7 +65,8 @@ def test_parse_lp_rebuilds_equal_rows():
     model = build_model(inst)
     parsed = parse_lp(text)
     assert parsed.constraints == model.constraints
-    assert parsed.variables == model.variables
+    assert parsed.binaries == model.binaries
+    assert parsed.continuous == model.continuous
     assert parsed.objective == "Cmax"
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_result
-from flexshop.model import CycleError, Instance, Machine, Operation, SetupTable, validate_instance
+from flexshop.model import CycleError, Instance, Machine, Operation, SetupRule, SetupTable, validate_instance
 from flexshop.solvers import _Bounder, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
@@ -23,6 +23,14 @@ def flexible_instance() -> Instance:
                   Machine(2, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0}))))
     assert validate_instance(inst) == []
     return inst
+
+
+def test_exact_proves_at_the_root_when_the_greedy_meets_the_bound():
+    inst = Instance(num_machines=1, operations=(Operation(1, 1, {1: 5}),), arcs=(),
+                    machines=(Machine(1, setup=SetupRule(0, 0, 0, 0)),))
+    res = solve_exact(inst)
+    assert (res.status, res.nodes) == ("optimal", 0)
+    assert res.lower_bound == res.makespan == 5
 
 
 def test_brute_force_chain():

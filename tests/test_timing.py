@@ -483,6 +483,9 @@ def test_checker_flags_structural_holes():
     unlisted = Schedule(ops=base.ops, sequences={1: (1,)})
     assert any("sequence" in v.detail for v in check_schedule(inst, unlisted)
                if v.rule == "structure")
+    twice = Schedule(ops=base.ops, sequences={1: (1, 2, 1)})
+    assert Violation("structure", (1,), "operation listed in more than one sequence position") \
+        in check_schedule(inst, twice)
 
 
 def test_left_shift_variants_touch_one_op_each():
