@@ -281,12 +281,13 @@ def validate_instance(inst: Instance) -> list[Violation]:
                 report.append(Violation("processing time", (op.id,), f"p on machine {k} must be an integer >= 1, got {brief(p)}"))
         if not 1 <= op.theta_hundredths <= 100:
             report.append(Violation("overlap fraction", (op.id,), f"theta_hundredths must be in 1..100, got {brief(op.theta_hundredths)}"))
-        _check_time(report, "release", (op.id,), "release", op.release)
+        release_ok = _check_time(report, "release", (op.id,), "release", op.release)
         if op.fixed is not None:
             k_fix, s_fix = op.fixed
             if set(op.eligible) != {k_fix}:
                 report.append(Violation("fixed", (op.id,), "fixed operation must have singleton machine set"))
-            _check_time(report, "fixed", (op.id,), "fixed start", s_fix)
+            if _check_time(report, "fixed", (op.id,), "fixed start", s_fix) and release_ok and s_fix < op.release:
+                report.append(Violation("fixed", (op.id,), f"fixed start {s_fix} is before release {op.release}"))
 
     # theta below 1 only makes sense for operations with successors
     has_succ = {i for i, _ in inst.arcs}

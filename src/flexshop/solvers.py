@@ -11,7 +11,6 @@ in order; :func:`solve_greedy` returns the bare schedule.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -39,10 +38,6 @@ def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None
     gap = None if mk is None or lower_bound is None else (mk - lower_bound) / (1e-10 + mk)
     return SolveResult(status=status, makespan=mk, lower_bound=lower_bound, gap=gap, nodes=nodes,
                        wall_ms=int((perf_counter() - t0) * 1000), schedule=schedule)
-
-
-class _SearchLimit(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +167,14 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     The bound is kept incrementally (see :class:`_Bounder`): an append
     updates it along the appended operation's descendants only and an undo
     restores it from a trail, with no pass over every operation.
-    Limits are only checked between nodes, so runs are reproducible: a fixed
-    node limit always explores the same tree regardless of wall time. With a
-    tripped limit the result carries the best incumbent, the root bound, and
-    status "limit"; exhausted searches prove optimality or infeasibility.
+    One loop runs the search over a stack of frames, one per open node: its
+    child iterator, over the ready set its commit left, and the operation it
+    placed (None at the root). A child bounded below the incumbent pushes a
+    frame unless it is a leaf; a frame out of children pops and undoes its
+    operation. The node and time limits are checked before each candidate's
+    placement, so a fixed node limit always explores the same tree regardless
+    of wall time. A tripped limit returns the best incumbent, the root bound
+    and status "limit"; exhausted searches prove optimality or infeasibility.
     """
     t0 = perf_counter()
     ids = sorted(op.id for op in inst.operations)
@@ -194,48 +193,46 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     nodes = 0
     if incumbent is not None and ub <= root_lb:
         return _result("optimal", t0, 0, incumbent, ub)
-    if time_limit is not None and time_limit <= 0:
-        return _result("limit", t0, 0, incumbent, root_lb)
 
     machine_order = {i: [k for k, p in sorted(inst.op(i).eligible.items(), key=lambda kp: (kp[1], kp[0]))]
                      for i in ids}
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(ids) + 100))
-
-    def descend(last: float = -_INF, last_k: int | None = None) -> None:
-        nonlocal incumbent, ub, nodes
-        for i in sorted(engine.ready):  # a copy: commit and undo below change the set
+    def appends(ready: list[int], last: float, last_k: int | None):
+        """The (operation, machine) children of the node that appended `last` to `last_k`, in visiting order."""
+        for i in ready:
             commutes = i < last and last not in inst.predecessors[i]
             for k in machine_order[i]:
                 if commutes and k != last_k:
                     continue  # reached through the id-ascending order instead
-                if ((node_limit is not None and nodes >= node_limit)
-                        or (time_limit is not None and perf_counter() - t0 > time_limit)):
-                    raise _SearchLimit
-                try:
-                    rec = engine.placement(i, k)
-                except DecodeInfeasible:
-                    continue
-                engine.commit(i, rec)
-                nodes += 1
-                lb = bounder.push(i, rec)
-                if lb < ub:
-                    if len(engine.placed) < len(ids):
-                        descend(i, k)
-                    else:  # a leaf's bound is its makespan
-                        ub = lb
-                        incumbent = engine.schedule()
+                yield i, k
+
+    stack = [(appends(sorted(engine.ready), -_INF, None), None)]
+    while stack:
+        for i, k in stack[-1][0]:
+            if ((node_limit is not None and nodes >= node_limit)
+                    or (time_limit is not None and perf_counter() - t0 > time_limit)):
+                return _result("limit", t0, nodes, incumbent, root_lb)
+            try:
+                rec = engine.placement(i, k)
+            except DecodeInfeasible:
+                continue
+            engine.commit(i, rec)
+            nodes += 1
+            lb = bounder.push(i, rec)
+            if lb < ub:
+                if len(engine.placed) < len(ids):
+                    stack.append((appends(sorted(engine.ready), i, k), i))
+                    break
+                ub = lb  # a leaf's bound is its makespan
+                incumbent = engine.schedule()
+            bounder.pop()
+            engine.undo(i)
+        else:
+            _, i = stack.pop()
+            if i is not None:
                 bounder.pop()
                 engine.undo(i)
 
-    hit_limit = False
-    try:
-        descend()
-    except _SearchLimit:
-        hit_limit = True
-
-    if hit_limit:
-        return _result("limit", t0, nodes, incumbent, root_lb)
     if incumbent is None:
         return _result("infeasible", t0, nodes)
     return _result("optimal", t0, nodes, incumbent, ub)

@@ -304,6 +304,8 @@ DEEP = "[" * 200_000
     pytest.param("solve", _hostile(arcs=([1, BIG],))[0], None, 1, "arc [1, 1000", id="arc-unknown-1e4000"),
     pytest.param("solve", _hostile(arcs=([1, 2],), more_ops=({"id": 2, "job": BIG, "eligible": {"1": 5}},))[0],
                  None, 1, "arc crosses jobs 1 and 1000", id="arc-job-1e4000"),
+    pytest.param("solve", _hostile(op={"release": 85, "fixed": {"machine": 1, "start": 56}})[0], None, 1,
+                 "instance invalid: fixed [1]: fixed start 56 is before release 85", id="pin-before-release"),
 ])
 def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, command, instance, schedule, code,
                                                           message):

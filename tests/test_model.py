@@ -73,6 +73,19 @@ def test_fixed_needs_singleton_eligible_set():
     assert any(v.detail == "fixed operation must have singleton machine set" for v in report)
 
 
+def test_fixed_start_before_release_is_flagged():
+    def pinned(release, start):
+        return two_op_instance(operations=(Operation(1, 1, {1: 3}, release=release, fixed=(1, start)),
+                                           Operation(2, 1, {1: 5})))
+
+    assert [str(v) for v in validate_instance(pinned(31, 30))] == ["fixed [1]: fixed start 30 is before release 31"]
+    assert validate_instance(pinned(30, 30)) == []
+    # a start or release that is not a valid time is reported as such, not compared
+    assert rules_of(validate_instance(pinned(-5, 30))) == ["release"]
+    assert [v.detail for v in validate_instance(pinned(31, "30"))] == [
+        "fixed start must be a non-negative 64-bit integer, got '30'"]
+
+
 def test_arc_validation():
     inst = two_op_instance(arcs=((1, 7),))
     assert any(v.rule == "arc" and "unknown" in v.detail for v in validate_instance(inst))

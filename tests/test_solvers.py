@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -163,14 +164,28 @@ def test_exact_is_deterministic():
     assert a.status == "optimal" and a.makespan == 9
 
 
-def test_zero_time_limit_reports_the_greedy_incumbent():
-    res = solve_exact(flexible_instance(), time_limit=0)
+@pytest.mark.parametrize("time_limit", [0, -1.0])
+def test_zero_time_limit_reports_the_greedy_incumbent(time_limit):
+    res = solve_exact(flexible_instance(), time_limit=time_limit)
     assert res.status == "limit"
     assert res.nodes == 0
     assert res.makespan == 9          # greedy already lands on the optimum here
     assert res.lower_bound == 5       # root bound: the longest minimal processing time
     assert res.gap == pytest.approx(4 / 9, abs=1e-6)
     assert check_schedule(flexible_instance(), res.schedule) == []
+
+
+def test_exact_search_leaves_the_recursion_limit_alone():
+    inst = generate(replace(params_for_class("large", 25), seed=7))
+    assert len(inst.operations) == 444
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = solve_exact(inst, node_limit=2_000)
+        assert (res.status, res.nodes) == ("limit", 2_000)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_node_limit_is_reproducible():
