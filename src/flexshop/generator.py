@@ -187,7 +187,8 @@ def generate(params: GenParams) -> Instance:
             release[i] = rng.uniform(1, 99)
 
     # 9. pinned operations: precedence sources only, at most one per machine,
-    #    placed before the machine's first window with a fresh processing time
+    #    placed before the machine's first window with a fresh processing time;
+    #    a drawn start before the operation's release leaves it unpinned
     fixed: dict[int, tuple[int, int]] = {}
     pinned_machines: set[int] = set()
     for i in sorted(sources):
@@ -201,6 +202,8 @@ def generate(params: GenParams) -> Instance:
         if latest < 20:
             continue
         start = rng.uniform(20, latest)
+        if start < release[i]:
+            continue
         eligible[i] = {k: p_new}
         fixed[i] = (k, start)
         pinned_machines.add(k)

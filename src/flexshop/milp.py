@@ -56,9 +56,6 @@ class RowViolation:
     sense: str
     rhs: int
 
-    def __str__(self) -> str:
-        return f"{self.name}: {self.lhs} {self.sense} {self.rhs} fails"
-
 
 def build_model(inst: Instance) -> MilpModel:
     bigm = big_m_constants(inst)

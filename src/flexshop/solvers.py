@@ -246,47 +246,46 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
 def solve_greedy(inst: Instance) -> Schedule:
     """Repeatedly commit the ready (operation, machine) pair finishing first.
 
-    Ties break on the lower operation id, then machine id. Placements are
-    cached per (operation, machine) and recomputed only when that machine's
-    tail has moved. A machine holding unplaced pinned operations accepts
-    another operation only if it would complete in time for the setup of
-    the earliest of them; when no candidate survives, raises
-    DecodeInfeasible.
+    Ties break on the lower operation id, then machine id. A machine holding
+    unplaced pinned operations accepts another operation only if it would
+    complete in time for the setup of the earliest of them; when no
+    candidate survives, raises DecodeInfeasible. Each machine caches one
+    answer per operation at its tail: (completion, op, machine, record), or
+    None when the placement raises DecodeInfeasible or the pin check fails.
+    It is computed when first needed and again only after a commit to that
+    machine clears the cache, the only event that moves its earliest pin.
     """
     engine = PlacementEngine(inst)
     n_ops = len(inst.operations)
-    cache: dict[int, dict[int, object]] = {mc.id: {} for mc in inst.machines}  # machine -> op -> placement at its tail
+    cache: dict[int, dict[int, tuple | None]] = {mc.id: {} for mc in inst.machines}  # machine -> op -> answer
 
     pins: dict[int, list[tuple[int, int]]] = {}  # machine -> unplaced (pinned start, op), ascending
-    for op in inst.operations:
-        if op.fixed is not None:
-            pins.setdefault(op.fixed[0], []).append((op.fixed[1], op.id))
-    for pending in pins.values():
-        pending.sort()
+    for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
+        pins.setdefault(k, []).append((start, i))
+
+    def candidate(i: int, k: int) -> tuple | None:
+        """The answer for appending `i` to `k`'s tail now."""
+        try:
+            rec = engine.placement(i, k)
+        except DecodeInfeasible:
+            return None
+        pending = pins.get(k)
+        if pending and pending[0][1] != i:
+            start, pin = pending[0]
+            if rec.completion + inst.setup_between(k, i, pin) > start:
+                return None
+        return rec.completion, i, k, rec
 
     while len(engine.placed) < n_ops:
-        best = None  # (completion, op, machine, record); the key decides ties, not the scan order
+        best = None  # the smallest answer; (op, machine) is unique, so the record is never compared
         for i in engine.ready:
-            op = inst.op(i)
-            for k in op.eligible:
+            for k in engine.ops[i].eligible:
                 at_k = cache[k]
-                if i in at_k:
-                    rec = at_k[i]
-                else:
-                    try:
-                        rec = engine.placement(i, k)
-                    except DecodeInfeasible:
-                        rec = None
-                    at_k[i] = rec
-                if rec is None:
-                    continue
-                pending = pins.get(k)
-                if pending and pending[0][1] != i:
-                    pin = pending[0]
-                    if rec.completion + inst.setup_between(k, i, pin[1]) > pin[0]:
-                        continue
-                if best is None or (rec.completion, i, k) < (best[0], best[1], best[2]):
-                    best = (rec.completion, i, k, rec)
+                if i not in at_k:
+                    at_k[i] = candidate(i, k)
+                answer = at_k[i]
+                if answer is not None and (best is None or answer < best):
+                    best = answer
         if best is None:
             stuck = sorted(op.id for op in inst.operations if op.id not in engine.placed)
             raise DecodeInfeasible(
@@ -294,7 +293,7 @@ def solve_greedy(inst: Instance) -> Schedule:
         _, i, k, rec = best
         engine.commit(i, rec)
         cache[k].clear()
-        fixed = inst.op(i).fixed
+        fixed = engine.ops[i].fixed
         if fixed is not None:
             pins[k].remove((fixed[1], i))
     return engine.schedule()

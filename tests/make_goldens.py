@@ -21,12 +21,14 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 SOLVE_DIGESTS = DATA / "solve_digests.json"
 
 # (name, class, k, seed) of the generated instances whose solve output is pinned
-GENERATED = (("small_1_seed_42", "small", 1, 42), ("large_25_seed_7", "large", 25, 7))
+GENERATED = (("small_1_seed_42", "small", 1, 42), ("large_25_seed_7", "large", 25, 7),
+             ("medium_10_seed_2", "medium", 10, 2))
 GREEDY = ("--alg", "greedy")
 EXACT = ("--alg", "exact", "--node-limit", "20000")
 SOLVE_RUNS = tuple((name, args)
                    for name in ("golden_single", "golden_chain", "golden_flex", "small_1_seed_42")
-                   for args in (GREEDY, EXACT)) + (("large_25_seed_7", GREEDY),)
+                   for args in (GREEDY, EXACT)) + (("large_25_seed_7", GREEDY),
+                                                  ("medium_10_seed_2", GREEDY))
 
 
 def golden_single() -> Instance:

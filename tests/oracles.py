@@ -8,7 +8,8 @@ decodes through :func:`flexshop.timing.decode` and
 :func:`plain_branch_and_bound` shares the exact search's placements, both on
 purpose, because they check the search (which structures it visits and
 which it prunes), not the placements. The search's bound, kept incrementally
-there, is recomputed from scratch here by :func:`full_pass_bound`.
+there, is recomputed from scratch here by :func:`full_pass_bound`, and the
+greedy's cached answers by :func:`rescan_greedy`.
 """
 
 from __future__ import annotations
@@ -177,6 +178,42 @@ def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
     if not descend():
         return "limit", best, nodes
     return ("infeasible" if best is None else "optimal"), best, nodes
+
+
+def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
+    """`solve_greedy` with nothing cached: each step places every ready pair afresh.
+
+    Each step also recomputes every machine's earliest unplaced pin from the
+    operations. Returns the schedule and the number of pairs the pin check
+    rejected over all steps; raises DecodeInfeasible when a step has no
+    candidate left.
+    """
+    engine = PlacementEngine(inst)
+    rejected = 0
+    while len(engine.placed) < len(inst.operations):
+        earliest_pin: dict[int, tuple[int, int]] = {}  # machine -> (pinned start, op)
+        for op in inst.operations:
+            if op.fixed is not None and op.id not in engine.placed:
+                k, start = op.fixed
+                earliest_pin[k] = min(earliest_pin.get(k, (start, op.id)), (start, op.id))
+        best = None
+        for i in sorted(engine.ready):
+            for k in sorted(inst.op(i).eligible):
+                try:
+                    rec = engine.placement(i, k)
+                except DecodeInfeasible:
+                    continue
+                pin = earliest_pin.get(k)
+                if (pin is not None and pin[1] != i
+                        and rec.completion + inst.setup_between(k, i, pin[1]) > pin[0]):
+                    rejected += 1
+                    continue
+                if best is None or (rec.completion, i, k) < best[:3]:
+                    best = (rec.completion, i, k, rec)
+        if best is None:
+            raise DecodeInfeasible("pinned starts block every candidate")
+        engine.commit(best[1], best[3])
+    return engine.schedule(), rejected
 
 
 def brute_force(inst: Instance) -> SolveResult:

@@ -170,7 +170,7 @@ def test_criterion_4_exact_optima_satisfy_every_model_row():
         if ex.status != "optimal":
             continue
         bad = evaluate_schedule(inst, ex.schedule)
-        assert bad == [], f"seed {seed}: violated rows {[str(v) for v in bad]}"
+        assert bad == [], f"seed {seed}: violated rows {bad}"
         checked += 1
     assert checked >= 40
     print(f"criterion 4: zero violated rows on {checked} exact optima")

@@ -56,7 +56,7 @@ def test_generation_is_deterministic():
 
 def test_generated_instances_validate_clean():
     combos = [("small", 5, 1), ("small", 15, 2), ("small", 30, 3),
-              ("medium", 1, 1), ("medium", 20, 1), ("large", 1, 1)]
+              ("medium", 1, 1), ("medium", 20, 1), ("large", 1, 1), ("large", 100, 100)]
     for name, k, seed in combos:
         inst = from_class(name, k, seed)
         assert validate_instance(inst) == [], (name, k, seed)

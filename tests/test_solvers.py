@@ -10,7 +10,7 @@ from flexshop.model import CycleError, Instance, Machine, Operation, SetupRule, 
 from flexshop.solvers import _Bounder, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
 
-from oracles import brute_force, full_pass_bound, plain_branch_and_bound, with_full_overlap
+from oracles import brute_force, full_pass_bound, plain_branch_and_bound, rescan_greedy, with_full_overlap
 from test_timing import serial_instance
 
 
@@ -239,6 +239,27 @@ def unreduced_cases() -> list[Instance]:
         if seed % 4 == 1:
             cases.append(reversed_ids(base))
     return cases
+
+
+def test_greedy_equals_a_rescan_from_scratch():
+    # the greedy keeps each pair's answer, pin check included, until a commit
+    # moves that machine's tail; placing every pair afresh at every step, with
+    # each machine's earliest pin recomputed, must give the same schedule
+    cases = [*unreduced_cases(), pinned_at_zero()]
+    cases += [generate(replace(params_for_class(name, k), seed=seed))
+              for name, k, seed in (("small", 16, 17), ("medium", 10, 2), ("medium", 17, 1))]
+    assert len(cases) == 67
+    rejected = 0
+    for inst in cases:
+        try:
+            want, n = rescan_greedy(inst)
+        except DecodeInfeasible:
+            with pytest.raises(DecodeInfeasible):
+                solve_greedy(inst)
+            continue
+        assert solve_greedy(inst) == want
+        rejected += n
+    assert rejected > 0  # the pin check fires
 
 
 def test_exact_returns_the_unreduced_incumbent():
