@@ -249,22 +249,35 @@ def solve_greedy(inst: Instance) -> Schedule:
     Ties break on the lower operation id, then machine id. A machine holding
     unplaced pinned operations accepts another operation only if it would
     complete in time for the setup of the earliest of them; when no
-    candidate survives, raises DecodeInfeasible. Each machine caches one
-    answer per operation at its tail: (completion, op, machine, record), or
-    None when the placement raises DecodeInfeasible or the pin check fails.
-    It is computed when first needed and again only after a commit to that
-    machine clears the cache, the only event that moves its earliest pin.
+    candidate survives, raises DecodeInfeasible.
+    Pairs wait in one heap of (key, op, machine, machine version, record or
+    None) and are placed lazily. An entry holding None is keyed by a lower
+    bound on the pair's completion, the machine's tail completion plus the
+    processing time: a start follows the tail and its setup, and windows
+    only stretch the processing. When popped it is placed, pin check
+    included, and goes back keyed by its completion, or is dropped if the
+    placement raises or the pin check rejects it. A commit to a machine,
+    the only event that moves its tail or its earliest pin, bumps its
+    version, which drops its older entries when popped, and pushes a bound
+    entry for each ready operation eligible there; an operation that becomes
+    ready gets one on each of its machines. No key exceeds its pair's
+    completion, so the first answer popped is the smallest (completion, op,
+    machine) over all live pairs, the pair a rescan of every pair would
+    commit. Each (op, machine, version) has at most one entry at a time, so
+    the record or None is never compared.
     """
     engine = PlacementEngine(inst)
+    ops, placed = engine.ops, engine.placed
     n_ops = len(inst.operations)
-    cache: dict[int, dict[int, tuple | None]] = {mc.id: {} for mc in inst.machines}  # machine -> op -> answer
+    version = dict.fromkeys(engine.seqs, 0)  # machine -> commits to it so far
+    tail = dict.fromkeys(engine.seqs, 0)  # machine -> completion of its last operation
 
     pins: dict[int, list[tuple[int, int]]] = {}  # machine -> unplaced (pinned start, op), ascending
     for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
         pins.setdefault(k, []).append((start, i))
 
-    def candidate(i: int, k: int) -> tuple | None:
-        """The answer for appending `i` to `k`'s tail now."""
+    def candidate(i: int, k: int) -> ScheduledOp | None:
+        """The placement appending `i` to `k`'s tail now, or None if it raises or blocks `k`'s earliest pin."""
         try:
             rec = engine.placement(i, k)
         except DecodeInfeasible:
@@ -274,28 +287,39 @@ def solve_greedy(inst: Instance) -> Schedule:
             start, pin = pending[0]
             if rec.completion + inst.setup_between(k, i, pin) > start:
                 return None
-        return rec.completion, i, k, rec
+        return rec
 
-    while len(engine.placed) < n_ops:
-        best = None  # the smallest answer; (op, machine) is unique, so the record is never compared
-        for i in engine.ready:
-            for k in engine.ops[i].eligible:
-                at_k = cache[k]
-                if i not in at_k:
-                    at_k[i] = candidate(i, k)
-                answer = at_k[i]
-                if answer is not None and (best is None or answer < best):
-                    best = answer
-        if best is None:
-            stuck = sorted(op.id for op in inst.operations if op.id not in engine.placed)
+    heap = [(p, i, k, 0, None) for i in engine.ready for k, p in ops[i].eligible.items()]
+    heapq.heapify(heap)
+    while len(placed) < n_ops:
+        while heap:
+            _, i, k, v, rec = heapq.heappop(heap)
+            if v != version[k] or i in placed:
+                continue
+            if rec is not None:
+                break
+            rec = candidate(i, k)
+            if rec is not None:
+                heapq.heappush(heap, (rec.completion, i, k, v, rec))
+        else:
+            stuck = sorted(op.id for op in inst.operations if op.id not in placed)
             raise DecodeInfeasible(
                 f"no operation can be placed (pinned starts block every candidate) among {stuck}")
-        _, i, k, rec = best
         engine.commit(i, rec)
-        cache[k].clear()
-        fixed = engine.ops[i].fixed
+        fixed = ops[i].fixed
         if fixed is not None:
             pins[k].remove((fixed[1], i))
+        v = version[k] = v + 1
+        c = tail[k] = rec.completion
+        for j in engine.ready:
+            p = ops[j].eligible.get(k)
+            if p is not None:
+                heapq.heappush(heap, (c + p, j, k, v, None))
+        for j in engine.succs[i]:
+            if j in engine.ready:  # ready only now, since `i` was its unplaced predecessor
+                for kj, p in ops[j].eligible.items():
+                    if kj != k:
+                        heapq.heappush(heap, (tail[kj] + p, j, kj, version[kj], None))
     return engine.schedule()
 
 

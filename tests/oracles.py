@@ -9,7 +9,7 @@ decodes through :func:`flexshop.timing.decode` and
 purpose, because they check the search (which structures it visits and
 which it prunes), not the placements. The search's bound, kept incrementally
 there, is recomputed from scratch here by :func:`full_pass_bound`, and the
-greedy's cached answers by :func:`rescan_greedy`.
+greedy's lazily placed heap of answers by :func:`rescan_greedy`.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
 
 
 def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
-    """`solve_greedy` with nothing cached: each step places every ready pair afresh.
+    """`solve_greedy` with nothing kept between steps: each step places every ready pair afresh.
 
     Each step also recomputes every machine's earliest unplaced pin from the
     operations. Returns the schedule and the number of pairs the pin check

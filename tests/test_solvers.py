@@ -242,13 +242,18 @@ def unreduced_cases() -> list[Instance]:
 
 
 def test_greedy_equals_a_rescan_from_scratch():
-    # the greedy keeps each pair's answer, pin check included, until a commit
-    # moves that machine's tail; placing every pair afresh at every step, with
-    # each machine's earliest pin recomputed, must give the same schedule
+    # the greedy places a pair only when its lower-bound key reaches the top of
+    # the heap and keeps the answer until a commit moves that machine's tail;
+    # placing every pair afresh at every step, with each machine's earliest pin
+    # recomputed, must give the same schedule. On large 10 seed 7 some pairs
+    # complete earlier after their machine's tail moves; on medium 9 seed 7 a
+    # heap keyed by such stale completions commits a different pair
     cases = [*unreduced_cases(), pinned_at_zero()]
     cases += [generate(replace(params_for_class(name, k), seed=seed))
-              for name, k, seed in (("small", 16, 17), ("medium", 10, 2), ("medium", 17, 1))]
-    assert len(cases) == 67
+              for name, k, seed in (("small", 16, 17), ("medium", 10, 2), ("medium", 17, 1),
+                                    ("medium", 9, 7), ("large", 10, 7))]
+    cases.append(reversed_ids(cases[-1]))  # every id tie-break flipped
+    assert len(cases) == 70
     rejected = 0
     for inst in cases:
         try:
@@ -260,6 +265,25 @@ def test_greedy_equals_a_rescan_from_scratch():
         assert solve_greedy(inst) == want
         rejected += n
     assert rejected > 0  # the pin check fires
+
+
+def test_greedy_places_only_pairs_that_can_win(monkeypatch):
+    # a pair is placed only once its lower-bound key reaches the top of the
+    # heap; re-placing every ready pair on a machine after each commit to it
+    # made 19,603 placements here
+    inst = generate(replace(params_for_class("large", 25), seed=7))
+    calls = 0
+    place = PlacementEngine.placement
+
+    def counted(self, i, k):
+        nonlocal calls
+        calls += 1
+        return place(self, i, k)
+
+    monkeypatch.setattr(PlacementEngine, "placement", counted)
+    solve_greedy(inst)
+    assert len(inst.operations) == 444
+    assert calls < 5000
 
 
 def test_exact_returns_the_unreduced_incumbent():
