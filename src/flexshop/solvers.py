@@ -46,7 +46,7 @@ def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None
 
 
 class _Bounder:
-    """A lower bound on every completion of the engine's partial placement.
+    """A partial placement in its own engine, with a lower bound on its completions.
 
     The bound is the largest of three independently valid parts: the largest
     placed completion; a head recursion through the precedence graph (an
@@ -58,23 +58,25 @@ class _Bounder:
     operations eligible nowhere else.
 
     `root` is the bound of the empty placement. The bound is then kept
-    alongside the engine rather than recomputed: :meth:`push` follows each
-    ``engine.commit`` and :meth:`pop` precedes each ``engine.undo``. A commit
-    only ever raises heads, since a placed operation starts at or after its
-    head, so the first two parts stay one running maximum that a push folds
-    the raised values into. A push walks only the descendants of the placed
-    operation whose head rises, and loops over the machines with single-machine
-    operations for the third part. Every value a push overwrites goes on a
-    trail, and a pop restores them.
+    alongside `engine` rather than recomputed: :meth:`push` commits to the
+    engine and :meth:`pop` undoes the latest commit, so the placement changes
+    through them only. A commit only ever raises heads, since a placed
+    operation starts at or after its head, so the first two parts stay one
+    running maximum that a push folds the raised values into. A push walks
+    only the descendants of the placed operation whose head rises, and the
+    third part reads the engine's `tail` of each machine with single-machine
+    operations. Every head a push overwrites goes on a trail, and a pop
+    restores them.
     """
 
     def __init__(self, inst: Instance):
+        self.engine = PlacementEngine(inst)
         topo = topological_order(inst)
         self.rank = {i: n for n, i in enumerate(topo)}
         self.succs = inst.successors
         ops = inst.ops_by_id
         self.pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
-        self.pbmin = {op.id: min(op.partial_units(k) for k in op.eligible) for op in inst.operations}
+        self.pbmin = {i: min(units.values()) for i, units in self.engine.partial.items()}
         self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
         self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
         for op in inst.operations:
@@ -82,7 +84,6 @@ class _Bounder:
                 [(k, p)] = op.eligible.items()
                 self.solo[op.id] = p
                 self.owed[k] = self.owed.get(k, 0) + p
-        self.tail = dict.fromkeys(self.owed, 0)  # machine owed work -> completion of its last operation
 
         head: dict[int, int] = {}
         for i in topo:
@@ -92,17 +93,15 @@ class _Bounder:
         self.reach = max((head[i] + self.pmin[i] for i in topo), default=0)
         self.root = self.bound()
         self._trail: list[tuple[int, int]] = []  # (operation, its head before a push raised it)
-        self._frames: list[tuple] = []  # per push: trail length, reach, machine, its tail and owed before
+        self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
 
     def push(self, i: int, rec: ScheduledOp) -> int:
-        """Account for the commit of `i` at `rec`; returns the bound of the new placement."""
+        """Commit the ready operation `i` at `rec`; returns the bound of the new placement."""
         head, pbmin, pmin, succs, rank, trail = self.head, self.pbmin, self.pmin, self.succs, self.rank, self._trail
-        k, tail, owed = rec.machine, self.tail, self.owed
-        self._frames.append((len(trail), self.reach, k, tail.get(k), owed.get(k)))
+        self.engine.commit(i, rec)
+        self._frames.append((len(trail), self.reach, i))
         if i in self.solo:
-            owed[k] -= self.solo[i]
-        if k in tail:
-            tail[k] = rec.completion
+            self.owed[rec.machine] -= self.solo[i]
 
         reach = self.reach if self.reach > rec.completion else rec.completion
         j, out = i, rec.partial_completion  # out: the earliest start j allows its successors
@@ -127,22 +126,22 @@ class _Bounder:
 
     def bound(self) -> int:
         """The bound of the current placement."""
-        lb, owed = self.reach, self.owed
-        for k, c in self.tail.items():
-            if c + owed[k] > lb:
-                lb = c + owed[k]
+        lb, tail = self.reach, self.engine.tail
+        for k, w in self.owed.items():
+            if tail[k] + w > lb:
+                lb = tail[k] + w
         return lb
 
     def pop(self) -> None:
-        """Reverse the latest push."""
-        mark, self.reach, k, tail_k, owed_k = self._frames.pop()
+        """Undo the latest push's commit."""
+        mark, self.reach, i = self._frames.pop()
         head, trail = self.head, self._trail
         while len(trail) > mark:
             j, h = trail.pop()
             head[j] = h
-        if tail_k is not None:
-            self.tail[k] = tail_k
-            self.owed[k] = owed_k
+        if i in self.solo:
+            self.owed[self.engine.placed[i].machine] += self.solo[i]
+        self.engine.undo(i)
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +167,18 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     updates it along the appended operation's descendants only and an undo
     restores it from a trail, with no pass over every operation.
     One loop runs the search over a stack of frames, one per open node: its
-    child iterator, over the ready set its commit left, and the operation it
-    placed (None at the root). A child bounded below the incumbent pushes a
-    frame unless it is a leaf; a frame out of children pops and undoes its
-    operation. The node and time limits are checked before each candidate's
-    placement, so a fixed node limit always explores the same tree regardless
-    of wall time. A tripped limit returns the best incumbent, the root bound
+    child iterator, over the ready set its commit left. A child bounded below
+    the incumbent pushes a frame unless it is a leaf; a frame out of children
+    pops, and unless it was the root's the bounder undoes its node's commit.
+    The node and time limits are checked before each candidate's placement,
+    so a fixed node limit always explores the same tree regardless of wall
+    time. A tripped limit returns the best incumbent, the root bound
     and status "limit"; exhausted searches prove optimality or infeasibility.
     """
     t0 = perf_counter()
     ids = sorted(op.id for op in inst.operations)
-    engine = PlacementEngine(inst)
     bounder = _Bounder(inst)
+    engine = bounder.engine
 
     incumbent: Schedule | None = None
     ub: float = _INF
@@ -206,9 +205,9 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                     continue  # reached through the id-ascending order instead
                 yield i, k
 
-    stack = [(appends(sorted(engine.ready), -_INF, None), None)]
+    stack = [appends(sorted(engine.ready), -_INF, None)]
     while stack:
-        for i, k in stack[-1][0]:
+        for i, k in stack[-1]:
             if ((node_limit is not None and nodes >= node_limit)
                     or (time_limit is not None and perf_counter() - t0 > time_limit)):
                 return _result("limit", t0, nodes, incumbent, root_lb)
@@ -216,22 +215,19 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                 rec = engine.placement(i, k)
             except DecodeInfeasible:
                 continue
-            engine.commit(i, rec)
             nodes += 1
             lb = bounder.push(i, rec)
             if lb < ub:
                 if len(engine.placed) < len(ids):
-                    stack.append((appends(sorted(engine.ready), i, k), i))
+                    stack.append(appends(sorted(engine.ready), i, k))
                     break
                 ub = lb  # a leaf's bound is its makespan
                 incumbent = engine.schedule()
             bounder.pop()
-            engine.undo(i)
         else:
-            _, i = stack.pop()
-            if i is not None:
+            stack.pop()
+            if stack:
                 bounder.pop()
-                engine.undo(i)
 
     if incumbent is None:
         return _result("infeasible", t0, nodes)
@@ -250,27 +246,27 @@ def solve_greedy(inst: Instance) -> Schedule:
     unplaced pinned operations accepts another operation only if it would
     complete in time for the setup of the earliest of them; when no
     candidate survives, raises DecodeInfeasible.
-    Pairs wait in one heap of (key, op, machine, machine version, record or
-    None) and are placed lazily. An entry holding None is keyed by a lower
-    bound on the pair's completion, the machine's tail completion plus the
-    processing time: a start follows the tail and its setup, and windows
+    Pairs wait in one heap of (key, op, machine, stamp, record or None) and
+    are placed lazily. An entry's stamp is the length of the machine's
+    sequence when it was pushed: the greedy never undoes, so that length is
+    the machine's commit count. An entry holding None is keyed by a lower
+    bound on the pair's completion, the engine's `tail` of the machine plus
+    the processing time: a start follows the tail and its setup, and windows
     only stretch the processing. When popped it is placed, pin check
     included, and goes back keyed by its completion, or is dropped if the
     placement raises or the pin check rejects it. A commit to a machine,
-    the only event that moves its tail or its earliest pin, bumps its
-    version, which drops its older entries when popped, and pushes a bound
+    the only event that moves its tail or its earliest pin, lengthens its
+    sequence, which drops its older entries when popped, and pushes a bound
     entry for each ready operation eligible there; an operation that becomes
     ready gets one on each of its machines. No key exceeds its pair's
     completion, so the first answer popped is the smallest (completion, op,
     machine) over all live pairs, the pair a rescan of every pair would
-    commit. Each (op, machine, version) has at most one entry at a time, so
+    commit. Each (op, machine, stamp) has at most one entry at a time, so
     the record or None is never compared.
     """
     engine = PlacementEngine(inst)
-    ops, placed = engine.ops, engine.placed
+    ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
     n_ops = len(inst.operations)
-    version = dict.fromkeys(engine.seqs, 0)  # machine -> commits to it so far
-    tail = dict.fromkeys(engine.seqs, 0)  # machine -> completion of its last operation
 
     pins: dict[int, list[tuple[int, int]]] = {}  # machine -> unplaced (pinned start, op), ascending
     for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
@@ -293,14 +289,14 @@ def solve_greedy(inst: Instance) -> Schedule:
     heapq.heapify(heap)
     while len(placed) < n_ops:
         while heap:
-            _, i, k, v, rec = heapq.heappop(heap)
-            if v != version[k] or i in placed:
+            _, i, k, n, rec = heapq.heappop(heap)
+            if n != len(seqs[k]) or i in placed:
                 continue
             if rec is not None:
                 break
             rec = candidate(i, k)
             if rec is not None:
-                heapq.heappush(heap, (rec.completion, i, k, v, rec))
+                heapq.heappush(heap, (rec.completion, i, k, n, rec))
         else:
             stuck = sorted(op.id for op in inst.operations if op.id not in placed)
             raise DecodeInfeasible(
@@ -309,17 +305,16 @@ def solve_greedy(inst: Instance) -> Schedule:
         fixed = ops[i].fixed
         if fixed is not None:
             pins[k].remove((fixed[1], i))
-        v = version[k] = v + 1
-        c = tail[k] = rec.completion
+        n, c = len(seqs[k]), tail[k]
         for j in engine.ready:
             p = ops[j].eligible.get(k)
             if p is not None:
-                heapq.heappush(heap, (c + p, j, k, v, None))
+                heapq.heappush(heap, (c + p, j, k, n, None))
         for j in engine.succs[i]:
             if j in engine.ready:  # ready only now, since `i` was its unplaced predecessor
                 for kj, p in ops[j].eligible.items():
                     if kj != k:
-                        heapq.heappush(heap, (tail[kj] + p, j, kj, version[kj], None))
+                        heapq.heappush(heap, (tail[kj] + p, j, kj, len(seqs[kj]), None))
     return engine.schedule()
 
 

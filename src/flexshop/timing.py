@@ -75,14 +75,15 @@ class PlacementEngine:
     """One partial schedule, grown by appending operations to machine tails.
 
     `placed` maps each placed operation to its record, `seqs` lists each
-    machine's operations in append order (its tail is the last entry),
-    `pred_left` counts each operation's unplaced graph predecessors, and
-    `ready` holds the unplaced operations whose count is zero. Only
-    :meth:`commit` and :meth:`undo` change them. The instance data a
-    placement reads is bound once, at construction: `ops` (each operation
-    record by id), `calendars` and `setups` (each machine's windows and
-    setup object), `partial` (each operation's partial length per eligible
-    machine), and the graph's `preds` and `succs`.
+    machine's operations in append order (its last operation is the last
+    entry), `tail` maps each machine to that operation's completion, or 0
+    while the machine is empty, `pred_left` counts each operation's unplaced
+    graph predecessors, and `ready` holds the unplaced operations whose count
+    is zero. Only :meth:`commit` and :meth:`undo` change them. The instance
+    data a placement reads is bound once, at construction: `ops` (each
+    operation record by id), `calendars` and `setups` (each machine's windows
+    and setup object), `partial` (each operation's partial length per
+    eligible machine), and the graph's `preds` and `succs`.
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
@@ -102,6 +103,7 @@ class PlacementEngine:
         self.succs = inst.successors
         self.placed: dict[int, ScheduledOp] = {}
         self.seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
+        self.tail: dict[int, int] = dict.fromkeys(self.seqs, 0)
         self.pred_left: dict[int, int] = {op.id: len(self.preds[op.id]) for op in inst.operations}
         self.ready: set[int] = {i for i, n in self.pred_left.items() if n == 0}
 
@@ -114,20 +116,15 @@ class PlacementEngine:
         op = self.ops[op_id]
         calendar = self.calendars[machine_id]
         seq = self.seqs[machine_id]
-        placed = self.placed
-        start_floor = op.release
-        if not seq:
-            setup_len = self.setups[machine_id].first(op)
-        else:
-            prev = seq[-1]
-            setup_len = self.setups[machine_id].between(self.ops[prev], op)
-            setup_start = placed[prev].completion
-            if setup_start + setup_len > start_floor:
-                start_floor = setup_start + setup_len
+        setups = self.setups[machine_id]
+        setup_len = setups.between(self.ops[seq[-1]], op) if seq else setups.first(op)
+        start_floor = self.tail[machine_id] + setup_len
+        if op.release > start_floor:
+            start_floor = op.release
 
         completion_floor = 0
         for p in self.preds[op_id]:
-            rec = placed[p]
+            rec = self.placed[p]
             if rec.partial_completion > start_floor:
                 start_floor = rec.partial_completion
             if rec.completion > completion_floor:
@@ -187,6 +184,7 @@ class PlacementEngine:
         """Append the ready operation `op_id` to its machine with placement `rec`."""
         self.placed[op_id] = rec
         self.seqs[rec.machine].append(op_id)
+        self.tail[rec.machine] = rec.completion
         self.ready.remove(op_id)
         for j in self.succs[op_id]:
             self.pred_left[j] -= 1
@@ -196,7 +194,9 @@ class PlacementEngine:
     def undo(self, op_id: int) -> None:
         """Reverse the latest commit, which must be the one of `op_id`."""
         rec = self.placed.pop(op_id)
-        self.seqs[rec.machine].pop()
+        seq = self.seqs[rec.machine]
+        seq.pop()
+        self.tail[rec.machine] = self.placed[seq[-1]].completion if seq else 0
         for j in self.succs[op_id]:
             self.ready.discard(j)
             self.pred_left[j] += 1

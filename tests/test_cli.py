@@ -117,9 +117,10 @@ def test_solve_has_no_brute_force(tmp_path, capsys):
     assert "invalid choice: 'brute'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("limit", ["nan", "inf"])
+@pytest.mark.parametrize("limit", ["nan", "inf", "soon"])
 def test_solve_rejects_a_time_limit_that_never_trips(tmp_path, capsys, limit):
-    # a time limit switches NODE_CAP off, and no elapsed time exceeds nan or inf
+    # a time limit switches NODE_CAP off, and no elapsed time exceeds nan or inf;
+    # a word is no number of seconds at all
     inst_path = gen_instance(tmp_path)
     with pytest.raises(SystemExit) as info:
         main(["solve", str(inst_path), "--time-limit", limit])

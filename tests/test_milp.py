@@ -144,6 +144,15 @@ def test_tampered_order_trips_gap_and_overlap_rows():
     assert "overlap_start_1_2" in names
 
 
+def test_missing_operation_reports_its_rows_without_raising():
+    inst, _ = golden("chain")
+    sched = opt_schedule(inst).schedule
+    missing = Schedule(ops={i: so for i, so in sched.ops.items() if i != 2},
+                       sequences={k: tuple(i for i in seq if i != 2) for k, seq in sched.sequences.items()})
+    names = [v.name for v in evaluate_schedule(inst, missing)]
+    assert names == ["assign_2", "release_2", "overlap_start_1_2", "end_order_1_2"]
+
+
 def test_reversed_sequence_trips_the_machine_gap_row():
     inst, _ = golden("chain")
     sched = opt_schedule(inst).schedule

@@ -311,7 +311,8 @@ def test_exact_returns_the_unreduced_incumbent():
 
 def walk_every_append(inst: Instance, node_limit: int) -> int:
     """Check the incremental bound against the full pass at every append, depth first; returns the nodes."""
-    engine, bounder = PlacementEngine(inst), _Bounder(inst)
+    bounder = _Bounder(inst)
+    engine = bounder.engine
     assert bounder.root == bounder.bound() == full_pass_bound(inst, engine)
     nodes = 0
 
@@ -326,12 +327,10 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
                 except DecodeInfeasible:
                     continue
                 before = bounder.bound()
-                engine.commit(i, rec)
                 nodes += 1
                 assert bounder.push(i, rec) == full_pass_bound(inst, engine), (i, k)
                 descend()
                 bounder.pop()
-                engine.undo(i)
                 assert bounder.bound() == before == full_pass_bound(inst, engine), (i, k)
 
     descend()

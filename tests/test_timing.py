@@ -171,6 +171,8 @@ def test_undo_restores_a_fresh_replay_of_the_prefix():
                 replay.commit(j, replay.placement(j, k))
             assert state.placed == replay.placed
             assert state.seqs == replay.seqs
+            assert state.tail == replay.tail == {
+                k: state.placed[seq[-1]].completion if seq else 0 for k, seq in state.seqs.items()}
             assert state.pred_left == replay.pred_left
             assert state.ready == replay.ready == ready_by_predecessors(inst, replay)
             pairs = ready_pairs(inst, replay)
