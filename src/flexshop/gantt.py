@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .model import Instance, Schedule
-from .timing import makespan
+from .model import MAX_TIME, Instance, Schedule, brief, makespan
 
 _LEFT, _TOP, _WIDTH = 70.0, 34.0, 960.0
 _ROW, _GAP = 26.0, 10.0
@@ -23,6 +22,11 @@ def _job_fill(job: int) -> str:
 
 
 def render_svg(inst: Instance, sched: Schedule) -> str:
+    for i, so in sched.ops.items():
+        drawn = (("setup_start", so.setup_start),) if so.setup_len > 0 else ()
+        for label, t in (*drawn, ("start", so.start), ("completion", so.completion)):
+            if not -MAX_TIME <= t <= MAX_TIME:
+                raise ValueError(f"gantt: operation {i} {label} {brief(t)} is outside ±{MAX_TIME}")
     machines = sorted(mc.id for mc in inst.machines)
     horizon = max([makespan(sched), 1] + [mc.last_window_end() for mc in inst.machines])
     scale = _WIDTH / horizon

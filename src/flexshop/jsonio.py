@@ -47,8 +47,7 @@ import json
 from typing import Any
 
 from .model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable,
-                    Violation, brief)
-from .solvers import SolveResult
+                    SolveResult, Violation, brief)
 
 
 class FormatError(ValueError):

@@ -8,9 +8,9 @@ completion), and continuous start/completion/setup quantities. All input
 data is integral, every coefficient stays integral, and row evaluation is
 exact integer arithmetic.
 
-Three derived constants make the indicator rows work: ``m1`` bounds setup
-lengths, ``m3`` bounds window ends, ``m2`` bounds the schedule horizon; see
-:func:`flexshop.model.big_m_constants`.
+Three constants derived from the instance data alone make the indicator
+rows work: ``m1`` bounds setup lengths, ``m3`` bounds window ends, ``m2``
+bounds the schedule horizon; see :func:`big_m_constants`.
 
 One deliberate deviation from the obvious chain-count formulation: per
 machine the immediate-predecessor pairs satisfy ``sum(y) >= sum(x) - 1``
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, Schedule, big_m_constants
-from .timing import makespan as schedule_makespan
+from .model import Instance, Schedule, makespan
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +54,35 @@ class RowViolation:
     lhs: int
     sense: str
     rhs: int
+
+
+@dataclass(frozen=True)
+class BigM:
+    m1: int
+    m2: int
+    m3: int
+
+
+def big_m_constants(inst: Instance) -> BigM:
+    """The three model constants, from the instance data alone.
+
+    m1 bounds every setup length. m3 bounds every unavailability-window end.
+    m2 bounds any sensible schedule horizon: the latest window end plus, for
+    each operation, its worst eligible processing time plus the worst setup
+    that could precede it there. Empty maxima count as 0 so the formulas stay
+    total on window-free or setup-free instances.
+    """
+    m1 = 0
+    m3 = 0
+    for mc in inst.machines:
+        m3 = max(m3, mc.last_window_end())
+        m1 = max(m1, mc.setup.longest())
+
+    m2 = m3
+    for op in inst.operations:
+        m2 += max((p + inst.machine(k).setup.worst_into(op, inst.eligible_ops[k]) for k, p in op.eligible.items()),
+                  default=0)
+    return BigM(m1=m1, m2=m2, m3=m3)
 
 
 def build_model(inst: Instance) -> MilpModel:
@@ -295,18 +323,15 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
             val[f"xih_{j}_{k}"] = pick
             val[f"xib_{j}_{k}"] = pick if assigned.get(j) == k else 0
 
-    val["Cmax"] = schedule_makespan(sched)
+    val["Cmax"] = makespan(sched)
     return val
 
 
 def evaluate_schedule(inst: Instance, sched: Schedule) -> list[RowViolation]:
-    """All model rows (and variable bounds) the schedule's values violate."""
+    """All model rows and continuous-variable bounds the schedule's values violate."""
     model = build_model(inst)
     val = schedule_values(inst, sched)
-    out: list[RowViolation] = []
-    for name in model.binaries:
-        if val.get(name, 0) not in (0, 1):
-            out.append(RowViolation(f"bound_{name}", val[name], "in", 0))
+    out: list[RowViolation] = []  # binaries need no bound check: schedule_values sets them to 0 or 1
     for name in model.continuous:
         if val.get(name, 0) < 0:
             out.append(RowViolation(f"bound_{name}", val[name], "in", 0))

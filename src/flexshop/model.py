@@ -1,4 +1,4 @@
-"""Domain model: instances, schedules, validation, and big-M derivation.
+"""Domain model: instances, schedules, solver results, the makespan, and instance validation.
 
 Times are plain non-negative 64-bit integers everywhere. The overlap fraction
 of an operation is stored in integer hundredths (``theta_hundredths``) so the
@@ -13,6 +13,9 @@ operations' size/color/varnish features. The two answer the same questions
 branches on the form. Rule machines keep large generated instances compact:
 the pair map is quadratic in the number of eligible operations and is pure
 arithmetic anyway.
+
+A :class:`SolveResult` is what both solvers report, its fields the result
+document's keys in order.
 """
 
 from __future__ import annotations
@@ -228,10 +231,18 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class BigM:
-    m1: int
-    m2: int
-    m3: int
+class SolveResult:
+    status: str  # optimal | feasible | infeasible | limit
+    makespan: int | None
+    lower_bound: int | None
+    gap: float | None
+    nodes: int
+    wall_ms: int
+    schedule: Schedule | None
+
+
+def makespan(sched: Schedule) -> int:
+    return max((so.completion for so in sched.ops.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,33 +342,6 @@ def validate_instance(inst: Instance) -> list[Violation]:
         report += mc.setup.violations(mc.id, inst.eligible_ops[mc.id])
 
     return report
-
-
-# ---------------------------------------------------------------------------
-# Big-M constants
-# ---------------------------------------------------------------------------
-
-
-def big_m_constants(inst: Instance) -> BigM:
-    """The three model constants, from the instance data alone.
-
-    m1 bounds every setup length. m3 bounds every unavailability-window end.
-    m2 bounds any sensible schedule horizon: the latest window end plus, for
-    each operation, its worst eligible processing time plus the worst setup
-    that could precede it there. Empty maxima count as 0 so the formulas stay
-    total on window-free or setup-free instances.
-    """
-    m1 = 0
-    m3 = 0
-    for mc in inst.machines:
-        m3 = max(m3, mc.last_window_end())
-        m1 = max(m1, mc.setup.longest())
-
-    m2 = m3
-    for op in inst.operations:
-        m2 += max((p + inst.machine(k).setup.worst_into(op, inst.eligible_ops[k]) for k, p in op.eligible.items()),
-                  default=0)
-    return BigM(m1=m1, m2=m2, m3=m3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,31 +4,19 @@ Both grow schedules in a :class:`flexshop.timing.PlacementEngine`, appending
 operations from its ready set, so a schedule either returns is by
 construction the left-tight decoding of its decision structure and passes
 the checker. :func:`solve_exact` and :func:`greedy_result` report through
-one :class:`SolveResult` path, whose fields are the result document's keys
-in order; :func:`solve_greedy` returns the bare schedule.
+one path into a :class:`flexshop.model.SolveResult`; :func:`solve_greedy`
+returns the bare schedule.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from time import perf_counter
 
-from .model import Instance, Schedule, ScheduledOp, topological_order
-from .timing import DecodeInfeasible, PlacementEngine, makespan
+from .model import Instance, Schedule, ScheduledOp, SolveResult, makespan, topological_order
+from .timing import DecodeInfeasible, PlacementEngine
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str  # optimal | feasible | infeasible | limit
-    makespan: int | None
-    lower_bound: int | None
-    gap: float | None
-    nodes: int
-    wall_ms: int
-    schedule: Schedule | None
 
 
 def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None,

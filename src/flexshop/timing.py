@@ -252,10 +252,6 @@ def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequ
     return engine.schedule()
 
 
-def makespan(sched: Schedule) -> int:
-    return max((so.completion for so in sched.ops.values()), default=0)
-
-
 # ---------------------------------------------------------------------------
 # Checking an arbitrary schedule against an instance
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import pathlib
 import re
 import tempfile
 
-from flexshop import (Instance, Machine, Operation, SetupRule, SetupTable, build_model,
-                      dumps_instance, emit_lp)
 from flexshop.cli import main as cli_main
+from flexshop.jsonio import dumps_instance
+from flexshop.milp import build_model, emit_lp
+from flexshop.model import Instance, Machine, Operation, SetupRule, SetupTable
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SOLVE_DIGESTS = DATA / "solve_digests.json"

@@ -18,9 +18,9 @@ import dataclasses
 import itertools
 from time import perf_counter
 
-from flexshop.model import Instance, Schedule, topological_order
-from flexshop.solvers import SolveResult, solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, decode, makespan
+from flexshop.model import Instance, Schedule, SolveResult, makespan, topological_order
+from flexshop.solvers import solve_greedy
+from flexshop.timing import DecodeInfeasible, PlacementEngine, decode
 
 
 def unit_free(windows, t: int) -> bool:

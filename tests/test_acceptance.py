@@ -19,11 +19,11 @@ import pytest
 from flexshop.cli import main
 from flexshop.generator import GenParams, gen_job_dag, generate, params_for_class
 from flexshop.jsonio import loads_instance, loads_schedule
-from flexshop.milp import evaluate_schedule
-from flexshop.model import big_m_constants
+from flexshop.milp import big_m_constants, evaluate_schedule
+from flexshop.model import makespan
 from flexshop.rng import Rng
 from flexshop.solvers import solve_exact, solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode
 
 from oracles import (brute_force, iter_one_unit_left_shifts, oracle_completion, oracle_earliest,
                      start_legal, with_full_overlap)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -257,13 +261,14 @@ HUGE = "9" * 10_000_000
 BIG = 10**4000  # an integer JSON reads, under Python's 4,300-digit limit on int/str conversion
 
 
-def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1, setup=RULE, op=None, arcs=(), more_ops=()):
+def _hostile(m=1, machines=({"id": 1},), sched_machine=1, sched_op=1, setup=RULE, op=None, arcs=(), more_ops=(),
+             times=None):
     """A one-operation instance and a schedule for it, with the given faults."""
     instance = {"m": m, "arcs": list(arcs),
                 "machines": [{**mc, **setup} for mc in machines],
                 "operations": [{"id": 1, "job": 1, "eligible": {"1": 5}, **(op or {})}, *more_ops]}
     schedule = {"operations": [{"id": sched_op, "machine": sched_machine, "setup_start": 0, "setup_len": 0,
-                                "start": 0, "partial_completion": 5, "completion": 5}],
+                                "start": 0, "partial_completion": 5, "completion": 5, **(times or {})}],
                 "sequences": {str(sched_machine): [sched_op]}}
     return instance, schedule
 
@@ -282,6 +287,10 @@ DEEP = "[" * 200_000
                  "machine ids must be 1..2", id="duplicate-machine-id"),
     pytest.param("gantt", *_hostile(sched_machine=9), 2, "error: unknown machine id 9", id="gantt-unknown-machine"),
     pytest.param("gantt", *_hostile(sched_op=99), 2, "error: unknown operation id 99", id="gantt-unknown-operation"),
+    pytest.param("gantt", *_hostile(times={"completion": 10**400}), 2, "error: gantt: operation 1 completion 1000",
+                 id="gantt-completion-1e400"),
+    pytest.param("gantt", *_hostile(times={"start": -BIG}), 2, "error: gantt: operation 1 start -1000",
+                 id="gantt-start-minus-1e4000"),
     pytest.param("solve", _hostile(op={"release": HUGE})[0], None, 2,
                  "error: operation[0].release: expected an integer, got '999", id="release-10MB-string"),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {HUGE: 0}})[0], None, 2,
@@ -382,3 +391,11 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_module_entry_point_prints_the_version():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "flexshop.cli", "--version"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, f"flexshop {__version__}\n")

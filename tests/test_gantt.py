@@ -1,7 +1,8 @@
 import re
 
 from flexshop.gantt import render_svg
-from flexshop.model import Instance, Machine, Operation, Schedule, SetupTable, validate_instance
+from flexshop.model import (MAX_TIME, Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable,
+                            validate_instance)
 from flexshop.timing import decode
 
 from test_timing import lift_instance, serial_instance
@@ -91,3 +92,10 @@ def test_a_far_window_gets_at_most_thirteen_ticks():
     labels = re.findall(r'fill="#666" text-anchor="middle">(\d+)<', svg)
     assert labels == [str(t) for t in range(0, far + 1, far // 10)]
     assert len(svg) < 10_000
+
+
+def test_negative_times_and_times_out_to_64_bits_still_render():
+    inst = serial_instance()
+    for so in (ScheduledOp(1, -7, 2, -5, 0, 3), ScheduledOp(1, -MAX_TIME, 1, -MAX_TIME + 1, MAX_TIME, MAX_TIME)):
+        svg = render_svg(inst, Schedule(ops={1: so}, sequences={1: (1,)}))
+        assert f"makespan {so.completion}" in svg and svg.count('fill="#3366cc"') == 1

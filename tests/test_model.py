@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from flexshop.model import (BigM, CycleError, Instance, Machine, Operation,
-                            SetupRule, SetupTable, big_m_constants, topological_order,
+from flexshop.milp import BigM, big_m_constants
+from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, topological_order,
                             validate_instance)
 
 TWO_OP_TABLE = SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 4})

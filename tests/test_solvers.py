@@ -6,9 +6,10 @@ import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_result
-from flexshop.model import CycleError, Instance, Machine, Operation, SetupRule, SetupTable, validate_instance
+from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, makespan,
+                            validate_instance)
 from flexshop.solvers import _Bounder, solve_exact, solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode
 
 from oracles import brute_force, full_pass_bound, plain_branch_and_bound, rescan_greedy, with_full_overlap
 from test_timing import serial_instance

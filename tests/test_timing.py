@@ -4,9 +4,9 @@ import pytest
 
 from flexshop.generator import GenParams, generate
 from flexshop.model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable, Violation,
-                            validate_instance)
+                            makespan, validate_instance)
 from flexshop.rng import Rng
-from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode, makespan
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode
 
 from oracles import iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
 
