@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance", help="instance JSON path, - for stdin")
     p.add_argument("--alg", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--time-limit", type=_finite_seconds, default=None, help="seconds, exact only")
+    p.add_argument("--time-limit", type=_finite_seconds, default=None,
+                   help="seconds for the whole solve, greedy incumbent included; exact only")
     p.add_argument("--node-limit", type=int, default=None,
                    help=f"search nodes, exact only (with neither limit: {NODE_CAP})")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")

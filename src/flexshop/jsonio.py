@@ -228,10 +228,6 @@ def schedule_from_dict(data: Any) -> Schedule:
     return Schedule(ops=ops, sequences=sequences)
 
 
-def dumps_schedule(sched: Schedule) -> str:
-    return _dumps(schedule_to_dict(sched))
-
-
 def loads_schedule(text: str) -> Schedule:
     return schedule_from_dict(_parse(text, "schedule"))
 

@@ -45,7 +45,6 @@ class MilpModel:
     binaries: tuple[str, ...]  # variable names in declaration order
     continuous: tuple[str, ...]  # every variable, binary or not, is non-negative
     constraints: tuple[Row, ...]
-    objective: str = "Cmax"
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def emit_lp(model: MilpModel) -> str:
     Continuous variables each get an explicit (default) bound line so the
     declaration list survives a round trip through the text form.
     """
-    out = ["Minimize", f" obj: {model.objective}", "Subject To"]
+    out = ["Minimize", " obj: Cmax", "Subject To"]
     for rowdef in model.constraints:
         parts = []
         for pos, (coef, var) in enumerate(rowdef.terms):

@@ -5,7 +5,7 @@ operations from its ready set, so a schedule either returns is by
 construction the left-tight decoding of its decision structure and passes
 the checker. :func:`solve_exact` and :func:`greedy_result` report through
 one path into a :class:`flexshop.model.SolveResult`; :func:`solve_greedy`
-returns the bare schedule.
+returns the bare schedule, or None past its deadline.
 """
 
 from __future__ import annotations
@@ -158,25 +158,33 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     child iterator, over the ready set its commit left. A child bounded below
     the incumbent pushes a frame unless it is a leaf; a frame out of children
     pops, and unless it was the root's the bounder undoes its node's commit.
-    The node and time limits are checked before each candidate's placement,
-    so a fixed node limit always explores the same tree regardless of wall
-    time. A tripped limit returns the best incumbent, the root bound
-    and status "limit"; exhausted searches prove optimality or infeasibility.
+    One budget, fixed at entry, covers the whole solve: a deadline
+    `time_limit` seconds after the call, and a node cap. The greedy incumbent
+    checks the deadline before each commit; a budget that trips there returns
+    status "limit" with no schedule, 0 nodes and the root bound. The search
+    checks both before each candidate's placement, so a fixed node limit
+    always explores the same tree regardless of wall time, and a tripped
+    limit returns the best incumbent, the root bound and status "limit";
+    exhausted searches prove optimality or infeasibility.
     """
     t0 = perf_counter()
+    deadline = None if time_limit is None else t0 + time_limit
+    cap = _INF if node_limit is None else node_limit
     ids = sorted(op.id for op in inst.operations)
     bounder = _Bounder(inst)
     engine = bounder.engine
+    root_lb = bounder.root
 
     incumbent: Schedule | None = None
     ub: float = _INF
     try:
-        incumbent = solve_greedy(inst)
+        incumbent = solve_greedy(inst, deadline)
+        if incumbent is None:
+            return _result("limit", t0, 0, None, root_lb)
         ub = makespan(incumbent)
     except DecodeInfeasible:
         pass
 
-    root_lb = bounder.root
     nodes = 0
     if incumbent is not None and ub <= root_lb:
         return _result("optimal", t0, 0, incumbent, ub)
@@ -196,8 +204,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     stack = [appends(sorted(engine.ready), -_INF, None)]
     while stack:
         for i, k in stack[-1]:
-            if ((node_limit is not None and nodes >= node_limit)
-                    or (time_limit is not None and perf_counter() - t0 > time_limit)):
+            if nodes >= cap or (deadline is not None and perf_counter() > deadline):
                 return _result("limit", t0, nodes, incumbent, root_lb)
             try:
                 rec = engine.placement(i, k)
@@ -227,13 +234,15 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def solve_greedy(inst: Instance) -> Schedule:
+def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | None:
     """Repeatedly commit the ready (operation, machine) pair finishing first.
 
     Ties break on the lower operation id, then machine id. A machine holding
     unplaced pinned operations accepts another operation only if it would
     complete in time for the setup of the earliest of them; when no
-    candidate survives, raises DecodeInfeasible.
+    candidate survives, raises DecodeInfeasible. Given a `deadline`, a
+    :func:`time.perf_counter` reading, it reads the clock before each commit
+    and returns None once the deadline has passed.
     Pairs wait in one heap of (key, op, machine, stamp, record or None) and
     are placed lazily. An entry's stamp is the length of the machine's
     sequence when it was pushed: the greedy never undoes, so that length is
@@ -276,6 +285,8 @@ def solve_greedy(inst: Instance) -> Schedule:
     heap = [(p, i, k, 0, None) for i in engine.ready for k, p in ops[i].eligible.items()]
     heapq.heapify(heap)
     while len(placed) < n_ops:
+        if deadline is not None and perf_counter() > deadline:
+            return None
         while heap:
             _, i, k, n, rec = heapq.heappop(heap)
             if n != len(seqs[k]) or i in placed:

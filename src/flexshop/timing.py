@@ -1,4 +1,4 @@
-"""Placement arithmetic on machine calendars, list decoding, and the checker.
+"""Placement arithmetic on machine calendars, the placement engine, and the checker.
 
 The ground rules, shared by every routine here:
 
@@ -67,7 +67,7 @@ def _earliest_legal(calendar: Calendar, ready: int, setup_len: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Incremental placement shared by decode and the solvers
+# Incremental placement shared by the solvers
 # ---------------------------------------------------------------------------
 
 
@@ -205,51 +205,6 @@ class PlacementEngine:
     def schedule(self) -> Schedule:
         """A snapshot of the placed operations and the machine sequences."""
         return Schedule(ops=dict(self.placed), sequences={k: tuple(s) for k, s in self.seqs.items()})
-
-
-# ---------------------------------------------------------------------------
-# Decoding a decision structure into a schedule
-# ---------------------------------------------------------------------------
-
-
-def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequence[int]]) -> Schedule:
-    """Left-tight schedule from a machine assignment and per-machine orders.
-
-    Operations are placed one at a time: among the operations whose graph
-    predecessors are all placed and which sit at the front of their machine's
-    remaining sequence, the lowest id goes next. A pinned operation must land
-    exactly on its pinned start. Raises DecodeInfeasible when no operation is
-    placeable (the sequences deadlock against the precedence graph) and
-    ValueError when the structure itself is malformed.
-    """
-    ids = {op.id for op in inst.operations}
-    if set(assignment) != ids:
-        raise ValueError("assignment must cover exactly the instance's operations")
-    for i, k in assignment.items():
-        if k not in inst.op(i).eligible:
-            raise ValueError(f"operation {i} assigned to machine {k} outside its eligible set")
-    seq: dict[int, list[int]] = {mc.id: list(sequences.get(mc.id, ())) for mc in inst.machines}
-    unknown = set(sequences) - set(seq)
-    if unknown:
-        raise ValueError(f"sequences reference unknown machines {sorted(unknown)}")
-    listed: list[int] = [i for k in sorted(seq) for i in seq[k]]
-    if sorted(listed) != sorted(ids):
-        raise ValueError("sequences must list every operation exactly once")
-    for k, ops_here in seq.items():
-        for i in ops_here:
-            if assignment[i] != k:
-                raise ValueError(f"operation {i} appears in machine {k}'s sequence but is assigned to {assignment[i]}")
-
-    engine = PlacementEngine(inst)
-    position = {i: n for ops_here in seq.values() for n, i in enumerate(ops_here)}
-    while len(engine.placed) < len(ids):
-        fronts = [i for i in engine.ready if position[i] == len(engine.seqs[assignment[i]])]
-        if not fronts:
-            stuck = sorted(ids - engine.placed.keys())
-            raise DecodeInfeasible(f"deadlock: no placeable operation among {stuck}")
-        i = min(fronts)
-        engine.commit(i, engine.placement(i, assignment[i]))
-    return engine.schedule()
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,7 @@ def parse_lp(text: str) -> MilpModel:
         pos += 1
 
     expect("Minimize")
-    label, objective = lines[pos].split(":")
-    assert label.strip() == "obj"
-    objective = objective.strip()
-    pos += 1
+    expect("obj: Cmax")
 
     expect("Subject To")
     rows: list[Row] = []
@@ -68,5 +65,4 @@ def parse_lp(text: str) -> MilpModel:
         binaries.append(lines[pos])
         pos += 1
 
-    return MilpModel(binaries=tuple(binaries), continuous=tuple(continuous), constraints=tuple(rows),
-                     objective=objective)
+    return MilpModel(binaries=tuple(binaries), continuous=tuple(continuous), constraints=tuple(rows))

@@ -3,9 +3,10 @@
 Everything here trades speed for obviousness: time advances one unit at a
 time and legality is re-derived from first principles at each step. Keep
 the placement oracles free of flexshop.timing so the two code paths cannot
-share a bug. The search oracles are the exception: :func:`brute_force`
-decodes through :func:`flexshop.timing.decode` and
-:func:`plain_branch_and_bound` shares the exact search's placements, both on
+share a bug. The search oracles are the exception: :func:`decode` grows a
+:class:`flexshop.timing.PlacementEngine` from a decision structure,
+:func:`brute_force` decodes every structure through it and
+:func:`plain_branch_and_bound` shares the exact search's placements, all on
 purpose, because they check the search (which structures it visits and
 which it prunes), not the placements. The search's bound, kept incrementally
 there, is recomputed from scratch here by :func:`full_pass_bound`, and the
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections.abc import Sequence
 from time import perf_counter
 
 from flexshop.model import Instance, Schedule, SolveResult, makespan, topological_order
 from flexshop.solvers import solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, decode
+from flexshop.timing import DecodeInfeasible, PlacementEngine
 
 
 def unit_free(windows, t: int) -> bool:
@@ -214,6 +216,46 @@ def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
             raise DecodeInfeasible("pinned starts block every candidate")
         engine.commit(best[1], best[3])
     return engine.schedule(), rejected
+
+
+def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequence[int]]) -> Schedule:
+    """Left-tight schedule from a machine assignment and per-machine orders.
+
+    Operations are placed one at a time: among the operations whose graph
+    predecessors are all placed and which sit at the front of their machine's
+    remaining sequence, the lowest id goes next. A pinned operation must land
+    exactly on its pinned start. Raises DecodeInfeasible when no operation is
+    placeable (the sequences deadlock against the precedence graph) and
+    ValueError when the structure itself is malformed.
+    """
+    ids = {op.id for op in inst.operations}
+    if set(assignment) != ids:
+        raise ValueError("assignment must cover exactly the instance's operations")
+    for i, k in assignment.items():
+        if k not in inst.op(i).eligible:
+            raise ValueError(f"operation {i} assigned to machine {k} outside its eligible set")
+    seq: dict[int, list[int]] = {mc.id: list(sequences.get(mc.id, ())) for mc in inst.machines}
+    unknown = set(sequences) - set(seq)
+    if unknown:
+        raise ValueError(f"sequences reference unknown machines {sorted(unknown)}")
+    listed: list[int] = [i for k in sorted(seq) for i in seq[k]]
+    if sorted(listed) != sorted(ids):
+        raise ValueError("sequences must list every operation exactly once")
+    for k, ops_here in seq.items():
+        for i in ops_here:
+            if assignment[i] != k:
+                raise ValueError(f"operation {i} appears in machine {k}'s sequence but is assigned to {assignment[i]}")
+
+    engine = PlacementEngine(inst)
+    position = {i: n for ops_here in seq.values() for n, i in enumerate(ops_here)}
+    while len(engine.placed) < len(ids):
+        fronts = [i for i in engine.ready if position[i] == len(engine.seqs[assignment[i]])]
+        if not fronts:
+            stuck = sorted(ids - engine.placed.keys())
+            raise DecodeInfeasible(f"deadlock: no placeable operation among {stuck}")
+        i = min(fronts)
+        engine.commit(i, engine.placement(i, assignment[i]))
+    return engine.schedule()
 
 
 def brute_force(inst: Instance) -> SolveResult:

@@ -23,9 +23,9 @@ from flexshop.milp import big_m_constants, evaluate_schedule
 from flexshop.model import makespan
 from flexshop.rng import Rng
 from flexshop.solvers import solve_exact, solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
-from oracles import (brute_force, iter_one_unit_left_shifts, oracle_completion, oracle_earliest,
+from oracles import (brute_force, decode, iter_one_unit_left_shifts, oracle_completion, oracle_earliest,
                      start_legal, with_full_overlap)
 from test_timing import completion_at, place_one, times
 

@@ -1,5 +1,6 @@
 """Module boundaries: imports point down one layer order, no private names cross modules, only
-jsonio reads or writes JSON, and no module-level import goes unused."""
+jsonio reads or writes JSON, no module-level import goes unused, and no public name serves only
+the tests."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import flexshop
 
 SRC = pathlib.Path(flexshop.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def is_private(name: str) -> bool:
@@ -83,4 +85,38 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.parent.name}/{path.name}:{line} imports {name}, which is never used"
                    for name, line in imported_names(tree).items() if name not in used]
+    assert unused == []
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """The public names a module's top-level functions, classes and assignments define."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, as a bare name, an attribute or an imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_serves_the_package_or_the_benchmark():
+    # a public name only the tests read belongs in the tests; a name its own module reads counts as used
+    sources = sorted(SRC.glob("*.py"))
+    used = set().union(*(referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sources + sorted(BENCH.glob("*.py"))))
+    unused = [f"{path.name}: {name}" for path in sources
+              for name in public_definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
     assert unused == []

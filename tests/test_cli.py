@@ -10,7 +10,7 @@ import pytest
 
 from flexshop import __version__, cli
 from flexshop.cli import main
-from flexshop.jsonio import dumps_schedule, loads_instance, loads_schedule
+from flexshop.jsonio import loads_instance, loads_schedule, schedule_to_dict
 from flexshop.milp import build_model, emit_lp
 from flexshop.model import validate_instance
 
@@ -142,11 +142,13 @@ def test_solve_greedy_reports_feasible(tmp_path, capsys):
 
 
 def test_solve_time_limit_zero_still_exits_cleanly(tmp_path, capsys):
+    # the limit covers the greedy incumbent too, so no schedule is found: exit 1 with a result
     inst_path = gen_instance(tmp_path)
-    assert main(["solve", str(inst_path), "--time-limit", "0"]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["status"] in ("limit", "optimal")
-    assert result["schedule"] is not None
+    assert main(["solve", str(inst_path), "--time-limit", "0"]) == 1
+    out = capsys.readouterr()
+    result = json.loads(out.out)
+    assert (result["status"], result["schedule"]) == ("limit", None)
+    assert out.err == ""
 
 
 def test_solve_outputs_match_the_pinned_digests(tmp_path):
@@ -225,7 +227,7 @@ def test_check_cli_checker_and_row_evaluation_agree(tmp_path, capsys):
     flagged = 0
     for idx, (inst_path, inst, sched) in enumerate(schedules):
         sched_path = tmp_path / f"sched{idx}.json"
-        sched_path.write_text(dumps_schedule(sched))
+        sched_path.write_text(json.dumps(schedule_to_dict(sched)))
         code = main(["check", str(inst_path), str(sched_path)])
         capsys.readouterr()
         clean_checker = check_schedule(inst, sched) == []

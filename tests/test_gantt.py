@@ -3,8 +3,8 @@ import re
 from flexshop.gantt import render_svg
 from flexshop.model import (MAX_TIME, Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable,
                             validate_instance)
-from flexshop.timing import decode
 
+from oracles import decode
 from test_timing import lift_instance, serial_instance
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -9,9 +10,9 @@ from flexshop.jsonio import dumps_result
 from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, makespan,
                             validate_instance)
 from flexshop.solvers import _Bounder, solve_exact, solve_greedy
-from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
-from oracles import brute_force, full_pass_bound, plain_branch_and_bound, rescan_greedy, with_full_overlap
+from oracles import brute_force, decode, full_pass_bound, plain_branch_and_bound, rescan_greedy, with_full_overlap
 from test_timing import serial_instance
 
 
@@ -166,14 +167,44 @@ def test_exact_is_deterministic():
 
 
 @pytest.mark.parametrize("time_limit", [0, -1.0])
-def test_zero_time_limit_reports_the_greedy_incumbent(time_limit):
+def test_zero_time_limit_returns_before_the_greedy_incumbent(time_limit):
+    # the time limit covers the greedy too, and it is read before the greedy's first commit
     res = solve_exact(flexible_instance(), time_limit=time_limit)
-    assert res.status == "limit"
-    assert res.nodes == 0
-    assert res.makespan == 9          # greedy already lands on the optimum here
+    assert (res.status, res.nodes) == ("limit", 0)
+    assert res.schedule is None and res.makespan is None and res.gap is None
     assert res.lower_bound == 5       # root bound: the longest minimal processing time
-    assert res.gap == pytest.approx(4 / 9, abs=1e-6)
-    assert check_schedule(flexible_instance(), res.schedule) == []
+
+
+def test_a_deadline_inside_the_greedy_stops_it_between_commits(monkeypatch):
+    # the fake clock ticks once per reading: the solve reads it once at entry and
+    # the greedy once before each commit, so a limit of 100.5 ticks allows 100 commits
+    inst = generate(replace(params_for_class("large", 25), seed=7))
+    ticks = itertools.count()
+    monkeypatch.setattr("flexshop.solvers.perf_counter", lambda: next(ticks))
+    commits = 0
+    commit = PlacementEngine.commit
+
+    def counted(self, i, rec):
+        nonlocal commits
+        commits += 1
+        return commit(self, i, rec)
+
+    monkeypatch.setattr(PlacementEngine, "commit", counted)
+    res = solve_exact(inst, time_limit=100.5)
+    assert commits == 100 < len(inst.operations)
+    assert (res.status, res.nodes, res.schedule, res.makespan, res.gap) == ("limit", 0, None, None, None)
+    assert res.lower_bound == _Bounder(inst).root
+
+
+def test_a_generous_time_limit_changes_nothing_at_a_node_limit():
+    cases = [replace(params_for_class("small", 1), seed=seed) for seed in range(1, 13)]
+    cases.append(replace(params_for_class("small", 15), seed=42))
+    for params in cases:
+        inst = generate(params)
+        a = solve_exact(inst, node_limit=5_000)
+        b = solve_exact(inst, time_limit=3600, node_limit=5_000)
+        assert (a.status, a.nodes, a.lower_bound, a.schedule) == (b.status, b.nodes, b.lower_bound, b.schedule)
+    assert a.status == "limit"  # small 15 seed 42 needs more nodes than that to prove
 
 
 def test_exact_search_leaves_the_recursion_limit_alone():

@@ -6,9 +6,9 @@ from flexshop.generator import GenParams, generate
 from flexshop.model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable, Violation,
                             makespan, validate_instance)
 from flexshop.rng import Rng
-from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule, decode
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
-from oracles import iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
+from oracles import decode, iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
 
 
 def rules_of(violations):
