@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 
 from . import __version__
 from .gantt import render_svg
 from .generator import generate, params_for_class
 from .jsonio import dumps_instance, dumps_manifest, dumps_report, dumps_result, loads_instance, loads_schedule
-from .milp import build_model, emit_lp
+from .milp import build_model, lp_blocks
 from .model import Instance, validate_instance
 from .solvers import greedy_result, solve_exact
 from .timing import DecodeInfeasible, check_schedule
@@ -32,13 +33,20 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    _write_blocks(path, (text,))
+
+
+def _write_blocks(path: str, blocks: Iterable[str]) -> None:
+    """Write the blocks as they come; stdout gets a final newline if the text lacks one."""
     if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in blocks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
 
 
 def _load_valid_instance(path: str) -> Instance:
@@ -94,7 +102,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
-    _write(args.out, emit_lp(build_model(inst)))
+    _write_blocks(args.out, lp_blocks(build_model(inst)))
     return 0
 
 

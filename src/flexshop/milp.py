@@ -20,14 +20,24 @@ through every operation the machine actually hosts.
 
 Each variable name is formatted once, in the name tables at the top of
 :func:`build_model`; the rows look names up there, so a row that names an
-undeclared variable fails with KeyError. :func:`schedule_values` formats the
-same names on its own on purpose: it is the independent side of the row
-check, and a mismatch shows up as violated rows on a proven optimum.
+undeclared variable fails with KeyError. The model keeps only those tables:
+its rows are made anew on each pass over ``MilpModel.constraints``, a
+re-iterable view whose ``len()`` is counted on the first full pass, and
+every consumer (:func:`lp_blocks`, :func:`emit_lp`,
+:func:`evaluate_schedule`) takes them as they are made. No more than one
+row is held at a time: :func:`lp_blocks` adds one block of LP text to the
+name tables, :func:`emit_lp` the whole text.
+
+:func:`schedule_values` formats the same names on its own on purpose: it is
+the independent side of the row check, and a mismatch shows up as violated
+rows on a proven optimum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .model import Instance, Schedule, makespan
 
@@ -40,11 +50,48 @@ class Row:
     rhs: int
 
 
+class _Rows(Collection[Row]):
+    """A sized view that makes its rows anew on each pass and keeps none of them.
+
+    The first full pass counts the rows for ``len()``; a ``len()`` asked
+    before any full pass makes one.
+    """
+
+    __slots__ = ("_make", "_count")
+
+    def __init__(self, make: Callable[[], Iterator[Row]]):
+        self._make = make
+        self._count: int | None = None
+
+    def __iter__(self) -> Iterator[Row]:
+        count = 0
+        for count, rowdef in enumerate(self._make(), start=1):
+            yield rowdef
+        self._count = count
+
+    def __len__(self) -> int:
+        if self._count is None:
+            for _ in self:
+                pass
+        return self._count
+
+    def __contains__(self, item: object) -> bool:
+        return any(rowdef == item for rowdef in self)
+
+
 @dataclass(frozen=True)
 class MilpModel:
+    """Variable declarations and the rows over them.
+
+    ``constraints`` from :func:`build_model` is re-iterable: each pass yields
+    the same rows in the same order, made as the pass goes and kept by
+    nobody, and ``len()`` is the count of the first full pass (one pass is
+    made for it when none has run). Compare rows with ``tuple(constraints)``.
+    """
+
     binaries: tuple[str, ...]  # variable names in declaration order
     continuous: tuple[str, ...]  # every variable, binary or not, is non-negative
-    constraints: tuple[Row, ...]
+    constraints: Collection[Row]
 
 
 @dataclass(frozen=True)
@@ -109,123 +156,158 @@ def build_model(inst: Instance) -> MilpModel:
     continuous = (*s.values(), *c.values(), *cb.values(), *pp.values(), *ppb.values(), *u.values(),
                   *ub.values(), *xih.values(), *xib.values(), *xi.values(), cmax)
 
-    rows: list[Row] = []
-
-    def row(name: str, terms: list[tuple[int, str]], sense: str, rhs: int) -> None:
-        rows.append(Row(name, tuple(terms), sense, rhs))
-
-    for i in ops:
-        row(f"assign_{i}", [(1, x[i, k]) for k in eligible[i]], "=", 1)
-    for i in ops:
-        row(f"proc_def_{i}",
-            [(1, pp[i])] + [(-op_of[i].eligible[k], x[i, k]) for k in eligible[i]], "=", 0)
-    for i in ops:
-        row(f"release_{i}", [(1, s[i])], ">=", op_of[i].release)
-    for i in ops:
-        if op_of[i].fixed is not None:
-            row(f"fix_start_{i}", [(1, s[i])], "=", op_of[i].fixed[1])
-    for i in has_succ:
-        row(f"overlap_def_{i}",
-            [(1, ppb[i])] + [(-op_of[i].partial_units(k), x[i, k]) for k in eligible[i]], "=", 0)
-
     def window_quads(i: int) -> list[tuple[int, int, int, int]]:
         """(machine, window index, begin, end) across the op's eligible machines."""
         return [(k, ell, b, e)
                 for k in eligible[i]
                 for ell, (b, e) in enumerate(windows[k], start=1)]
 
-    for i in ops:
-        terms: list[tuple[int, str]] = [(1, u[i])]
-        for k, ell, b, e in window_quads(i):
-            terms.append((e - b, v[i, k, ell]))
-            terms.append((-(e - b), w[i, k, ell]))
-        row(f"unavail_sum_{i}", terms, "=", 0)
-    for i in ops:
-        terms = [(1, ub[i])]
-        for k, ell, b, e in window_quads(i):
-            terms.append((e - b, v[i, k, ell]))
-            terms.append((-(e - b), wb[i, k, ell]))
-        row(f"overlap_unavail_sum_{i}", terms, "=", 0)
+    def row(name: str, terms: list[tuple[int, str]], sense: str, rhs: int) -> Row:
+        return Row(name, tuple(terms), sense, rhs)
 
-    for i in ops:
-        row(f"start_before_partial_{i}", [(1, s[i]), (-1, cb[i])], "<=", 0)
-    for i in ops:
-        row(f"partial_before_completion_{i}", [(1, cb[i]), (-1, c[i])], "<=", 0)
-    for i in ops:
-        row(f"completion_def_{i}", [(1, s[i]), (1, pp[i]), (1, u[i]), (-1, c[i])], "=", 0)
-    for i in ops:
-        row(f"partial_completion_def_{i}", [(1, s[i]), (1, ppb[i]), (1, ub[i]), (-1, cb[i])], "=", 0)
-    for i in ops:
-        row(f"makespan_{i}", [(1, c[i]), (-1, cmax)], "<=", 0)
+    def rows() -> Iterator[Row]:
+        for i in ops:
+            yield row(f"assign_{i}", [(1, x[i, k]) for k in eligible[i]], "=", 1)
+        for i in ops:
+            yield row(f"proc_def_{i}",
+                      [(1, pp[i])] + [(-op_of[i].eligible[k], x[i, k]) for k in eligible[i]], "=", 0)
+        for i in ops:
+            yield row(f"release_{i}", [(1, s[i])], ">=", op_of[i].release)
+        for i in ops:
+            if op_of[i].fixed is not None:
+                yield row(f"fix_start_{i}", [(1, s[i])], "=", op_of[i].fixed[1])
+        for i in has_succ:
+            yield row(f"overlap_def_{i}",
+                      [(1, ppb[i])] + [(-op_of[i].partial_units(k), x[i, k]) for k in eligible[i]], "=", 0)
 
-    for i, j in arcs:
-        row(f"overlap_start_{i}_{j}", [(1, cb[i]), (-1, s[j])], "<=", 0)
-    for i, j in arcs:
-        row(f"end_order_{i}_{j}", [(1, c[i]), (-1, c[j])], "<=", 0)
+        for i in ops:
+            terms: list[tuple[int, str]] = [(1, u[i])]
+            for k, ell, b, e in window_quads(i):
+                terms.append((e - b, v[i, k, ell]))
+                terms.append((-(e - b), w[i, k, ell]))
+            yield row(f"unavail_sum_{i}", terms, "=", 0)
+        for i in ops:
+            terms = [(1, ub[i])]
+            for k, ell, b, e in window_quads(i):
+                terms.append((e - b, v[i, k, ell]))
+                terms.append((-(e - b), wb[i, k, ell]))
+            yield row(f"overlap_unavail_sum_{i}", terms, "=", 0)
 
-    for (i, j, k), yijk in y.items():
-        row(f"imm_x_pred_{i}_{j}_{k}", [(1, yijk), (-1, x[i, k])], "<=", 0)
-        row(f"imm_x_succ_{i}_{j}_{k}", [(1, yijk), (-1, x[j, k])], "<=", 0)
-    for k, here in hosts.items():
-        terms = [(1, y[i, j, k]) for i in here for j in here if i != j]
-        terms += [(-1, x[i, k]) for i in here]
-        if terms:
-            row(f"chain_count_{k}", terms, ">=", -1)
-    for k, here in hosts.items():
-        for i in here:
-            terms = [(1, y[i, j, k]) for j in here if j != i]
+        for i in ops:
+            yield row(f"start_before_partial_{i}", [(1, s[i]), (-1, cb[i])], "<=", 0)
+        for i in ops:
+            yield row(f"partial_before_completion_{i}", [(1, cb[i]), (-1, c[i])], "<=", 0)
+        for i in ops:
+            yield row(f"completion_def_{i}", [(1, s[i]), (1, pp[i]), (1, u[i]), (-1, c[i])], "=", 0)
+        for i in ops:
+            yield row(f"partial_completion_def_{i}", [(1, s[i]), (1, ppb[i]), (1, ub[i]), (-1, cb[i])], "=", 0)
+        for i in ops:
+            yield row(f"makespan_{i}", [(1, c[i]), (-1, cmax)], "<=", 0)
+
+        for i, j in arcs:
+            yield row(f"overlap_start_{i}_{j}", [(1, cb[i]), (-1, s[j])], "<=", 0)
+        for i, j in arcs:
+            yield row(f"end_order_{i}_{j}", [(1, c[i]), (-1, c[j])], "<=", 0)
+
+        for (i, j, k), yijk in y.items():
+            yield row(f"imm_x_pred_{i}_{j}_{k}", [(1, yijk), (-1, x[i, k])], "<=", 0)
+            yield row(f"imm_x_succ_{i}_{j}_{k}", [(1, yijk), (-1, x[j, k])], "<=", 0)
+        for k, here in hosts.items():
+            terms = [(1, y[i, j, k]) for i in here for j in here if i != j]
+            terms += [(-1, x[i, k]) for i in here]
             if terms:
-                row(f"succ_once_{k}_{i}", terms, "<=", 1)
-        for j in here:
-            terms = [(1, y[i, j, k]) for i in here if i != j]
-            if terms:
-                row(f"pred_once_{k}_{j}", terms, "<=", 1)
+                yield row(f"chain_count_{k}", terms, ">=", -1)
+        for k, here in hosts.items():
+            for i in here:
+                terms = [(1, y[i, j, k]) for j in here if j != i]
+                if terms:
+                    yield row(f"succ_once_{k}_{i}", terms, "<=", 1)
+            for j in here:
+                terms = [(1, y[i, j, k]) for i in here if i != j]
+                if terms:
+                    yield row(f"pred_once_{k}_{j}", terms, "<=", 1)
 
-    for j, k in per_ik:
-        gf = inst.setup_first(k, j)
-        terms = [(1, xih[j, k])]
-        for i in hosts[k]:
-            if i != j:
-                diff = inst.setup_between(k, i, j) - gf
-                if diff != 0:
-                    terms.append((-diff, y[i, j, k]))
-        row(f"setup_pick_def_{j}_{k}", terms, "=", gf)
-    for j, k in per_ik:
-        row(f"setup_sel_ub_{j}_{k}", [(1, xib[j, k]), (-m1, x[j, k])], "<=", 0)
-        row(f"setup_sel_lb_{j}_{k}", [(1, xih[j, k]), (-1, xib[j, k]), (m1, x[j, k])], "<=", m1)
-        row(f"setup_sel_cap_{j}_{k}", [(1, xib[j, k]), (-1, xih[j, k])], "<=", 0)
-    for j in ops:
-        row(f"setup_len_def_{j}", [(1, xi[j])] + [(-1, xib[j, k]) for k in eligible[j]], "=", 0)
-
-    for i in ops:
+        for j, k in per_ik:
+            gf = inst.setup_first(k, j)
+            terms = [(1, xih[j, k])]
+            for i in hosts[k]:
+                if i != j:
+                    diff = inst.setup_between(k, i, j) - gf
+                    if diff != 0:
+                        terms.append((-diff, y[i, j, k]))
+            yield row(f"setup_pick_def_{j}_{k}", terms, "=", gf)
+        for j, k in per_ik:
+            yield row(f"setup_sel_ub_{j}_{k}", [(1, xib[j, k]), (-m1, x[j, k])], "<=", 0)
+            yield row(f"setup_sel_lb_{j}_{k}", [(1, xih[j, k]), (-1, xib[j, k]), (m1, x[j, k])], "<=", m1)
+            yield row(f"setup_sel_cap_{j}_{k}", [(1, xib[j, k]), (-1, xih[j, k])], "<=", 0)
         for j in ops:
-            shared = [k for k in eligible[i] if k in op_of[j].eligible]
-            if i != j and shared:
-                row(f"machine_gap_{i}_{j}", [(1, c[i]), (-1, s[j]), (1, xi[j])]
-                    + [(m2, y[i, j, k]) for k in shared], "<=", m2)
-    for i in ops:
-        row(f"setup_within_start_{i}", [(1, s[i]), (-1, xi[i])], ">=", 0)
+            yield row(f"setup_len_def_{j}", [(1, xi[j])] + [(-1, xib[j, k]) for k in eligible[j]], "=", 0)
 
-    for i, k, ell in per_ikl:
-        b, e = windows[k][ell - 1]
-        tag = f"{i}_{k}_{ell}"
-        row(f"win_sv_{tag}", [(1, v[i, k, ell]), (-1, x[i, k])], "<=", 0)
-        row(f"win_s_ub_{tag}", [(1, s[i]), (-m2, v[i, k, ell]), (m2, x[i, k])], "<=", b - 1 + m2)
-        row(f"win_setup_lb_{tag}",
-            [(1, s[i]), (-1, xi[i]), (-m3, v[i, k, ell]), (-m3, x[i, k])], ">=", e - 2 * m3)
-        row(f"win_cw_{tag}", [(1, w[i, k, ell]), (-1, x[i, k])], "<=", 0)
-        row(f"win_c_ub_{tag}", [(1, c[i]), (-m2, w[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
-        row(f"win_c_lb_{tag}", [(1, c[i]), (-m3, w[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
-        row(f"win_pw_{tag}", [(1, wb[i, k, ell]), (-1, x[i, k])], "<=", 0)
-        row(f"win_pc_ub_{tag}", [(1, cb[i]), (-m2, wb[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
-        row(f"win_pc_lb_{tag}", [(1, cb[i]), (-m3, wb[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
+        for i in ops:
+            for j in ops:
+                shared = [k for k in eligible[i] if k in op_of[j].eligible]
+                if i != j and shared:
+                    yield row(f"machine_gap_{i}_{j}", [(1, c[i]), (-1, s[j]), (1, xi[j])]
+                              + [(m2, y[i, j, k]) for k in shared], "<=", m2)
+        for i in ops:
+            yield row(f"setup_within_start_{i}", [(1, s[i]), (-1, xi[i])], ">=", 0)
 
-    return MilpModel(binaries=binaries, continuous=continuous, constraints=tuple(rows))
+        for i, k, ell in per_ikl:
+            b, e = windows[k][ell - 1]
+            tag = f"{i}_{k}_{ell}"
+            yield row(f"win_sv_{tag}", [(1, v[i, k, ell]), (-1, x[i, k])], "<=", 0)
+            yield row(f"win_s_ub_{tag}", [(1, s[i]), (-m2, v[i, k, ell]), (m2, x[i, k])], "<=", b - 1 + m2)
+            yield row(f"win_setup_lb_{tag}",
+                      [(1, s[i]), (-1, xi[i]), (-m3, v[i, k, ell]), (-m3, x[i, k])], ">=", e - 2 * m3)
+            yield row(f"win_cw_{tag}", [(1, w[i, k, ell]), (-1, x[i, k])], "<=", 0)
+            yield row(f"win_c_ub_{tag}", [(1, c[i]), (-m2, w[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
+            yield row(f"win_c_lb_{tag}", [(1, c[i]), (-m3, w[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
+            yield row(f"win_pw_{tag}", [(1, wb[i, k, ell]), (-1, x[i, k])], "<=", 0)
+            yield row(f"win_pc_ub_{tag}", [(1, cb[i]), (-m2, wb[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
+            yield row(f"win_pc_lb_{tag}", [(1, cb[i]), (-m3, wb[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
+
+    return MilpModel(binaries=binaries, continuous=continuous, constraints=_Rows(rows))
 
 
 # ---------------------------------------------------------------------------
 # LP-format text
 # ---------------------------------------------------------------------------
+
+
+_BLOCK_LINES = 4096  # lines per block of LP text: large enough to amortize a write, small to hold
+
+
+def _row_line(rowdef: Row) -> str:
+    parts = []
+    for pos, (coef, var) in enumerate(rowdef.terms):
+        if coef < 0:
+            parts.append(f"- {-coef} {var}" if coef != -1 else f"- {var}")
+        elif pos == 0:
+            parts.append(f"{coef} {var}" if coef != 1 else var)
+        else:
+            parts.append(f"+ {coef} {var}" if coef != 1 else f"+ {var}")
+    return f" {rowdef.name}: {' '.join(parts)} {rowdef.sense} {rowdef.rhs}"
+
+
+def _lp_lines(model: MilpModel) -> Iterator[str]:
+    yield from ("Minimize", " obj: Cmax", "Subject To")
+    yield from map(_row_line, model.constraints)
+    yield "Bounds"
+    yield from (f" {name} >= 0" for name in model.continuous)
+    yield "Binaries"
+    yield from (f" {name}" for name in model.binaries)
+    yield "End"
+
+
+def lp_blocks(model: MilpModel) -> Iterator[str]:
+    """The text of :func:`emit_lp` in blocks of whole lines, each ending in a newline.
+
+    One pass over the rows; only the block being built is held.
+    """
+    lines = _lp_lines(model)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block.append("")
+        yield "\n".join(block)
 
 
 def emit_lp(model: MilpModel) -> str:
@@ -234,23 +316,7 @@ def emit_lp(model: MilpModel) -> str:
     Continuous variables each get an explicit (default) bound line so the
     declaration list survives a round trip through the text form.
     """
-    out = ["Minimize", " obj: Cmax", "Subject To"]
-    for rowdef in model.constraints:
-        parts = []
-        for pos, (coef, var) in enumerate(rowdef.terms):
-            if coef < 0:
-                parts.append(f"- {-coef} {var}" if coef != -1 else f"- {var}")
-            elif pos == 0:
-                parts.append(f"{coef} {var}" if coef != 1 else var)
-            else:
-                parts.append(f"+ {coef} {var}" if coef != 1 else f"+ {var}")
-        out.append(f" {rowdef.name}: {' '.join(parts)} {rowdef.sense} {rowdef.rhs}")
-    out.append("Bounds")
-    out += [f" {name} >= 0" for name in model.continuous]
-    out.append("Binaries")
-    out += [f" {name}" for name in model.binaries]
-    out.append("End")
-    return "\n".join(out) + "\n"
+    return "".join(lp_blocks(model))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +393,11 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
 
 
 def evaluate_schedule(inst: Instance, sched: Schedule) -> list[RowViolation]:
-    """All model rows and continuous-variable bounds the schedule's values violate."""
+    """All model rows and continuous-variable bounds the schedule's values violate.
+
+    Bounds come first, then rows in model order; each row is checked as it is
+    made and only the violations are kept.
+    """
     model = build_model(inst)
     val = schedule_values(inst, sched)
     out: list[RowViolation] = []  # binaries need no bound check: schedule_values sets them to 0 or 1

@@ -10,7 +10,8 @@ share a bug. The search oracles are the exception: :func:`decode` grows a
 purpose, because they check the search (which structures it visits and
 which it prunes), not the placements. The search's bound, kept incrementally
 there, is recomputed from scratch here by :func:`full_pass_bound`, and the
-greedy's lazily placed heap of answers by :func:`rescan_greedy`.
+greedy's lazily placed heap of answers by :func:`rescan_greedy`, and the
+streamed MILP row check by :func:`listed_violations`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 from collections.abc import Sequence
 from time import perf_counter
 
+from flexshop.milp import RowViolation, build_model, schedule_values
 from flexshop.model import Instance, Schedule, SolveResult, makespan, topological_order
 from flexshop.solvers import solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine
@@ -295,3 +297,21 @@ def brute_force(inst: Instance) -> SolveResult:
                            wall_ms=wall_ms, schedule=None)
     return SolveResult(status="optimal", makespan=best_mk, lower_bound=best_mk, gap=0.0, nodes=tried,
                        wall_ms=wall_ms, schedule=best)
+
+
+def listed_violations(inst: Instance, sched: Schedule) -> list[RowViolation]:
+    """The MILP row check over a list of every row, held at once.
+
+    Bounds on the continuous variables come first, then the rows in model
+    order, as :func:`flexshop.milp.evaluate_schedule` promises.
+    """
+    model = build_model(inst)
+    rows = list(model.constraints)
+    val = schedule_values(inst, sched)
+    out = [RowViolation(f"bound_{name}", val[name], "in", 0) for name in model.continuous if val.get(name, 0) < 0]
+    for r in rows:
+        lhs = sum(coef * val.get(var, 0) for coef, var in r.terms)
+        holds = {"<=": lhs <= r.rhs, ">=": lhs >= r.rhs, "=": lhs == r.rhs}[r.sense]
+        if not holds:
+            out.append(RowViolation(r.name, lhs, r.sense, r.rhs))
+    return out

@@ -359,7 +359,7 @@ def test_export_lp_matches_the_library_model(tmp_path, capsys):
     want = emit_lp(build_model(inst))
     assert text == want or text == want + "\n"
     parsed = parse_lp(text)
-    assert parsed.constraints == build_model(inst).constraints
+    assert parsed.constraints == tuple(build_model(inst).constraints)
 
 
 def test_gantt_renders_deterministic_svg(tmp_path, capsys):

@@ -1,14 +1,17 @@
+import hashlib
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import loads_instance
 from flexshop.milp import build_model, emit_lp, evaluate_schedule, schedule_values
 from flexshop.model import Schedule
+from flexshop.solvers import solve_greedy
 from flexshop.timing import check_schedule
 
 from lputil import parse_lp
-from oracles import brute_force
+from oracles import brute_force, listed_violations
 from test_timing import tampered
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -24,6 +27,41 @@ def test_emitted_lp_matches_goldens():
     for name in ("single", "chain", "flex"):
         inst, want = golden(name)
         assert emit_lp(build_model(inst)) == want, f"golden_{name}.lp drifted"
+
+
+# sha256 of emit_lp's text on generated instances, seed 7
+LP_SHA256 = {
+    ("small", 1): "103052239b8e13070821376fe0b693b2e16d53c841dfc9ddc36139ce1703181b",
+    ("small", 5): "103052239b8e13070821376fe0b693b2e16d53c841dfc9ddc36139ce1703181b",
+    ("small", 15): "bd40a1fb3a3b1378917cc55eb8516dc3e47899cf8ae0a4ab718388f936c40317",
+    ("small", 30): "0526338e9257e7b15aaaf4a0c5f86e8e1477c844aa2f54f3bd4afb6651433890",
+    ("medium", 1): "a128c4df05e86957a983de46d9210595a62c34bdc90f96b73991bb367248f91c",
+    ("medium", 20): "922bd342d37fc5179ba934ef0e1cc89187bdf4c87902a10fa388884060c96103",
+}
+
+
+def seed7(cls: str, k: int):
+    return generate(replace(params_for_class(cls, k), seed=7))
+
+
+def test_emitted_lp_matches_pinned_digests():
+    for (cls, k), want in LP_SHA256.items():
+        text = emit_lp(build_model(seed7(cls, k)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, f"{cls} {k} LP drifted"
+
+
+def test_rows_are_made_anew_on_each_pass_and_counted():
+    inst = seed7("small", 30)
+    counted_first = build_model(inst).constraints
+    n = len(counted_first)
+    first_pass = tuple(counted_first)
+    assert len(first_pass) == n > 0
+    passed_first = build_model(inst).constraints
+    again = tuple(passed_first)
+    assert len(passed_first) == n
+    assert again == first_pass == tuple(passed_first)
+    assert all(a is not b for a, b in zip(again, first_pass))  # no pass hands out kept rows
+    assert first_pass[-1] in passed_first
 
 
 def test_binary_variables_of_the_chain_model():
@@ -64,7 +102,7 @@ def test_parse_lp_rebuilds_equal_rows():
     inst, text = golden("chain")
     model = build_model(inst)
     parsed = parse_lp(text)
-    assert parsed.constraints == model.constraints
+    assert parsed.constraints == tuple(model.constraints)
     assert parsed.binaries == model.binaries
     assert parsed.continuous == model.continuous
 
@@ -192,3 +230,39 @@ def test_moved_pinned_op_trips_its_fix_row():
     drifted = tampered(res.schedule, 1, setup_start=5, start=7, partial_completion=12, completion=12)
     names = {v.name for v in evaluate_schedule(pinned, drifted)}
     assert "fix_start_1" in names
+
+
+def test_streamed_row_check_matches_the_listed_oracle():
+    inst, _ = golden("chain")
+    sched = opt_schedule(inst).schedule
+    cases = [
+        tampered(sched, 2, completion=14),
+        tampered(sched, 2, completion=9),  # negative slack: a bound violation ahead of the rows
+        tampered(sched, 2, setup_start=-1, start=0),
+        tampered(sched, 2, setup_start=2, start=3, partial_completion=9, completion=10),
+        tampered(sched, 2, setup_start=4, start=5, partial_completion=10, completion=10),
+        Schedule(ops={i: so for i, so in sched.ops.items() if i != 2},
+                 sequences={k: tuple(i for i in seq if i != 2) for k, seq in sched.sequences.items()}),
+        Schedule(ops=sched.ops, sequences={1: (2, 1)}),
+    ]
+    for case in cases:
+        want = listed_violations(inst, case)
+        assert want
+        assert evaluate_schedule(inst, case) == want
+    assert evaluate_schedule(inst, sched) == listed_violations(inst, sched) == []
+
+
+def test_lp_export_and_row_check_peak_below_a_fixed_bound():
+    # Python 3.11, medium 20 seed 7: holding every row peaked at 67 MB (LP
+    # export) and 45 MB (row check); made as they are consumed, 20 MB and 10 MB
+    inst = seed7("medium", 20)
+    sched = solve_greedy(inst)
+    for label, run in (("emit_lp", lambda: emit_lp(build_model(inst))),
+                       ("evaluate_schedule", lambda: evaluate_schedule(inst, sched))):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 2**20, f"{label} peaked at {peak / 2**20:.1f} MB"
