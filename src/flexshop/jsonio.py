@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+from collections.abc import Callable
 from typing import Any
 
 from .model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable,
@@ -88,7 +89,51 @@ def _parse(text: str, what: str) -> Any:
         raise FormatError(f"{what}: invalid JSON: {exc}") from None
 
 
-_dumps = functools.partial(json.dumps, indent=1)  # writes every document; no other module imports json
+_quote = json.encoder.encode_basestring_ascii  # C-accelerated where the interpreter has it
+
+
+def _dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=1)`` byte for byte, for documents whose keys are strings.
+
+    Writes every document; no other module imports json. Any indent sends
+    ``json.dumps`` to its pure-Python encoder: this one appends to one list and
+    leaves strings, floats and the other scalars to :mod:`json`.
+    """
+    parts: list[str] = []
+    _put(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _put(o: Any, pad: str, emit: Callable[[str], Any]) -> None:
+    """Emit the text of `o`; `pad` is a newline and the indent of the line `o` ends on.
+
+    A module-level function, not a closure: a nested one that calls itself is a
+    reference cycle, which would keep every part alive until the cyclic collector runs.
+    """
+    if type(o) is int:
+        emit(f"{o}")
+    elif isinstance(o, str):
+        emit(_quote(o))
+    elif isinstance(o, dict) and o:
+        inner, lead = pad + " ", "{"
+        for key, item in o.items():
+            emit(f"{lead}{inner}{_quote(key)}: ")
+            lead = ","
+            _put(item, inner, emit)
+        emit(pad + "}")
+    elif isinstance(o, (list, tuple)) and o:
+        inner, lead = pad + " ", "["
+        for item in o:
+            emit(lead + inner)
+            lead = ","
+            _put(item, inner, emit)
+        emit(pad + "]")
+    elif o is None:
+        emit("null")
+    else:
+        emit(json.dumps(o))  # bools, floats, empty containers; TypeError as json.dumps raises it
+
+
 _fields = functools.cache(dataclasses.fields)  # keyed by class; fields() builds a new tuple on every call
 
 

@@ -19,14 +19,14 @@ feasible. The degree caps and the gap rows still force one simple chain
 through every operation the machine actually hosts.
 
 Each variable name is formatted once, in the name tables at the top of
-:func:`build_model`; the rows look names up there, so a row that names an
-undeclared variable fails with KeyError. The model keeps only those tables:
-its rows are made anew on each pass over ``MilpModel.constraints``, a
-re-iterable view whose ``len()`` is counted on the first full pass, and
-every consumer (:func:`lp_blocks`, :func:`emit_lp`,
-:func:`evaluate_schedule`) takes them as they are made. No more than one
-row is held at a time: :func:`lp_blocks` adds one block of LP text to the
-name tables, :func:`emit_lp` the whole text.
+:func:`build_model`, and the rows look names up there, so a row that names
+an undeclared variable fails with KeyError. The model keeps those tables
+and, per machine, its setup object and hosted operation records. Its rows are
+plain ``(name, terms, sense, rhs)`` tuples made anew on each pass over
+``MilpModel.constraints``, a re-iterable view that yields them as :class:`Row`
+and counts them for ``len()`` on its first full pass. :func:`lp_blocks`,
+:func:`emit_lp` and :func:`evaluate_schedule` take the tuples as made and hold
+one row at a time, plus one block of LP text or, in :func:`emit_lp`, all of it.
 
 :func:`schedule_values` formats the same names on its own on purpose: it is
 the independent side of the row check, and a mismatch shows up as violated
@@ -35,15 +35,15 @@ rows on a proven optimum.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, starmap
+from typing import NamedTuple
 
 from .model import Instance, Schedule, makespan
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
+class Row(NamedTuple):
     name: str
     terms: tuple[tuple[int, str], ...]
     sense: str  # "<=", "=", ">="
@@ -53,40 +53,48 @@ class Row:
 class _Rows(Collection[Row]):
     """A sized view that makes its rows anew on each pass and keeps none of them.
 
-    The first full pass counts the rows for ``len()``; a ``len()`` asked
-    before any full pass makes one.
+    :meth:`tuples` hands the rows out as the plain tuples they are made as,
+    iteration as :class:`Row`. The first full pass of either counts them for
+    ``len()``; a ``len()`` asked before any full pass makes one.
     """
 
     __slots__ = ("_make", "_count")
 
-    def __init__(self, make: Callable[[], Iterator[Row]]):
+    def __init__(self, make: Callable[[], Iterator[tuple]]):
         self._make = make
         self._count: int | None = None
 
-    def __iter__(self) -> Iterator[Row]:
+    def tuples(self) -> Iterator[tuple]:
         count = 0
         for count, rowdef in enumerate(self._make(), start=1):
             yield rowdef
         self._count = count
 
+    def __iter__(self) -> Iterator[Row]:
+        return map(Row._make, self.tuples())
+
     def __len__(self) -> int:
         if self._count is None:
-            for _ in self:
+            for _ in self.tuples():
                 pass
         return self._count
 
     def __contains__(self, item: object) -> bool:
-        return any(rowdef == item for rowdef in self)
+        return item in self.tuples()
+
+
+def _tuples(rows: Collection[Row]) -> Iterable[tuple]:
+    """The rows as ``(name, terms, sense, rhs)`` tuples, skipping the Row wrapper a view adds."""
+    return rows.tuples() if isinstance(rows, _Rows) else rows
 
 
 @dataclass(frozen=True)
 class MilpModel:
     """Variable declarations and the rows over them.
 
-    ``constraints`` from :func:`build_model` is re-iterable: each pass yields
-    the same rows in the same order, made as the pass goes and kept by
-    nobody, and ``len()`` is the count of the first full pass (one pass is
-    made for it when none has run). Compare rows with ``tuple(constraints)``.
+    ``constraints`` from :func:`build_model` is re-iterable: each pass makes
+    the same rows in the same order and keeps none, and ``len()`` is the
+    count of the first full pass. Compare rows with ``tuple(constraints)``.
     """
 
     binaries: tuple[str, ...]  # variable names in declaration order
@@ -140,6 +148,8 @@ def build_model(inst: Instance) -> MilpModel:
     eligible = {i: sorted(op_of[i].eligible) for i in ops}
     hosts = {k: inst.eligible_ops[k] for k in sorted(inst.machines_by_id)}
     windows = {k: inst.machine(k).windows for k in hosts}
+    setups = {k: inst.machine(k).setup for k in hosts}
+    host_ops = {k: [op_of[i] for i in here] for k, here in hosts.items()}
     has_succ = sorted({i for i, _ in inst.arcs})
     arcs = sorted(inst.arcs)
 
@@ -151,120 +161,113 @@ def build_model(inst: Instance) -> MilpModel:
     v, w, wb = ({(i, k, ell): f"{p}_{i}_{k}_{ell}" for i, k, ell in per_ikl} for p in ("v", "w", "wb"))
     s, c, cb, pp, ppb, u, ub, xi = ({i: f"{p}_{i}" for i in ops}
                                     for p in ("s", "c", "cb", "pp", "ppb", "u", "ub", "xi"))
-    cmax = "Cmax"
     binaries = (*x.values(), *y.values(), *v.values(), *w.values(), *wb.values())
     continuous = (*s.values(), *c.values(), *cb.values(), *pp.values(), *ppb.values(), *u.values(),
-                  *ub.values(), *xih.values(), *xib.values(), *xi.values(), cmax)
+                  *ub.values(), *xih.values(), *xib.values(), *xi.values(), "Cmax")
 
     def window_quads(i: int) -> list[tuple[int, int, int, int]]:
         """(machine, window index, begin, end) across the op's eligible machines."""
-        return [(k, ell, b, e)
-                for k in eligible[i]
-                for ell, (b, e) in enumerate(windows[k], start=1)]
+        return [(k, ell, b, e) for k in eligible[i] for ell, (b, e) in enumerate(windows[k], start=1)]
 
-    def row(name: str, terms: list[tuple[int, str]], sense: str, rhs: int) -> Row:
-        return Row(name, tuple(terms), sense, rhs)
-
-    def rows() -> Iterator[Row]:
+    def rows() -> Iterator[tuple]:
         for i in ops:
-            yield row(f"assign_{i}", [(1, x[i, k]) for k in eligible[i]], "=", 1)
+            yield f"assign_{i}", tuple([(1, x[i, k]) for k in eligible[i]]), "=", 1
         for i in ops:
-            yield row(f"proc_def_{i}",
-                      [(1, pp[i])] + [(-op_of[i].eligible[k], x[i, k]) for k in eligible[i]], "=", 0)
+            yield f"proc_def_{i}", ((1, pp[i]), *[(-op_of[i].eligible[k], x[i, k]) for k in eligible[i]]), "=", 0
         for i in ops:
-            yield row(f"release_{i}", [(1, s[i])], ">=", op_of[i].release)
+            yield f"release_{i}", ((1, s[i]),), ">=", op_of[i].release
         for i in ops:
             if op_of[i].fixed is not None:
-                yield row(f"fix_start_{i}", [(1, s[i])], "=", op_of[i].fixed[1])
+                yield f"fix_start_{i}", ((1, s[i]),), "=", op_of[i].fixed[1]
         for i in has_succ:
-            yield row(f"overlap_def_{i}",
-                      [(1, ppb[i])] + [(-op_of[i].partial_units(k), x[i, k]) for k in eligible[i]], "=", 0)
+            yield (f"overlap_def_{i}",
+                   ((1, ppb[i]), *[(-op_of[i].partial_units(k), x[i, k]) for k in eligible[i]]), "=", 0)
 
         for i in ops:
             terms: list[tuple[int, str]] = [(1, u[i])]
             for k, ell, b, e in window_quads(i):
-                terms.append((e - b, v[i, k, ell]))
-                terms.append((-(e - b), w[i, k, ell]))
-            yield row(f"unavail_sum_{i}", terms, "=", 0)
+                terms += (e - b, v[i, k, ell]), (-(e - b), w[i, k, ell])
+            yield f"unavail_sum_{i}", tuple(terms), "=", 0
         for i in ops:
             terms = [(1, ub[i])]
             for k, ell, b, e in window_quads(i):
-                terms.append((e - b, v[i, k, ell]))
-                terms.append((-(e - b), wb[i, k, ell]))
-            yield row(f"overlap_unavail_sum_{i}", terms, "=", 0)
+                terms += (e - b, v[i, k, ell]), (-(e - b), wb[i, k, ell])
+            yield f"overlap_unavail_sum_{i}", tuple(terms), "=", 0
 
         for i in ops:
-            yield row(f"start_before_partial_{i}", [(1, s[i]), (-1, cb[i])], "<=", 0)
+            yield f"start_before_partial_{i}", ((1, s[i]), (-1, cb[i])), "<=", 0
         for i in ops:
-            yield row(f"partial_before_completion_{i}", [(1, cb[i]), (-1, c[i])], "<=", 0)
+            yield f"partial_before_completion_{i}", ((1, cb[i]), (-1, c[i])), "<=", 0
         for i in ops:
-            yield row(f"completion_def_{i}", [(1, s[i]), (1, pp[i]), (1, u[i]), (-1, c[i])], "=", 0)
+            yield f"completion_def_{i}", ((1, s[i]), (1, pp[i]), (1, u[i]), (-1, c[i])), "=", 0
         for i in ops:
-            yield row(f"partial_completion_def_{i}", [(1, s[i]), (1, ppb[i]), (1, ub[i]), (-1, cb[i])], "=", 0)
+            yield f"partial_completion_def_{i}", ((1, s[i]), (1, ppb[i]), (1, ub[i]), (-1, cb[i])), "=", 0
         for i in ops:
-            yield row(f"makespan_{i}", [(1, c[i]), (-1, cmax)], "<=", 0)
+            yield f"makespan_{i}", ((1, c[i]), (-1, "Cmax")), "<=", 0
 
         for i, j in arcs:
-            yield row(f"overlap_start_{i}_{j}", [(1, cb[i]), (-1, s[j])], "<=", 0)
+            yield f"overlap_start_{i}_{j}", ((1, cb[i]), (-1, s[j])), "<=", 0
         for i, j in arcs:
-            yield row(f"end_order_{i}_{j}", [(1, c[i]), (-1, c[j])], "<=", 0)
+            yield f"end_order_{i}_{j}", ((1, c[i]), (-1, c[j])), "<=", 0
 
-        for (i, j, k), yijk in y.items():
-            yield row(f"imm_x_pred_{i}_{j}_{k}", [(1, yijk), (-1, x[i, k])], "<=", 0)
-            yield row(f"imm_x_succ_{i}_{j}_{k}", [(1, yijk), (-1, x[j, k])], "<=", 0)
+        for k, here in hosts.items():  # pairs in the declaration order of y; both rows share their terms
+            minus_x = [(i, (-1, x[i, k])) for i in here]
+            for i, minus_xi in minus_x:
+                for j, minus_xj in minus_x:
+                    if i != j:
+                        tag, plus_y = f"{i}_{j}_{k}", (1, y[i, j, k])
+                        yield f"imm_x_pred_{tag}", (plus_y, minus_xi), "<=", 0
+                        yield f"imm_x_succ_{tag}", (plus_y, minus_xj), "<=", 0
         for k, here in hosts.items():
             terms = [(1, y[i, j, k]) for i in here for j in here if i != j]
             terms += [(-1, x[i, k]) for i in here]
             if terms:
-                yield row(f"chain_count_{k}", terms, ">=", -1)
+                yield f"chain_count_{k}", tuple(terms), ">=", -1
         for k, here in hosts.items():
             for i in here:
-                terms = [(1, y[i, j, k]) for j in here if j != i]
-                if terms:
-                    yield row(f"succ_once_{k}_{i}", terms, "<=", 1)
+                if succ := tuple([(1, y[i, j, k]) for j in here if j != i]):
+                    yield f"succ_once_{k}_{i}", succ, "<=", 1
             for j in here:
-                terms = [(1, y[i, j, k]) for i in here if i != j]
-                if terms:
-                    yield row(f"pred_once_{k}_{j}", terms, "<=", 1)
+                if pred := tuple([(1, y[i, j, k]) for i in here if i != j]):
+                    yield f"pred_once_{k}_{j}", pred, "<=", 1
 
         for j, k in per_ik:
-            gf = inst.setup_first(k, j)
+            opj, setup = op_of[j], setups[k]
+            gf, between = setup.first(opj), setup.between
             terms = [(1, xih[j, k])]
-            for i in hosts[k]:
-                if i != j:
-                    diff = inst.setup_between(k, i, j) - gf
-                    if diff != 0:
-                        terms.append((-diff, y[i, j, k]))
-            yield row(f"setup_pick_def_{j}_{k}", terms, "=", gf)
+            for opi in host_ops[k]:
+                if opi is not opj and (diff := between(opi, opj) - gf):
+                    terms.append((-diff, y[opi.id, j, k]))
+            yield f"setup_pick_def_{j}_{k}", tuple(terms), "=", gf
         for j, k in per_ik:
-            yield row(f"setup_sel_ub_{j}_{k}", [(1, xib[j, k]), (-m1, x[j, k])], "<=", 0)
-            yield row(f"setup_sel_lb_{j}_{k}", [(1, xih[j, k]), (-1, xib[j, k]), (m1, x[j, k])], "<=", m1)
-            yield row(f"setup_sel_cap_{j}_{k}", [(1, xib[j, k]), (-1, xih[j, k])], "<=", 0)
+            yield f"setup_sel_ub_{j}_{k}", ((1, xib[j, k]), (-m1, x[j, k])), "<=", 0
+            yield f"setup_sel_lb_{j}_{k}", ((1, xih[j, k]), (-1, xib[j, k]), (m1, x[j, k])), "<=", m1
+            yield f"setup_sel_cap_{j}_{k}", ((1, xib[j, k]), (-1, xih[j, k])), "<=", 0
         for j in ops:
-            yield row(f"setup_len_def_{j}", [(1, xi[j])] + [(-1, xib[j, k]) for k in eligible[j]], "=", 0)
+            yield f"setup_len_def_{j}", ((1, xi[j]), *[(-1, xib[j, k]) for k in eligible[j]]), "=", 0
 
         for i in ops:
-            for j in ops:
-                shared = [k for k in eligible[i] if k in op_of[j].eligible]
-                if i != j and shared:
-                    yield row(f"machine_gap_{i}_{j}", [(1, c[i]), (-1, s[j]), (1, xi[j])]
-                              + [(m2, y[i, j, k]) for k in shared], "<=", m2)
+            plus_c, on_i = (1, c[i]), eligible[i]
+            for j in sorted({h for k in on_i for h in hosts[k]} - {i}):  # the ops sharing a machine with i
+                on_j = op_of[j].eligible
+                yield (f"machine_gap_{i}_{j}",
+                       (plus_c, (-1, s[j]), (1, xi[j]), *[(m2, y[i, j, k]) for k in on_i if k in on_j]), "<=", m2)
         for i in ops:
-            yield row(f"setup_within_start_{i}", [(1, s[i]), (-1, xi[i])], ">=", 0)
+            yield f"setup_within_start_{i}", ((1, s[i]), (-1, xi[i])), ">=", 0
 
-        for i, k, ell in per_ikl:
-            b, e = windows[k][ell - 1]
-            tag = f"{i}_{k}_{ell}"
-            yield row(f"win_sv_{tag}", [(1, v[i, k, ell]), (-1, x[i, k])], "<=", 0)
-            yield row(f"win_s_ub_{tag}", [(1, s[i]), (-m2, v[i, k, ell]), (m2, x[i, k])], "<=", b - 1 + m2)
-            yield row(f"win_setup_lb_{tag}",
-                      [(1, s[i]), (-1, xi[i]), (-m3, v[i, k, ell]), (-m3, x[i, k])], ">=", e - 2 * m3)
-            yield row(f"win_cw_{tag}", [(1, w[i, k, ell]), (-1, x[i, k])], "<=", 0)
-            yield row(f"win_c_ub_{tag}", [(1, c[i]), (-m2, w[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
-            yield row(f"win_c_lb_{tag}", [(1, c[i]), (-m3, w[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
-            yield row(f"win_pw_{tag}", [(1, wb[i, k, ell]), (-1, x[i, k])], "<=", 0)
-            yield row(f"win_pc_ub_{tag}", [(1, cb[i]), (-m2, wb[i, k, ell]), (m2, x[i, k])], "<=", b + m2)
-            yield row(f"win_pc_lb_{tag}", [(1, cb[i]), (-m3, wb[i, k, ell]), (-m3, x[i, k])], ">=", e + 1 - 2 * m3)
+        for i, k in per_ik:
+            xik, si, ci, cbi = x[i, k], s[i], c[i], cb[i]
+            for ell, (b, e) in enumerate(windows[k], start=1):
+                tag, vl, wl, wbl = f"{i}_{k}_{ell}", v[i, k, ell], w[i, k, ell], wb[i, k, ell]
+                yield f"win_sv_{tag}", ((1, vl), (-1, xik)), "<=", 0
+                yield f"win_s_ub_{tag}", ((1, si), (-m2, vl), (m2, xik)), "<=", b - 1 + m2
+                yield f"win_setup_lb_{tag}", ((1, si), (-1, xi[i]), (-m3, vl), (-m3, xik)), ">=", e - 2 * m3
+                yield f"win_cw_{tag}", ((1, wl), (-1, xik)), "<=", 0
+                yield f"win_c_ub_{tag}", ((1, ci), (-m2, wl), (m2, xik)), "<=", b + m2
+                yield f"win_c_lb_{tag}", ((1, ci), (-m3, wl), (-m3, xik)), ">=", e + 1 - 2 * m3
+                yield f"win_pw_{tag}", ((1, wbl), (-1, xik)), "<=", 0
+                yield f"win_pc_ub_{tag}", ((1, cbi), (-m2, wbl), (m2, xik)), "<=", b + m2
+                yield f"win_pc_lb_{tag}", ((1, cbi), (-m3, wbl), (-m3, xik)), ">=", e + 1 - 2 * m3
 
     return MilpModel(binaries=binaries, continuous=continuous, constraints=_Rows(rows))
 
@@ -277,21 +280,19 @@ def build_model(inst: Instance) -> MilpModel:
 _BLOCK_LINES = 4096  # lines per block of LP text: large enough to amortize a write, small to hold
 
 
-def _row_line(rowdef: Row) -> str:
+def _row_line(name: str, terms: tuple[tuple[int, str], ...], sense: str, rhs: int) -> str:
     parts = []
-    for pos, (coef, var) in enumerate(rowdef.terms):
+    for coef, var in terms:
         if coef < 0:
-            parts.append(f"- {-coef} {var}" if coef != -1 else f"- {var}")
-        elif pos == 0:
-            parts.append(f"{coef} {var}" if coef != 1 else var)
+            parts.append(f"- {var}" if coef == -1 else f"- {-coef} {var}")
         else:
-            parts.append(f"+ {coef} {var}" if coef != 1 else f"+ {var}")
-    return f" {rowdef.name}: {' '.join(parts)} {rowdef.sense} {rowdef.rhs}"
+            parts.append(f"+ {var}" if coef == 1 else f"+ {coef} {var}")
+    return f" {name}: {' '.join(parts).removeprefix('+ ')} {sense} {rhs}"  # no sign before a leading plus
 
 
 def _lp_lines(model: MilpModel) -> Iterator[str]:
     yield from ("Minimize", " obj: Cmax", "Subject To")
-    yield from map(_row_line, model.constraints)
+    yield from starmap(_row_line, _tuples(model.constraints))
     yield "Bounds"
     yield from (f" {name} >= 0" for name in model.continuous)
     yield "Binaries"
@@ -400,14 +401,13 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> list[RowViolation]:
     """
     model = build_model(inst)
     val = schedule_values(inst, sched)
-    out: list[RowViolation] = []  # binaries need no bound check: schedule_values sets them to 0 or 1
-    for name in model.continuous:
-        if val.get(name, 0) < 0:
-            out.append(RowViolation(f"bound_{name}", val[name], "in", 0))
-    for rowdef in model.constraints:
-        lhs = sum(coef * val.get(var, 0) for coef, var in rowdef.terms)
-        ok = (lhs <= rowdef.rhs if rowdef.sense == "<=" else
-              lhs >= rowdef.rhs if rowdef.sense == ">=" else lhs == rowdef.rhs)
-        if not ok:
-            out.append(RowViolation(rowdef.name, lhs, rowdef.sense, rowdef.rhs))
+    get = val.get
+    # binaries need no bound check: schedule_values sets them to 0 or 1
+    out = [RowViolation(f"bound_{name}", val[name], "in", 0) for name in model.continuous if get(name, 0) < 0]
+    for name, terms, sense, rhs in _tuples(model.constraints):
+        lhs = 0
+        for coef, var in terms:
+            lhs += coef * get(var, 0)
+        if lhs > rhs if sense == "<=" else lhs < rhs if sense == ">=" else lhs != rhs:
+            out.append(RowViolation(name, lhs, sense, rhs))
     return out

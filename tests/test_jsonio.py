@@ -1,11 +1,15 @@
+import gc
 import json
 
 import pytest
 
 from flexshop.cli import main
-from flexshop.jsonio import (FormatError, dumps_instance, instance_to_dict, loads_instance, loads_schedule,
-                             schedule_to_dict)
-from flexshop.model import Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable
+from flexshop.generator import generate, params_for_class
+from flexshop.jsonio import (FormatError, dumps_instance, dumps_manifest, dumps_report, dumps_result,
+                             instance_to_dict, loads_instance, loads_schedule, schedule_to_dict)
+from flexshop.model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable, SolveResult,
+                            Violation)
+from flexshop.solvers import solve_greedy
 
 
 def sample_instance() -> Instance:
@@ -23,6 +27,44 @@ def test_instance_round_trip_is_identity():
     text = dumps_instance(sample_instance())
     again = dumps_instance(loads_instance(text))
     assert text == again
+
+
+def test_documents_are_written_byte_for_byte_as_json_dumps_with_indent_1():
+    odd = "quote \" backslash \\ slash / tab \t newline \n nul \x00 bell \x07 del \x7f é € 😀 \u2028"
+    inst = generate(params_for_class("small", 15))
+    sched = solve_greedy(inst)
+    done = SolveResult("feasible", 30, 20, 0.3333333333333333, 7, 0, sched)
+    cases = [
+        (dumps_instance(sample_instance()), instance_to_dict(sample_instance())),  # empty windows and pair map
+        (dumps_instance(inst), instance_to_dict(inst)),
+        (dumps_result(done), {"status": "feasible", "makespan": 30, "lower_bound": 20, "gap": 0.3333333333333333,
+                              "nodes": 7, "wall_ms": 0, "schedule": schedule_to_dict(sched)}),
+        (dumps_result(SolveResult("limit", None, 5, None, 0, 12, None)),
+         {"status": "limit", "makespan": None, "lower_bound": 5, "gap": None, "nodes": 0, "wall_ms": 12,
+          "schedule": None}),
+        (dumps_report([]), []),
+        (dumps_report([Violation("calendar", (3, 4), odd), Violation("setup", (), "")]),
+         [{"rule": "calendar", "op_ids": [3, 4], "detail": odd}, {"rule": "setup", "op_ids": [], "detail": ""}]),
+    ]
+    for doc in ({"class": "small", "k": 15, "seed": 1, "generator_version": "0.1.0", "jobs": 4},
+                {odd: [True, False, None, 0.0, -0.0, 1.5, 1e300, -2.5e-300, float("inf"), float("-inf"),
+                       float("nan"), -7, 10**30, [], {}, (), [[]], {"": {"x": [{}]}}], "": odd},
+                {}, [], [[1, [2, [3]]], {"a": ()}]):
+        cases.append((dumps_manifest(doc), doc))
+    for text, doc in cases:
+        assert text == json.dumps(doc, indent=1)
+
+
+def test_writing_a_document_leaves_no_reference_cycle():
+    # a cycle would keep the encoder's parts alive until the cyclic collector runs
+    inst = generate(params_for_class("small", 15))
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_instance(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_instance_field_shapes():

@@ -37,6 +37,7 @@ LP_SHA256 = {
     ("small", 30): "0526338e9257e7b15aaaf4a0c5f86e8e1477c844aa2f54f3bd4afb6651433890",
     ("medium", 1): "a128c4df05e86957a983de46d9210595a62c34bdc90f96b73991bb367248f91c",
     ("medium", 20): "922bd342d37fc5179ba934ef0e1cc89187bdf4c87902a10fa388884060c96103",
+    ("medium", 40): "e5eb20dd49f6d6a2128dca886f8f01b006348920a733d72788876c9d8a56d7d1",  # 27,934,589 chars
 }
 
 
