@@ -22,11 +22,11 @@ Each variable name is formatted once, in the name tables at the top of
 :func:`build_model`, and the rows look names up there, so a row that names
 an undeclared variable fails with KeyError. The model keeps those tables
 and, per machine, its setup object and hosted operation records. Its rows are
-plain ``(name, terms, sense, rhs)`` tuples made anew on each pass over
-``MilpModel.constraints``, a re-iterable view that yields them as :class:`Row`
-and counts them for ``len()`` on its first full pass. :func:`lp_blocks`,
-:func:`emit_lp` and :func:`evaluate_schedule` take the tuples as made and hold
-one row at a time, plus one block of LP text or, in :func:`emit_lp`, all of it.
+plain tuples with no wrapper type, in the shape :class:`MilpModel` states,
+made anew on each pass over ``MilpModel.constraints``, a re-iterable view that
+counts them for ``len()`` on its first full pass. :func:`lp_blocks`,
+:func:`emit_lp` and :func:`evaluate_schedule` iterate it and hold one row at a
+time, plus one block of LP text or, in :func:`emit_lp`, all of it.
 
 :func:`schedule_values` formats the same names on its own on purpose: it is
 the independent side of the row check, and a mismatch shows up as violated
@@ -35,27 +35,18 @@ rows on a proven optimum.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, starmap
-from typing import NamedTuple
 
 from .model import Instance, Schedule, makespan
 
 
-class Row(NamedTuple):
-    name: str
-    terms: tuple[tuple[int, str], ...]
-    sense: str  # "<=", "=", ">="
-    rhs: int
-
-
-class _Rows(Collection[Row]):
+class _Rows:
     """A sized view that makes its rows anew on each pass and keeps none of them.
 
-    :meth:`tuples` hands the rows out as the plain tuples they are made as,
-    iteration as :class:`Row`. The first full pass of either counts them for
-    ``len()``; a ``len()`` asked before any full pass makes one.
+    The first full pass counts the rows for ``len()``; a ``len()`` asked
+    before any full pass makes one.
     """
 
     __slots__ = ("_make", "_count")
@@ -64,42 +55,32 @@ class _Rows(Collection[Row]):
         self._make = make
         self._count: int | None = None
 
-    def tuples(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[tuple]:
         count = 0
-        for count, rowdef in enumerate(self._make(), start=1):
-            yield rowdef
+        for count, row in enumerate(self._make(), start=1):
+            yield row
         self._count = count
-
-    def __iter__(self) -> Iterator[Row]:
-        return map(Row._make, self.tuples())
 
     def __len__(self) -> int:
         if self._count is None:
-            for _ in self.tuples():
+            for _ in self:
                 pass
         return self._count
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.tuples()
-
-
-def _tuples(rows: Collection[Row]) -> Iterable[tuple]:
-    """The rows as ``(name, terms, sense, rhs)`` tuples, skipping the Row wrapper a view adds."""
-    return rows.tuples() if isinstance(rows, _Rows) else rows
 
 
 @dataclass(frozen=True)
 class MilpModel:
     """Variable declarations and the rows over them.
 
-    ``constraints`` from :func:`build_model` is re-iterable: each pass makes
-    the same rows in the same order and keeps none, and ``len()`` is the
-    count of the first full pass. Compare rows with ``tuple(constraints)``.
+    Each row is a plain ``(name, terms, sense, rhs)`` tuple, its ``terms``
+    ``(coefficient, variable)`` pairs and its ``sense`` ``"<="``, ``"="`` or
+    ``">="``. :func:`build_model`'s ``constraints`` makes the same rows in the
+    same order on each pass and keeps none; ``len()`` counts the first full pass.
     """
 
     binaries: tuple[str, ...]  # variable names in declaration order
     continuous: tuple[str, ...]  # every variable, binary or not, is non-negative
-    constraints: Collection[Row]
+    constraints: Iterable[tuple[str, tuple[tuple[int, str], ...], str, int]]
 
 
 @dataclass(frozen=True)
@@ -292,7 +273,7 @@ def _row_line(name: str, terms: tuple[tuple[int, str], ...], sense: str, rhs: in
 
 def _lp_lines(model: MilpModel) -> Iterator[str]:
     yield from ("Minimize", " obj: Cmax", "Subject To")
-    yield from starmap(_row_line, _tuples(model.constraints))
+    yield from starmap(_row_line, model.constraints)
     yield "Bounds"
     yield from (f" {name} >= 0" for name in model.continuous)
     yield "Binaries"
@@ -404,7 +385,7 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> list[RowViolation]:
     get = val.get
     # binaries need no bound check: schedule_values sets them to 0 or 1
     out = [RowViolation(f"bound_{name}", val[name], "in", 0) for name in model.continuous if get(name, 0) < 0]
-    for name, terms, sense, rhs in _tuples(model.constraints):
+    for name, terms, sense, rhs in model.constraints:
         lhs = 0
         for coef, var in terms:
             lhs += coef * get(var, 0)

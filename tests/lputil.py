@@ -7,7 +7,7 @@ drifts from the documented format.
 
 from __future__ import annotations
 
-from flexshop.milp import MilpModel, Row
+from flexshop.milp import MilpModel
 
 
 def _parse_terms(tokens: list[str]) -> tuple[tuple[int, str], ...]:
@@ -41,13 +41,12 @@ def parse_lp(text: str) -> MilpModel:
     expect("obj: Cmax")
 
     expect("Subject To")
-    rows: list[Row] = []
+    rows: list[tuple[str, tuple[tuple[int, str], ...], str, int]] = []
     while lines[pos] != "Bounds":
         name, body = lines[pos].split(":", 1)
         tokens = body.split()
         sense_at = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
-        rows.append(Row(name=name.strip(), terms=_parse_terms(tokens[:sense_at]),
-                        sense=tokens[sense_at], rhs=int(tokens[sense_at + 1])))
+        rows.append((name.strip(), _parse_terms(tokens[:sense_at]), tokens[sense_at], int(tokens[sense_at + 1])))
         pos += 1
 
     expect("Bounds")

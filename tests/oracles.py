@@ -309,9 +309,9 @@ def listed_violations(inst: Instance, sched: Schedule) -> list[RowViolation]:
     rows = list(model.constraints)
     val = schedule_values(inst, sched)
     out = [RowViolation(f"bound_{name}", val[name], "in", 0) for name in model.continuous if val.get(name, 0) < 0]
-    for r in rows:
-        lhs = sum(coef * val.get(var, 0) for coef, var in r.terms)
-        holds = {"<=": lhs <= r.rhs, ">=": lhs >= r.rhs, "=": lhs == r.rhs}[r.sense]
+    for name, terms, sense, rhs in rows:
+        lhs = sum(coef * val.get(var, 0) for coef, var in terms)
+        holds = {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]
         if not holds:
-            out.append(RowViolation(r.name, lhs, r.sense, r.rhs))
+            out.append(RowViolation(name, lhs, sense, rhs))
     return out

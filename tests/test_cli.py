@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from flexshop.model import validate_instance
 
 from lputil import parse_lp
 from make_goldens import SOLVE_DIGESTS, solve_digests
+from test_milp import LP_SHA256
 
 
 def gen_instance(tmp_path, name="inst.json", klass="small", k="1", seed="5"):
@@ -357,9 +359,22 @@ def test_export_lp_matches_the_library_model(tmp_path, capsys):
     text = capsys.readouterr().out
     inst = loads_instance(inst_path.read_text())
     want = emit_lp(build_model(inst))
-    assert text == want or text == want + "\n"
+    assert text == want  # the LP ends in "End\n", so stdout gets no extra newline
     parsed = parse_lp(text)
     assert parsed.constraints == tuple(build_model(inst).constraints)
+
+
+def test_export_lp_writes_many_blocks_byte_for_byte(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path, klass="medium", k="1", seed="7")
+    want = emit_lp(build_model(loads_instance(inst_path.read_text())))
+    assert want.count("\n") > 4 * 4096  # the CLI writes it as five blocks of at most 4,096 lines
+    assert hashlib.sha256(want.encode("utf-8")).hexdigest() == LP_SHA256[("medium", 1)]
+    out = tmp_path / "model.lp"
+    assert main(["export-lp", str(inst_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+    capsys.readouterr()
+    assert main(["export-lp", str(inst_path)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_gantt_renders_deterministic_svg(tmp_path, capsys):

@@ -62,6 +62,7 @@ def test_rows_are_made_anew_on_each_pass_and_counted():
     assert len(passed_first) == n
     assert again == first_pass == tuple(passed_first)
     assert all(a is not b for a, b in zip(again, first_pass))  # no pass hands out kept rows
+    assert all(type(row) is tuple for row in first_pass + again)  # plain tuples, no wrapper type
     assert first_pass[-1] in passed_first
 
 
@@ -86,7 +87,7 @@ def test_every_variable_a_row_names_is_declared_once():
     for model in models:
         declared = model.binaries + model.continuous
         assert len(set(declared)) == len(declared)
-        used = {var for r in model.constraints for _, var in r.terms} | {"Cmax"}
+        used = {var for _, terms, _, _ in model.constraints for _, var in terms} | {"Cmax"}
         assert used <= set(declared), sorted(used - set(declared))[:5]
 
 
@@ -204,7 +205,7 @@ def test_precedence_row_families_only_appear_with_arcs():
     families = ("overlap_start_", "end_order_")
     for name, has_arcs in (("single", False), ("flex", False), ("chain", True)):
         inst, _ = golden(name)
-        rows = {r.name for r in build_model(inst).constraints}
+        rows = {row_name for row_name, _, _, _ in build_model(inst).constraints}
         present = {fam for fam in families if any(n.startswith(fam) for n in rows)}
         assert present == (set(families) if has_arcs else set()), name
 
@@ -224,7 +225,7 @@ def test_moved_pinned_op_trips_its_fix_row():
     pinned = dataclasses.replace(
         inst, operations=(dataclasses.replace(inst.operations[0], fixed=(1, 9)),))
     model = build_model(pinned)
-    assert any(r.name == "fix_start_1" for r in model.constraints)
+    assert any(name == "fix_start_1" for name, _, _, _ in model.constraints)
     res = brute_force(pinned)
     assert res.makespan == 14
     assert evaluate_schedule(pinned, res.schedule) == []

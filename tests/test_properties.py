@@ -4,6 +4,7 @@ Examples are derandomized and no example database is kept, so every run
 draws the same instances.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,9 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from flexshop.generator import generate, params_for_class
+from flexshop.jsonio import dumps_instance, dumps_result, loads_instance, schedule_from_dict
 from flexshop.milp import build_model, emit_lp, evaluate_schedule
 from flexshop.model import Instance, SetupTable
-from flexshop.solvers import solve_greedy
+from flexshop.solvers import greedy_result, solve_greedy
 from flexshop.timing import DecodeInfeasible
 
 from lputil import parse_lp
@@ -63,3 +65,18 @@ def test_milp_rows_read_back_and_the_greedy_schedule_meets_them(k, seed):
     assert emit_lp(build_model(tabled(inst))) == text
     sched = solve_greedy(inst)
     assert evaluate_schedule(inst, sched) == listed_violations(inst, sched) == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cls_k=classes, seed=st.integers(1, 10**6))
+def test_instances_and_greedy_results_round_trip_through_json(cls_k, seed):
+    # instance_to_dict sorts the arcs: the bytes round-trip, the dataclass does up to arc order
+    name, k = cls_k
+    inst = generate(replace(params_for_class(name, k), seed=seed))
+    for case in (inst, tabled(inst)):
+        text = dumps_instance(case)
+        loaded = loads_instance(text)
+        assert dumps_instance(loaded) == text
+        assert loaded == replace(case, arcs=tuple(sorted(case.arcs)))
+        result = greedy_result(case)
+        assert schedule_from_dict(json.loads(dumps_result(result))["schedule"]) == result.schedule
