@@ -18,19 +18,14 @@ rather than equality, so an entirely unused machine (``sum(x) = 0``) stays
 feasible. The degree caps and the gap rows still force one simple chain
 through every operation the machine actually hosts.
 
-Each variable name is formatted once, in the name tables at the top of
-:func:`build_model`, and the rows look names up there, so a row that names
-an undeclared variable fails with KeyError. The model keeps those tables
-and, per machine, its setup object and hosted operation records. Its rows are
-plain tuples with no wrapper type, in the shape :class:`MilpModel` states,
-made anew on each pass over ``MilpModel.constraints``, a re-iterable view that
-counts them for ``len()`` on its first full pass. :func:`lp_blocks`,
-:func:`emit_lp` and :func:`evaluate_schedule` iterate it and hold one row at a
-time, plus one block of LP text or, in :func:`emit_lp`, all of it.
-
-:func:`schedule_values` formats the same names on its own on purpose: it is
-the independent side of the row check, and a mismatch shows up as violated
-rows on a proven optimum.
+The model stores no names: each row formats the variable names it uses where
+it uses them. The three fields of :class:`MilpModel` are views that make their
+names or rows anew on each pass, from index data and, per machine, a setup
+object and hosted operation records. :func:`lp_blocks`, :func:`emit_lp` and
+:func:`evaluate_schedule` hold one row at a time, plus one block of LP text or,
+in :func:`emit_lp`, all of it. :func:`schedule_values` formats the same names
+on its own on purpose: it is the independent side of the row check, and a
+mismatch shows up as violated rows on a proven optimum.
 """
 
 from __future__ import annotations
@@ -42,23 +37,22 @@ from itertools import islice, starmap
 from .model import Instance, Schedule, makespan
 
 
-class _Rows:
-    """A sized view that makes its rows anew on each pass and keeps none of them.
+class _View:
+    """A sized view that makes its items anew on each pass and keeps none of them.
 
-    The first full pass counts the rows for ``len()``; a ``len()`` asked
-    before any full pass makes one.
+    ``len()`` counts the first full pass, making one if none has run yet.
     """
 
     __slots__ = ("_make", "_count")
 
-    def __init__(self, make: Callable[[], Iterator[tuple]]):
+    def __init__(self, make: Callable[[], Iterator]):
         self._make = make
         self._count: int | None = None
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator:
         count = 0
-        for count, row in enumerate(self._make(), start=1):
-            yield row
+        for count, item in enumerate(self._make(), start=1):
+            yield item
         self._count = count
 
     def __len__(self) -> int:
@@ -74,12 +68,13 @@ class MilpModel:
 
     Each row is a plain ``(name, terms, sense, rhs)`` tuple, its ``terms``
     ``(coefficient, variable)`` pairs and its ``sense`` ``"<="``, ``"="`` or
-    ``">="``. :func:`build_model`'s ``constraints`` makes the same rows in the
-    same order on each pass and keeps none; ``len()`` counts the first full pass.
+    ``">="``. All three of :func:`build_model`'s fields are views that make the
+    same names or rows in the same order on each pass and keep none; ``len()``
+    counts the first full pass.
     """
 
-    binaries: tuple[str, ...]  # variable names in declaration order
-    continuous: tuple[str, ...]  # every variable, binary or not, is non-negative
+    binaries: Iterable[str]  # variable names in declaration order
+    continuous: Iterable[str]  # every variable, binary or not, is non-negative
     constraints: Iterable[tuple[str, tuple[tuple[int, str], ...], str, int]]
 
 
@@ -134,115 +129,120 @@ def build_model(inst: Instance) -> MilpModel:
     has_succ = sorted({i for i, _ in inst.arcs})
     arcs = sorted(inst.arcs)
 
-    # The name tables, in declaration order; rows only look names up.
     per_ik = [(i, k) for i in ops for k in eligible[i]]
-    per_ikl = [(i, k, ell) for i, k in per_ik for ell in range(1, len(windows[k]) + 1)]
-    x, xih, xib = ({(i, k): f"{p}_{i}_{k}" for i, k in per_ik} for p in ("x", "xih", "xib"))
-    y = {(i, j, k): f"yI_{i}_{j}_{k}" for k, here in hosts.items() for i in here for j in here if i != j}
-    v, w, wb = ({(i, k, ell): f"{p}_{i}_{k}_{ell}" for i, k, ell in per_ikl} for p in ("v", "w", "wb"))
-    s, c, cb, pp, ppb, u, ub, xi = ({i: f"{p}_{i}" for i in ops}
-                                    for p in ("s", "c", "cb", "pp", "ppb", "u", "ub", "xi"))
-    binaries = (*x.values(), *y.values(), *v.values(), *w.values(), *wb.values())
-    continuous = (*s.values(), *c.values(), *cb.values(), *pp.values(), *ppb.values(), *u.values(),
-                  *ub.values(), *xih.values(), *xib.values(), *xi.values(), "Cmax")
 
-    def window_quads(i: int) -> list[tuple[int, int, int, int]]:
-        """(machine, window index, begin, end) across the op's eligible machines."""
-        return [(k, ell, b, e) for k in eligible[i] for ell, (b, e) in enumerate(windows[k], start=1)]
+    def binaries() -> Iterator[str]:  # names in declaration order, as in continuous()
+        yield from (f"x_{i}_{k}" for i, k in per_ik)
+        yield from (f"yI_{i}_{j}_{k}" for k, here in hosts.items() for i in here for j in here if i != j)
+        for p in ("v", "w", "wb"):
+            yield from (f"{p}_{i}_{k}_{ell}" for i, k in per_ik for ell in range(1, len(windows[k]) + 1))
+
+    def continuous() -> Iterator[str]:
+        yield from (f"{p}_{i}" for p in ("s", "c", "cb", "pp", "ppb", "u", "ub") for i in ops)
+        yield from (f"{p}_{i}_{k}" for p in ("xih", "xib") for i, k in per_ik)
+        yield from (f"xi_{i}" for i in ops)
+        yield "Cmax"
 
     def rows() -> Iterator[tuple]:
         for i in ops:
-            yield f"assign_{i}", tuple([(1, x[i, k]) for k in eligible[i]]), "=", 1
+            yield f"assign_{i}", tuple([(1, f"x_{i}_{k}") for k in eligible[i]]), "=", 1
         for i in ops:
-            yield f"proc_def_{i}", ((1, pp[i]), *[(-op_of[i].eligible[k], x[i, k]) for k in eligible[i]]), "=", 0
+            yield (f"proc_def_{i}",
+                   ((1, f"pp_{i}"), *[(-op_of[i].eligible[k], f"x_{i}_{k}") for k in eligible[i]]), "=", 0)
         for i in ops:
-            yield f"release_{i}", ((1, s[i]),), ">=", op_of[i].release
+            yield f"release_{i}", ((1, f"s_{i}"),), ">=", op_of[i].release
         for i in ops:
             if op_of[i].fixed is not None:
-                yield f"fix_start_{i}", ((1, s[i]),), "=", op_of[i].fixed[1]
+                yield f"fix_start_{i}", ((1, f"s_{i}"),), "=", op_of[i].fixed[1]
         for i in has_succ:
             yield (f"overlap_def_{i}",
-                   ((1, ppb[i]), *[(-op_of[i].partial_units(k), x[i, k]) for k in eligible[i]]), "=", 0)
+                   ((1, f"ppb_{i}"), *[(-op_of[i].partial_units(k), f"x_{i}_{k}") for k in eligible[i]]), "=", 0)
 
         for i in ops:
-            terms: list[tuple[int, str]] = [(1, u[i])]
-            for k, ell, b, e in window_quads(i):
-                terms += (e - b, v[i, k, ell]), (-(e - b), w[i, k, ell])
+            terms: list[tuple[int, str]] = [(1, f"u_{i}")]
+            for k in eligible[i]:
+                for ell, (b, e) in enumerate(windows[k], start=1):
+                    terms += (e - b, f"v_{i}_{k}_{ell}"), (-(e - b), f"w_{i}_{k}_{ell}")
             yield f"unavail_sum_{i}", tuple(terms), "=", 0
         for i in ops:
-            terms = [(1, ub[i])]
-            for k, ell, b, e in window_quads(i):
-                terms += (e - b, v[i, k, ell]), (-(e - b), wb[i, k, ell])
+            terms = [(1, f"ub_{i}")]
+            for k in eligible[i]:
+                for ell, (b, e) in enumerate(windows[k], start=1):
+                    terms += (e - b, f"v_{i}_{k}_{ell}"), (-(e - b), f"wb_{i}_{k}_{ell}")
             yield f"overlap_unavail_sum_{i}", tuple(terms), "=", 0
 
         for i in ops:
-            yield f"start_before_partial_{i}", ((1, s[i]), (-1, cb[i])), "<=", 0
+            yield f"start_before_partial_{i}", ((1, f"s_{i}"), (-1, f"cb_{i}")), "<=", 0
         for i in ops:
-            yield f"partial_before_completion_{i}", ((1, cb[i]), (-1, c[i])), "<=", 0
+            yield f"partial_before_completion_{i}", ((1, f"cb_{i}"), (-1, f"c_{i}")), "<=", 0
         for i in ops:
-            yield f"completion_def_{i}", ((1, s[i]), (1, pp[i]), (1, u[i]), (-1, c[i])), "=", 0
+            yield f"completion_def_{i}", ((1, f"s_{i}"), (1, f"pp_{i}"), (1, f"u_{i}"), (-1, f"c_{i}")), "=", 0
         for i in ops:
-            yield f"partial_completion_def_{i}", ((1, s[i]), (1, ppb[i]), (1, ub[i]), (-1, cb[i])), "=", 0
+            yield (f"partial_completion_def_{i}",
+                   ((1, f"s_{i}"), (1, f"ppb_{i}"), (1, f"ub_{i}"), (-1, f"cb_{i}")), "=", 0)
         for i in ops:
-            yield f"makespan_{i}", ((1, c[i]), (-1, "Cmax")), "<=", 0
+            yield f"makespan_{i}", ((1, f"c_{i}"), (-1, "Cmax")), "<=", 0
 
         for i, j in arcs:
-            yield f"overlap_start_{i}_{j}", ((1, cb[i]), (-1, s[j])), "<=", 0
+            yield f"overlap_start_{i}_{j}", ((1, f"cb_{i}"), (-1, f"s_{j}")), "<=", 0
         for i, j in arcs:
-            yield f"end_order_{i}_{j}", ((1, c[i]), (-1, c[j])), "<=", 0
+            yield f"end_order_{i}_{j}", ((1, f"c_{i}"), (-1, f"c_{j}")), "<=", 0
 
-        for k, here in hosts.items():  # pairs in the declaration order of y; both rows share their terms
-            minus_x = [(i, (-1, x[i, k])) for i in here]
+        for k, here in hosts.items():  # pairs in the declaration order of yI; both rows share their terms
+            minus_x = [(i, (-1, f"x_{i}_{k}")) for i in here]
             for i, minus_xi in minus_x:
                 for j, minus_xj in minus_x:
                     if i != j:
-                        tag, plus_y = f"{i}_{j}_{k}", (1, y[i, j, k])
+                        tag = f"{i}_{j}_{k}"
+                        plus_y = 1, f"yI_{tag}"
                         yield f"imm_x_pred_{tag}", (plus_y, minus_xi), "<=", 0
                         yield f"imm_x_succ_{tag}", (plus_y, minus_xj), "<=", 0
         for k, here in hosts.items():
-            terms = [(1, y[i, j, k]) for i in here for j in here if i != j]
-            terms += [(-1, x[i, k]) for i in here]
+            terms = [(1, f"yI_{i}_{j}_{k}") for i in here for j in here if i != j]
+            terms += [(-1, f"x_{i}_{k}") for i in here]
             if terms:
                 yield f"chain_count_{k}", tuple(terms), ">=", -1
         for k, here in hosts.items():
             for i in here:
-                if succ := tuple([(1, y[i, j, k]) for j in here if j != i]):
+                if succ := tuple([(1, f"yI_{i}_{j}_{k}") for j in here if j != i]):
                     yield f"succ_once_{k}_{i}", succ, "<=", 1
             for j in here:
-                if pred := tuple([(1, y[i, j, k]) for i in here if i != j]):
+                if pred := tuple([(1, f"yI_{i}_{j}_{k}") for i in here if i != j]):
                     yield f"pred_once_{k}_{j}", pred, "<=", 1
 
         for j, k in per_ik:
             opj, setup = op_of[j], setups[k]
             gf, between = setup.first(opj), setup.between
-            terms = [(1, xih[j, k])]
+            terms = [(1, f"xih_{j}_{k}")]
             for opi in host_ops[k]:
                 if opi is not opj and (diff := between(opi, opj) - gf):
-                    terms.append((-diff, y[opi.id, j, k]))
+                    terms.append((-diff, f"yI_{opi.id}_{j}_{k}"))
             yield f"setup_pick_def_{j}_{k}", tuple(terms), "=", gf
         for j, k in per_ik:
-            yield f"setup_sel_ub_{j}_{k}", ((1, xib[j, k]), (-m1, x[j, k])), "<=", 0
-            yield f"setup_sel_lb_{j}_{k}", ((1, xih[j, k]), (-1, xib[j, k]), (m1, x[j, k])), "<=", m1
-            yield f"setup_sel_cap_{j}_{k}", ((1, xib[j, k]), (-1, xih[j, k])), "<=", 0
+            xjk, xih, xib = f"x_{j}_{k}", f"xih_{j}_{k}", f"xib_{j}_{k}"
+            yield f"setup_sel_ub_{j}_{k}", ((1, xib), (-m1, xjk)), "<=", 0
+            yield f"setup_sel_lb_{j}_{k}", ((1, xih), (-1, xib), (m1, xjk)), "<=", m1
+            yield f"setup_sel_cap_{j}_{k}", ((1, xib), (-1, xih)), "<=", 0
         for j in ops:
-            yield f"setup_len_def_{j}", ((1, xi[j]), *[(-1, xib[j, k]) for k in eligible[j]]), "=", 0
+            yield f"setup_len_def_{j}", ((1, f"xi_{j}"), *[(-1, f"xib_{j}_{k}") for k in eligible[j]]), "=", 0
 
         for i in ops:
-            plus_c, on_i = (1, c[i]), eligible[i]
+            plus_c, on_i = (1, f"c_{i}"), eligible[i]
             for j in sorted({h for k in on_i for h in hosts[k]} - {i}):  # the ops sharing a machine with i
                 on_j = op_of[j].eligible
-                yield (f"machine_gap_{i}_{j}",
-                       (plus_c, (-1, s[j]), (1, xi[j]), *[(m2, y[i, j, k]) for k in on_i if k in on_j]), "<=", m2)
+                yield (f"machine_gap_{i}_{j}", (plus_c, (-1, f"s_{j}"), (1, f"xi_{j}"),
+                                                *[(m2, f"yI_{i}_{j}_{k}") for k in on_i if k in on_j]), "<=", m2)
         for i in ops:
-            yield f"setup_within_start_{i}", ((1, s[i]), (-1, xi[i])), ">=", 0
+            yield f"setup_within_start_{i}", ((1, f"s_{i}"), (-1, f"xi_{i}")), ">=", 0
 
         for i, k in per_ik:
-            xik, si, ci, cbi = x[i, k], s[i], c[i], cb[i]
+            xik, si, ci, cbi, xii = f"x_{i}_{k}", f"s_{i}", f"c_{i}", f"cb_{i}", f"xi_{i}"
             for ell, (b, e) in enumerate(windows[k], start=1):
-                tag, vl, wl, wbl = f"{i}_{k}_{ell}", v[i, k, ell], w[i, k, ell], wb[i, k, ell]
+                tag = f"{i}_{k}_{ell}"
+                vl, wl, wbl = f"v_{tag}", f"w_{tag}", f"wb_{tag}"
                 yield f"win_sv_{tag}", ((1, vl), (-1, xik)), "<=", 0
                 yield f"win_s_ub_{tag}", ((1, si), (-m2, vl), (m2, xik)), "<=", b - 1 + m2
-                yield f"win_setup_lb_{tag}", ((1, si), (-1, xi[i]), (-m3, vl), (-m3, xik)), ">=", e - 2 * m3
+                yield f"win_setup_lb_{tag}", ((1, si), (-1, xii), (-m3, vl), (-m3, xik)), ">=", e - 2 * m3
                 yield f"win_cw_{tag}", ((1, wl), (-1, xik)), "<=", 0
                 yield f"win_c_ub_{tag}", ((1, ci), (-m2, wl), (m2, xik)), "<=", b + m2
                 yield f"win_c_lb_{tag}", ((1, ci), (-m3, wl), (-m3, xik)), ">=", e + 1 - 2 * m3
@@ -250,7 +250,7 @@ def build_model(inst: Instance) -> MilpModel:
                 yield f"win_pc_ub_{tag}", ((1, cbi), (-m2, wbl), (m2, xik)), "<=", b + m2
                 yield f"win_pc_lb_{tag}", ((1, cbi), (-m3, wbl), (-m3, xik)), ">=", e + 1 - 2 * m3
 
-    return MilpModel(binaries=binaries, continuous=continuous, constraints=_Rows(rows))
+    return MilpModel(binaries=_View(binaries), continuous=_View(continuous), constraints=_View(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ def test_milp_rows_read_back_and_the_greedy_schedule_meets_them(k, seed):
     model = build_model(inst)
     text = emit_lp(model)
     assert parse_lp(text).constraints == tuple(model.constraints)
+    declared = (*model.binaries, *model.continuous)  # each variable a row names, declared exactly once
+    assert len(set(declared)) == len(declared)
+    assert {var for _, terms, _, _ in model.constraints for _, var in terms} <= set(declared)
     assert emit_lp(build_model(tabled(inst))) == text
     sched = solve_greedy(inst)
     assert evaluate_schedule(inst, sched) == listed_violations(inst, sched) == []
