@@ -79,6 +79,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.alg == "greedy":
+        for flag, value in (("--time-limit", args.time_limit), ("--node-limit", args.node_limit)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --alg exact only")
     inst = _load_valid_instance(args.instance)
     if args.alg == "exact":
         no_limit = args.node_limit is None and args.time_limit is None
@@ -142,9 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON path, - for stdin")
     p.add_argument("--alg", choices=("exact", "greedy"), default="exact")
     p.add_argument("--time-limit", type=_finite_seconds, default=None,
-                   help="seconds for the whole solve, greedy incumbent included; exact only")
+                   help="seconds for the whole solve, greedy incumbent included; exact only, "
+                        "refused with --alg greedy")
     p.add_argument("--node-limit", type=int, default=None,
-                   help=f"search nodes, exact only (with neither limit: {NODE_CAP})")
+                   help=f"search nodes, exact only (with neither limit: {NODE_CAP}); refused with --alg greedy")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")
     p.set_defaults(fn=_cmd_solve)
 

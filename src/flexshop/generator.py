@@ -31,6 +31,9 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+_SIZE_BOUND = 4_000_000  # n * o_max * m_max, about 10x large 100's 200 * 20 * 100
+
+
 @dataclass(frozen=True)
 class GenParams:
     n: int          # jobs
@@ -46,6 +49,9 @@ class GenParams:
             raise ValueError("n, o_min, m_min, and q must all be at least 1")
         if self.o_min > self.o_max or self.m_min > self.m_max:
             raise ValueError("empty range: need o_min <= o_max and m_min <= m_max")
+        if self.n * self.o_max * self.m_max > _SIZE_BOUND:
+            raise ValueError(f"n * o_max * m_max = {self.n * self.o_max * self.m_max} is above the "
+                             f"generator's bound of {_SIZE_BOUND:,}")
 
 
 _CLASS_NAMES = ("small", "medium", "large")

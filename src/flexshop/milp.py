@@ -314,61 +314,54 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
     follow the immediate-predecessor pairs in the sequences, and the slack
     quantities (u, ub) are the literal residuals of the schedule's own times,
     so any internal inconsistency surfaces as a violated row rather than
-    being patched over.
+    being patched over. One pass over the sequences collects each listed
+    operation's predecessors, the last listing naming its setup predecessor;
+    one pass over the operations then sets every value an operation indexes.
     """
     val: dict[str, int] = {}
-    assigned = {i: so.machine for i, so in sched.ops.items()}
+    hosts = {k: set(here) for k, here in inst.eligible_ops.items()}
+    pred_on_machine: dict[int, int | None] = {}
+    listed_after: dict[tuple[int, int], list[int | None]] = {}  # (op, machine) -> what each listing there follows
+    for k, seq in sched.sequences.items():
+        for a, j in zip((None, *seq), seq):
+            pred_on_machine[j] = a
+            listed_after.setdefault((j, k), []).append(a)
 
     for op in inst.operations:
         i = op.id
         so = sched.ops.get(i)
-        k_here = assigned.get(i)
+        k_here = None if so is None else so.machine
+        if so is not None:
+            val[f"s_{i}"] = so.start
+            val[f"c_{i}"] = so.completion
+            val[f"cb_{i}"] = so.partial_completion
+            pp = op.eligible.get(k_here, 0)
+            ppb = op.partial_units(k_here) if k_here in op.eligible else 0
+            val[f"pp_{i}"] = pp
+            val[f"ppb_{i}"] = ppb
+            val[f"u_{i}"] = so.completion - so.start - pp
+            val[f"ub_{i}"] = so.partial_completion - so.start - ppb
+            val[f"xi_{i}"] = so.setup_len
+        prev = pred_on_machine.get(i)
         for k in sorted(op.eligible):
-            val[f"x_{i}_{k}"] = 1 if k == k_here else 0
-        if so is None:
-            continue
-        val[f"s_{i}"] = so.start
-        val[f"c_{i}"] = so.completion
-        val[f"cb_{i}"] = so.partial_completion
-        pp = op.eligible.get(k_here, 0)
-        ppb = op.partial_units(k_here) if k_here in op.eligible else 0
-        val[f"pp_{i}"] = pp
-        val[f"ppb_{i}"] = ppb
-        val[f"u_{i}"] = so.completion - so.start - pp
-        val[f"ub_{i}"] = so.partial_completion - so.start - ppb
-        val[f"xi_{i}"] = so.setup_len
-        for k in sorted(op.eligible):
-            ws = inst.machine(k).windows
-            for ell, (b, e) in enumerate(ws, start=1):
-                on_k = k == k_here
-                val[f"v_{i}_{k}_{ell}"] = 1 if on_k and so.start >= e else 0
-                val[f"w_{i}_{k}_{ell}"] = 1 if on_k and so.completion > e else 0
-                val[f"wb_{i}_{k}_{ell}"] = 1 if on_k and so.partial_completion > e else 0
-
-    for k, here in inst.eligible_ops.items():
-        here_set = set(here)
-        for a in here_set:
-            for b in here_set:
-                if a != b:
-                    val[f"yI_{a}_{b}_{k}"] = 0
-    for k, seq in sched.sequences.items():
-        for a, b in zip(seq, seq[1:]):
-            if f"yI_{a}_{b}_{k}" in val:
-                val[f"yI_{a}_{b}_{k}"] = 1
-
-    pred_on_machine: dict[int, int | None] = {}
-    for k, seq in sched.sequences.items():
-        for pos, j in enumerate(seq):
-            pred_on_machine[j] = seq[pos - 1] if pos > 0 else None
-    for op in inst.operations:
-        j = op.id
-        for k in sorted(op.eligible):
-            pick = inst.setup_first(k, j)
-            prev = pred_on_machine.get(j)
-            if assigned.get(j) == k and prev is not None and prev in set(inst.eligible_ops[k]):
-                pick = inst.setup_between(k, prev, j)
-            val[f"xih_{j}_{k}"] = pick
-            val[f"xib_{j}_{k}"] = pick if assigned.get(j) == k else 0
+            on_k = k == k_here
+            here = hosts[k]
+            val[f"x_{i}_{k}"] = 1 if on_k else 0
+            for a in here:
+                if a != i:
+                    val[f"yI_{a}_{i}_{k}"] = 0
+            for a in listed_after.get((i, k), ()):
+                if a != i and a in here:
+                    val[f"yI_{a}_{i}_{k}"] = 1
+            pick = inst.setup_between(k, prev, i) if on_k and prev is not None and prev in here \
+                else inst.setup_first(k, i)
+            val[f"xih_{i}_{k}"] = pick
+            val[f"xib_{i}_{k}"] = pick if on_k else 0
+            if so is not None:
+                for ell, (b, e) in enumerate(inst.machine(k).windows, start=1):
+                    val[f"v_{i}_{k}_{ell}"] = 1 if on_k and so.start >= e else 0
+                    val[f"w_{i}_{k}_{ell}"] = 1 if on_k and so.completion > e else 0
+                    val[f"wb_{i}_{k}_{ell}"] = 1 if on_k and so.partial_completion > e else 0
 
     val["Cmax"] = makespan(sched)
     return val

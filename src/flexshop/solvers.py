@@ -160,37 +160,31 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     pops, and unless it was the root's the bounder undoes its node's commit.
     One budget, fixed at entry, covers the whole solve: a deadline
     `time_limit` seconds after the call, and a node cap. The greedy incumbent
-    checks the deadline before each commit; a budget that trips there returns
-    status "limit" with no schedule, 0 nodes and the root bound. The search
-    checks both before each candidate's placement, so a fixed node limit
-    always explores the same tree regardless of wall time, and a tripped
-    limit returns the best incumbent, the root bound and status "limit";
-    exhausted searches prove optimality or infeasibility.
+    checks the deadline before each commit and gives up once it has passed.
+    The search checks both before each candidate's placement, so a fixed
+    node limit always explores the same tree regardless of wall time; a
+    greedy incumbent that meets the root bound leaves it no frame to search.
+    There is one return per status: "limit" with the best incumbent (none if
+    the greedy gave up, and then 0 nodes) and the root bound; "infeasible"
+    once an exhausted search holds no incumbent; otherwise "optimal", with
+    the incumbent's makespan as its bound.
     """
     t0 = perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
     cap = _INF if node_limit is None else node_limit
-    ids = sorted(op.id for op in inst.operations)
+    n_ops = len(inst.operations)
     bounder = _Bounder(inst)
     engine = bounder.engine
     root_lb = bounder.root
 
-    incumbent: Schedule | None = None
-    ub: float = _INF
     try:
         incumbent = solve_greedy(inst, deadline)
-        if incumbent is None:
-            return _result("limit", t0, 0, None, root_lb)
-        ub = makespan(incumbent)
     except DecodeInfeasible:
-        pass
+        incumbent = None
+    ub: float = _INF if incumbent is None else makespan(incumbent)
 
-    nodes = 0
-    if incumbent is not None and ub <= root_lb:
-        return _result("optimal", t0, 0, incumbent, ub)
-
-    machine_order = {i: [k for k, p in sorted(inst.op(i).eligible.items(), key=lambda kp: (kp[1], kp[0]))]
-                     for i in ids}
+    machine_order = {op.id: [k for k, p in sorted(op.eligible.items(), key=lambda kp: (kp[1], kp[0]))]
+                     for op in inst.operations}
 
     def appends(ready: list[int], last: float, last_k: int | None):
         """The (operation, machine) children of the node that appended `last` to `last_k`, in visiting order."""
@@ -201,7 +195,8 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                     continue  # reached through the id-ascending order instead
                 yield i, k
 
-    stack = [appends(sorted(engine.ready), -_INF, None)]
+    nodes = 0
+    stack = [appends(sorted(engine.ready), -_INF, None)] if ub > root_lb else []
     while stack:
         for i, k in stack[-1]:
             if nodes >= cap or (deadline is not None and perf_counter() > deadline):
@@ -213,7 +208,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
             nodes += 1
             lb = bounder.push(i, rec)
             if lb < ub:
-                if len(engine.placed) < len(ids):
+                if len(engine.placed) < n_ops:
                     stack.append(appends(sorted(engine.ready), i, k))
                     break
                 ub = lb  # a leaf's bound is its makespan
@@ -239,8 +234,9 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
 
     Ties break on the lower operation id, then machine id. A machine holding
     unplaced pinned operations accepts another operation only if it would
-    complete in time for the setup of the earliest of them; when no
-    candidate survives, raises DecodeInfeasible. Given a `deadline`, a
+    complete in time for the setup of the earliest of them, the first of the
+    machine's pins, sorted once by (start, op), that is not yet placed; when
+    no candidate survives, raises DecodeInfeasible. Given a `deadline`, a
     :func:`time.perf_counter` reading, it reads the clock before each commit
     and returns None once the deadline has passed.
     Pairs wait in one heap of (key, op, machine, stamp, record or None) and
@@ -265,7 +261,7 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
     n_ops = len(inst.operations)
 
-    pins: dict[int, list[tuple[int, int]]] = {}  # machine -> unplaced (pinned start, op), ascending
+    pins: dict[int, list[tuple[int, int]]] = {}  # machine -> every (pinned start, op) on it, ascending
     for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
         pins.setdefault(k, []).append((start, i))
 
@@ -275,11 +271,11 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             rec = engine.placement(i, k)
         except DecodeInfeasible:
             return None
-        pending = pins.get(k)
-        if pending and pending[0][1] != i:
-            start, pin = pending[0]
-            if rec.completion + inst.setup_between(k, i, pin) > start:
-                return None
+        for start, pin in pins.get(k, ()):
+            if pin not in placed:  # the earliest unplaced pin
+                if pin != i and rec.completion + inst.setup_between(k, i, pin) > start:
+                    return None
+                break
         return rec
 
     heap = [(p, i, k, 0, None) for i in engine.ready for k, p in ops[i].eligible.items()]
@@ -301,9 +297,6 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             raise DecodeInfeasible(
                 f"no operation can be placed (pinned starts block every candidate) among {stuck}")
         engine.commit(i, rec)
-        fixed = ops[i].fixed
-        if fixed is not None:
-            pins[k].remove((fixed[1], i))
         n, c = len(seqs[k]), tail[k]
         for j in engine.ready:
             p = ops[j].eligible.get(k)

@@ -110,8 +110,10 @@ class PlacementEngine:
     def placement(self, op_id: int, machine_id: int) -> ScheduledOp:
         """Compute the earliest placement at `machine_id`'s tail; changes nothing.
 
-        Raises DecodeInfeasible when a pinned operation cannot run exactly at
-        its pinned start in this position.
+        A pinned operation is placed as a free one whose start floor is raised
+        to its pin. Raises DecodeInfeasible when its start then misses the pin,
+        or its completion misses the completion floor: a pinned operation is
+        never lifted.
         """
         op = self.ops[op_id]
         calendar = self.calendars[machine_id]
@@ -132,24 +134,22 @@ class PlacementEngine:
 
         proc = op.eligible[machine_id]
         partial = self.partial[op_id][machine_id]
+        pinned = None if op.fixed is None else op.fixed[1]
+        if pinned is not None and pinned > start_floor:
+            start_floor = pinned
 
-        if op.fixed is not None:
-            pinned = op.fixed[1]
-            s = _earliest_legal(calendar, max(start_floor, pinned), setup_len)
-            if s != pinned:
-                raise DecodeInfeasible(
-                    f"operation {op_id} is pinned to start {pinned} but the earliest "
-                    f"feasible start in this position is {s}")
-            completion = _finish(calendar, s, proc)
-            if completion < completion_floor:
+        s = _earliest_legal(calendar, start_floor, setup_len)
+        completion = _finish(calendar, s, proc)
+        if pinned is not None and s != pinned:
+            raise DecodeInfeasible(
+                f"operation {op_id} is pinned to start {pinned} but the earliest "
+                f"feasible start in this position is {s}")
+        if completion < completion_floor:
+            if pinned is not None:  # a pinned operation is never lifted
                 raise DecodeInfeasible(
                     f"operation {op_id} is pinned to start {pinned} yet must not "
                     f"complete before {completion_floor}")
-        else:
-            s = _earliest_legal(calendar, start_floor, setup_len)
-            completion = _finish(calendar, s, proc)
-            if completion < completion_floor:
-                s, completion = self._lift(calendar, s, setup_len, proc, completion_floor)
+            s, completion = self._lift(calendar, s, setup_len, proc, completion_floor)
 
         return ScheduledOp(
             machine=machine_id,

@@ -143,6 +143,14 @@ def test_solve_greedy_reports_feasible(tmp_path, capsys):
     assert result["nodes"] == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--time-limit", "0"), ("--node-limit", "10")])
+def test_solve_greedy_refuses_the_exact_only_limits(tmp_path, capsys, flag, value):
+    inst_path = gen_instance(tmp_path)
+    assert main(["solve", str(inst_path), "--alg", "greedy", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {flag} applies to --alg exact only\n"
+
+
 def test_solve_time_limit_zero_still_exits_cleanly(tmp_path, capsys):
     # the limit covers the greedy incumbent too, so no schedule is found: exit 1 with a result
     inst_path = gen_instance(tmp_path)
@@ -320,6 +328,11 @@ DEEP = "[" * 200_000
                  None, 1, "arc crosses jobs 1 and 1000", id="arc-job-1e4000"),
     pytest.param("solve", _hostile(op={"release": 85, "fixed": {"machine": 1, "start": 56}})[0], None, 1,
                  "instance invalid: fixed [1]: fixed start 56 is before release 85", id="pin-before-release"),
+    pytest.param("gen small 1000000000000 --seed 1", None, None, 2, "above the generator's bound of 4,000,000",
+                 id="gen-small-1e12"),
+    pytest.param("gen large 1000 --seed 1", None, None, 2,
+                 "error: n * o_max * m_max = 252566860 is above the generator's bound of 4,000,000",
+                 id="gen-large-1000"),
 ])
 def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, command, instance, schedule, code,
                                                           message):
@@ -329,7 +342,7 @@ def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, comma
             (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body))
             paths.append(str(tmp_path / name))
     t0 = time.perf_counter()
-    assert main([command, *paths]) == code
+    assert main([*command.split(), *paths]) == code
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

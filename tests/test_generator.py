@@ -47,6 +47,16 @@ def test_params_validate():
     GenParams(n=1, o_min=1, o_max=1, m_min=1, m_max=1, q=1).validate()
 
 
+def test_params_validate_bounds_the_size_before_any_draw():
+    # n * o_max * m_max: large 100 is 200 * 20 * 100 = 400,000, a tenth of the bound
+    for name, k in (("small", 30), ("medium", 40), ("large", 100), ("large", 200)):
+        params_for_class(name, k).validate()
+    for params in (params_for_class("large", 250), params_for_class("small", 10**12),
+                   GenParams(n=4_000_001, o_min=1, o_max=1, m_min=1, m_max=1, q=1)):
+        with pytest.raises(ValueError, match="above the generator's bound of 4,000,000"):
+            generate(params)
+
+
 def test_generation_is_deterministic():
     params = GenParams(n=3, o_min=2, o_max=5, m_min=2, m_max=4, q=3, seed=77)
     assert dumps_instance(generate(params)) == dumps_instance(generate(params))

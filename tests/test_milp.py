@@ -259,6 +259,41 @@ def test_streamed_row_check_matches_the_listed_oracle():
     assert evaluate_schedule(inst, sched) == listed_violations(inst, sched) == []
 
 
+def values_digest(inst, sched) -> str:
+    return hashlib.sha256(repr(sorted(schedule_values(inst, sched).items())).encode()).hexdigest()
+
+
+# sha256 of the sorted (name, value) items schedule_values gives the chain
+# golden's optimum, as found and tampered with, and a flex golden optimum
+# whose operations are also listed on the idle machine (the last listing
+# names an operation's machine predecessor)
+VALUES_SHA256 = {
+    "optimum": "1486a76bd89cfbd6801ed3f3da064547ab4aaf31c491500e2e8397e0510aafa7",
+    "reversed sequences": "0bae11ccfeeab1c530298e6492e3ba30f88a4a8aba0ac8609d642a1434fd385b",
+    "operation 2 removed from ops": "00ca263154df524a86cf30d42360ae33b297e58b3496d7201762ff6e8e02694e",
+    "operation 2 also listed on machine 2": "233adff6a475c40f3266a47118da2abeb9275c9c22d1325cf82126b62735d768",
+    "flex: both operations also listed, reversed, on the idle machine":
+        "8dc8638fb617963676a2b6481859277a7270ede4226b4780564e875811a175dc",
+}
+
+
+def test_schedule_values_match_pinned_digests():
+    inst, _ = golden("chain")
+    sched = opt_schedule(inst).schedule
+    flex, _ = golden("flex")
+    flex_sched = opt_schedule(flex).schedule
+    [(k, seq)] = [(k, seq) for k, seq in flex_sched.sequences.items() if seq]
+    cases = {
+        "optimum": (inst, sched),
+        "reversed sequences": (inst, Schedule(ops=sched.ops, sequences={1: (2, 1)})),
+        "operation 2 removed from ops": (inst, Schedule(ops={1: sched.ops[1]}, sequences=sched.sequences)),
+        "operation 2 also listed on machine 2": (inst, Schedule(ops=sched.ops, sequences={1: (1, 2), 2: (2,)})),
+        "flex: both operations also listed, reversed, on the idle machine":
+            (flex, Schedule(ops=flex_sched.ops, sequences={k: seq, 3 - k: (2, 1)})),
+    }
+    assert {label: values_digest(*case) for label, case in cases.items()} == VALUES_SHA256
+
+
 def test_build_model_keeps_no_names():
     # Python 3.11, medium 20 seed 7: tables of every variable name kept 6.2-6.7 MB;
     # formatting each name where a row uses it keeps under 0.1 MB

@@ -12,16 +12,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from flexshop.generator import generate, params_for_class
+from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_instance, dumps_result, loads_instance, schedule_from_dict
 from flexshop.milp import build_model, emit_lp, evaluate_schedule
-from flexshop.model import Instance, SetupTable
-from flexshop.solvers import greedy_result, solve_greedy
-from flexshop.timing import DecodeInfeasible
+from flexshop.model import Instance, SetupTable, makespan, validate_instance
+from flexshop.solvers import _Bounder, greedy_result, solve_exact, solve_greedy
+from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from lputil import parse_lp
-from oracles import listed_violations, rescan_greedy
-from test_solvers import reversed_ids
+from oracles import brute_force, decode, listed_violations, rescan_greedy
+from test_solvers import pinned_variant, reversed_ids
 
 classes = st.one_of(st.tuples(st.just("small"), st.integers(1, 30)),
                     st.tuples(st.just("medium"), st.integers(1, 20)))
@@ -83,3 +83,98 @@ def test_instances_and_greedy_results_round_trip_through_json(cls_k, seed):
         assert loaded == replace(case, arcs=tuple(sorted(case.arcs)))
         result = greedy_result(case)
         assert schedule_from_dict(json.loads(dumps_result(result))["schedule"]) == result.schedule
+
+
+@st.composite
+def tiny_instances(draw) -> Instance:
+    """At most 6 operations on at most 3 machines; some with a pin, which may make them infeasible."""
+    params = GenParams(n=draw(st.integers(1, 2)), o_min=draw(st.integers(1, 3)), o_max=3, m_min=1,
+                       m_max=draw(st.integers(1, 3)), q=draw(st.integers(1, 2)), seed=draw(st.integers(1, 10**6)))
+    inst = generate(params)
+    if draw(st.integers(0, 3)) == 0:
+        pinned = pinned_variant(inst, draw(st.integers(0, 40)))
+        if not validate_instance(pinned):
+            inst = pinned
+    return inst
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(inst=tiny_instances(), data=st.data())
+def test_a_drawn_structure_decodes_to_a_checked_schedule_or_raises(inst, data):
+    assignment = {op.id: data.draw(st.sampled_from(sorted(op.eligible))) for op in inst.operations}
+    sequences = {mc.id: data.draw(st.permutations(sorted(i for i, k in assignment.items() if k == mc.id)))
+                 for mc in inst.machines}
+    try:
+        sched = decode(inst, assignment, sequences)
+    except DecodeInfeasible:
+        return
+    assert check_schedule(inst, sched) == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 30), seed=st.integers(1, 10**6))
+def test_exact_at_a_node_limit_never_reports_worse_than_the_greedy(k, seed):
+    inst = generate(replace(params_for_class("small", k), seed=seed))
+    res = solve_exact(inst, node_limit=300)
+    if res.makespan is not None:
+        assert res.lower_bound <= res.makespan
+    try:
+        greedy = solve_greedy(inst)
+    except DecodeInfeasible:
+        return
+    assert res.makespan <= makespan(greedy)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(inst=tiny_instances())
+def test_exact_equals_brute_force_on_tiny_instances(inst):
+    bf, ex = brute_force(inst), solve_exact(inst)
+    assert (ex.status, ex.makespan) == (bf.status, bf.makespan)
+
+
+def best_completion(inst: Instance, engine: PlacementEngine) -> int | None:
+    """The least makespan over every way to finish `engine`'s placement by appends, None if there is none."""
+    if len(engine.placed) == len(inst.operations):
+        return max((rec.completion for rec in engine.placed.values()), default=0)
+    best = None
+    for i in sorted(engine.ready):
+        for k in sorted(inst.op(i).eligible):
+            try:
+                rec = engine.placement(i, k)
+            except DecodeInfeasible:
+                continue
+            engine.commit(i, rec)
+            mk = best_completion(inst, engine)
+            engine.undo(i)
+            if mk is not None and (best is None or mk < best):
+                best = mk
+    return best
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(inst=tiny_instances(), data=st.data())
+def test_the_bound_never_exceeds_the_best_completion(inst, data):
+    bounder = _Bounder(inst)
+    optimum = brute_force(inst).makespan
+    if optimum is not None:
+        assert bounder.root <= optimum
+    # a random feasible prefix, replayed in a second engine that the exhaustive search may walk;
+    # at most 4 operations stay unplaced, to keep that search small
+    replay = PlacementEngine(inst)
+    lb = bounder.root
+    for _ in range(data.draw(st.integers(max(1, len(inst.operations) - 4), len(inst.operations)))):
+        appends = []
+        for i in sorted(bounder.engine.ready):
+            for k in sorted(inst.op(i).eligible):
+                try:
+                    appends.append((i, bounder.engine.placement(i, k)))
+                except DecodeInfeasible:
+                    pass
+        if not appends:
+            break
+        i, rec = data.draw(st.sampled_from(appends))
+        lb = bounder.push(i, rec)
+        replay.commit(i, rec)
+    best = best_completion(inst, replay)
+    if best is not None:
+        assert lb <= best

@@ -273,6 +273,18 @@ def unreduced_cases() -> list[Instance]:
     return cases
 
 
+def two_pins_on_one_machine() -> Instance:
+    """Two pins on machine 1, the later start on the lower id; free operations fit before, between and after."""
+    rule = SetupRule(st_smaller=2, st_larger=3, ct=1, vt=1)
+    return Instance(
+        num_machines=2,
+        operations=(Operation(1, 1, {1: 3}, fixed=(1, 30)), Operation(2, 1, {1: 4, 2: 9}),
+                    Operation(3, 2, {1: 5}, fixed=(1, 10)), Operation(4, 2, {1: 6, 2: 6}),
+                    Operation(5, 3, {1: 2, 2: 7})),
+        arcs=((1, 2), (3, 4)),
+        machines=(Machine(1, windows=((50, 55),), setup=rule), Machine(2, setup=rule)))
+
+
 def test_greedy_equals_a_rescan_from_scratch():
     # the greedy places a pair only when its lower-bound key reaches the top of
     # the heap and keeps the answer until a commit moves that machine's tail;
@@ -280,12 +292,12 @@ def test_greedy_equals_a_rescan_from_scratch():
     # recomputed, must give the same schedule. On large 10 seed 7 some pairs
     # complete earlier after their machine's tail moves; on medium 9 seed 7 a
     # heap keyed by such stale completions commits a different pair
-    cases = [*unreduced_cases(), pinned_at_zero()]
+    cases = [*unreduced_cases(), pinned_at_zero(), two_pins_on_one_machine()]
     cases += [generate(replace(params_for_class(name, k), seed=seed))
               for name, k, seed in (("small", 16, 17), ("medium", 10, 2), ("medium", 17, 1),
                                     ("medium", 9, 7), ("large", 10, 7))]
     cases.append(reversed_ids(cases[-1]))  # every id tie-break flipped
-    assert len(cases) == 70
+    assert len(cases) == 71
     rejected = 0
     for inst in cases:
         try:
