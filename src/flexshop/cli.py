@@ -79,10 +79,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.alg == "greedy":
-        for flag, value in (("--time-limit", args.time_limit), ("--node-limit", args.node_limit)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to --alg exact only")
+    for flag, value in (("--time-limit", args.time_limit), ("--node-limit", args.node_limit)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must not be negative, got {value}")
+        if value is not None and args.alg == "greedy":
+            raise ValueError(f"{flag} applies to --alg exact only")
     inst = _load_valid_instance(args.instance)
     if args.alg == "exact":
         no_limit = args.node_limit is None and args.time_limit is None

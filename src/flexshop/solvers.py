@@ -64,7 +64,7 @@ class _Bounder:
         self.succs = inst.successors
         ops = inst.ops_by_id
         self.pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
-        self.pbmin = {i: min(units.values()) for i, units in self.engine.partial.items()}
+        self.pbmin = {op.id: min(map(op.partial_units, op.eligible)) for op in inst.operations}
         self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
         self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
         for op in inst.operations:

@@ -45,6 +45,20 @@ def _finish(calendar: Calendar, start: int, duration: int) -> int:
     return t + remaining
 
 
+def _latest_start(calendar: Calendar, completion: int, duration: int) -> int:
+    """Latest start whose `duration` work units complete by `completion`: `_finish` run backwards."""
+    t = completion
+    remaining = duration
+    for b, e in reversed(calendar):
+        if b >= t:
+            continue
+        if t - remaining >= e:
+            break
+        remaining -= max(0, t - e)
+        t = b
+    return t - remaining
+
+
 def _setup_fits(calendar: Calendar, setup_start: int, start: int) -> bool:
     return all(start <= b or setup_start >= e for b, e in calendar)
 
@@ -82,23 +96,22 @@ class PlacementEngine:
     is zero. Only :meth:`commit` and :meth:`undo` change them. The instance
     data a placement reads is bound once, at construction: `ops` (each
     operation record by id), `calendars` and `setups` (each machine's windows
-    and setup object), `partial` (each operation's partial length per
-    eligible machine), and the graph's `preds` and `succs`.
+    and setup object), and the graph's `preds` and `succs`.
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
     no earlier than the machine's previous completion, predecessors' partial
     completions as a start floor, and predecessors' completions as a
-    completion floor. The completion floor is met by searching for the
-    minimal legal start whose resulting completion clears it, which keeps
-    every placement left-tight.
+    completion floor. Completion never falls as the start rises, so a start
+    whose completion misses the floor is lifted to the first legal start past
+    the latest start that completes before the floor; the placement stays
+    left-tight.
     """
 
     def __init__(self, inst: Instance):
         self.ops = inst.ops_by_id
         self.calendars = {mc.id: mc.windows for mc in inst.machines}
         self.setups = {mc.id: mc.setup for mc in inst.machines}
-        self.partial = {op.id: {k: op.partial_units(k) for k in op.eligible} for op in inst.operations}
         self.preds = inst.predecessors
         self.succs = inst.successors
         self.placed: dict[int, ScheduledOp] = {}
@@ -133,7 +146,6 @@ class PlacementEngine:
                 completion_floor = rec.completion
 
         proc = op.eligible[machine_id]
-        partial = self.partial[op_id][machine_id]
         pinned = None if op.fixed is None else op.fixed[1]
         if pinned is not None and pinned > start_floor:
             start_floor = pinned
@@ -149,36 +161,18 @@ class PlacementEngine:
                 raise DecodeInfeasible(
                     f"operation {op_id} is pinned to start {pinned} yet must not "
                     f"complete before {completion_floor}")
-            s, completion = self._lift(calendar, s, setup_len, proc, completion_floor)
+            s = _earliest_legal(calendar, _latest_start(calendar, completion_floor - 1, proc) + 1, setup_len)
+            completion = _finish(calendar, s, proc)
 
         return ScheduledOp(
             machine=machine_id,
             setup_start=s - setup_len,
             setup_len=setup_len,
             start=s,
-            partial_completion=completion if partial == proc else _finish(calendar, s, partial),
+            partial_completion=(completion if op.theta_hundredths == 100
+                                else _finish(calendar, s, op.partial_units(machine_id))),
             completion=completion,
         )
-
-    @staticmethod
-    def _lift(calendar: Calendar, lo: int, setup_len: int, proc: int, floor: int) -> tuple[int, int]:
-        """Minimal legal start above `lo` whose completion reaches `floor`.
-
-        Completion is nondecreasing in the start, so binary search on the
-        raw time axis works; each probe is legalized first. The bracket is
-        sound because a start at `floor` completes at floor + proc > floor.
-        """
-        hi = _earliest_legal(calendar, floor, setup_len)
-        lo += 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            s_mid = _earliest_legal(calendar, mid, setup_len)
-            if _finish(calendar, s_mid, proc) >= floor:
-                hi = mid
-            else:
-                lo = mid + 1
-        s = _earliest_legal(calendar, lo, setup_len)
-        return s, _finish(calendar, s, proc)
 
     def commit(self, op_id: int, rec: ScheduledOp) -> None:
         """Append the ready operation `op_id` to its machine with placement `rec`."""

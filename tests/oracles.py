@@ -53,20 +53,24 @@ def oracle_completion(windows, start: int, duration: int) -> int:
     return t
 
 
-def oracle_earliest(windows, ready: int, setup_len: int, proc: int, partial: int):
+def oracle_earliest(windows, ready: int, setup_len: int, proc: int, partial: int, pred=None):
     """Smallest legal start at or after `ready` whose setup also fits.
 
-    Returns (setup_start, start, partial_completion, completion). The scan is
-    bounded: past the last window end everything is legal.
+    With `pred` = (partial completion, completion) of a predecessor, the
+    start is also at or after the first and the completion at or after the
+    second. Returns (setup_start, start, partial_completion, completion).
+    The scan is bounded: past the last window end everything is legal, and a
+    start at the completion floor completes above it.
     """
-    s = max(ready, setup_len)
-    horizon = max((e for _, e in windows), default=0) + setup_len + 1
-    while s <= max(ready, setup_len) + horizon:
-        if start_legal(windows, s) and setup_legal(windows, s - setup_len, s):
+    start_floor, completion_floor = pred or (0, 0)
+    first = max(ready, setup_len, start_floor)
+    horizon = max((e for _, e in windows), default=0) + setup_len + 1 + completion_floor
+    for s in range(first, first + horizon + 1):
+        if (start_legal(windows, s) and setup_legal(windows, s - setup_len, s)
+                and oracle_completion(windows, s, proc) >= completion_floor):
             return (s - setup_len, s,
                     oracle_completion(windows, s, partial),
                     oracle_completion(windows, s, proc))
-        s += 1
     raise AssertionError("oracle scan ran past its horizon")
 
 

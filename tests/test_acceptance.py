@@ -27,7 +27,7 @@ from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from oracles import (brute_force, decode, iter_one_unit_left_shifts, oracle_completion, oracle_earliest,
                      start_legal, with_full_overlap)
-from test_timing import completion_at, place_one, times
+from test_timing import completion_at, place_one, random_pred, times
 
 TINY = [GenParams(n=2, o_min=2, o_max=3, m_min=1, m_max=2, q=1, seed=s)
         for s in range(1, 51)]
@@ -74,11 +74,11 @@ def random_calendar(rng: Rng) -> tuple[tuple[int, int], ...]:
 
 def test_criterion_2_thousand_placement_queries_match_the_oracle():
     rng = Rng(77001)
-    queries = []  # (calendar, ready, setup_len, proc, partial)
+    queries = []  # (calendar, ready, setup_len, proc, partial[, pred])
     for _ in range(950):
         cal = random_calendar(rng)
         proc = rng.uniform(1, 15)
-        queries.append((cal, rng.uniform(0, 25), rng.uniform(0, 6), proc, rng.uniform(1, proc)))
+        queries.append((cal, rng.uniform(0, 25), rng.uniform(0, 6), proc, rng.uniform(1, proc), random_pred(rng)))
     # boundary sweeps around a fixed window [4, 6] and a two-window calendar
     for d in range(1, 11):
         queries.append((((4, 6),), 6, 0, d, d))

@@ -328,6 +328,19 @@ DEEP = "[" * 200_000
                  None, 1, "arc crosses jobs 1 and 1000", id="arc-job-1e4000"),
     pytest.param("solve", _hostile(op={"release": 85, "fixed": {"machine": 1, "start": 56}})[0], None, 1,
                  "instance invalid: fixed [1]: fixed start 56 is before release 85", id="pin-before-release"),
+    pytest.param("solve", _hostile(op={"eligible": {"1": 5, "01": 7}})[0], None, 2,
+                 "error: operation[0].eligible: two keys denote the same entry", id="eligible-keys-collide"),
+    pytest.param("solve", _hostile(setup={"setup_first": {"1": 0, "01": 0}, "setup_between": {}})[0], None, 2,
+                 "error: machine[0].setup_first: two keys denote the same entry", id="setup-first-keys-collide"),
+    pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1,1": 0, "1,01": 0}})[0],
+                 None, 2, "error: machine[0].setup_between: two keys denote the same entry",
+                 id="setup-between-keys-collide"),
+    pytest.param("check", _hostile()[0], {**_hostile()[1], "sequences": {"1": [], "01": [1]}}, 2,
+                 "error: schedule.sequences: two keys denote the same entry", id="sequence-keys-collide"),
+    pytest.param("solve --node-limit -5", _hostile()[0], None, 2, "error: --node-limit must not be negative, got -5",
+                 id="node-limit-negative"),
+    pytest.param("solve --time-limit -1", _hostile()[0], None, 2,
+                 "error: --time-limit must not be negative, got -1.0", id="time-limit-negative"),
     pytest.param("gen small 1000000000000 --seed 1", None, None, 2, "above the generator's bound of 4,000,000",
                  id="gen-small-1e12"),
     pytest.param("gen large 1000 --seed 1", None, None, 2,

@@ -26,19 +26,37 @@ def tampered(sched: Schedule, op_id: int, **changes) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
-def place_one(calendar, ready, setup_len, proc, partial, pinned=None) -> ScheduledOp:
-    """The engine's placement of the only operation of a one-machine instance.
+def place_one(calendar, ready, setup_len, proc, partial, pred=None, pinned=None) -> ScheduledOp:
+    """The engine's placement of operation 1 on machine 1, which holds nothing else.
 
     The operation is released at `ready` with first setup `setup_len`.
     theta_hundredths = 100 * partial // proc gives partial_units == partial
-    exactly for every proc <= 100.
+    exactly for every proc <= 100. With `pred` = (partial completion,
+    completion), a predecessor runs alone from time 0 on a window-free machine
+    2, so these become the operation's start floor and completion floor.
     """
-    op = Operation(1, 1, {1: proc}, theta_hundredths=100 * partial // proc, release=ready,
-                   fixed=None if pinned is None else (1, pinned))
-    assert op.partial_units(1) == partial
-    inst = Instance(num_machines=1, operations=(op,), arcs=(),
-                    machines=(Machine(1, windows=tuple(calendar), setup=SetupTable({1: setup_len}, {})),))
-    return PlacementEngine(inst).placement(1, 1)
+    ops = [Operation(1, 1, {1: proc}, theta_hundredths=100 * partial // proc, release=ready,
+                     fixed=None if pinned is None else (1, pinned))]
+    machines = [Machine(1, windows=tuple(calendar), setup=SetupTable({1: setup_len}, {}))]
+    if pred is not None:
+        ops.append(Operation(2, 1, {2: pred[1]}, theta_hundredths=100 * pred[0] // pred[1]))
+        machines.append(Machine(2, setup=SetupTable({2: 0}, {})))
+    assert ops[0].partial_units(1) == partial
+    inst = Instance(num_machines=len(machines), operations=tuple(ops), arcs=() if pred is None else ((2, 1),),
+                    machines=tuple(machines))
+    engine = PlacementEngine(inst)
+    if pred is not None:
+        engine.commit(2, engine.placement(2, 2))
+        assert times(engine.placed[2])[2:] == pred
+    return engine.placement(1, 1)
+
+
+def random_pred(rng: Rng) -> tuple[int, int] | None:
+    """No predecessor half the time, else its (partial completion, completion)."""
+    if rng.bernoulli(1, 2):
+        return None
+    completion = rng.uniform(1, 40)
+    return rng.uniform(1, completion), completion
 
 
 def times(so: ScheduledOp) -> tuple[int, int, int, int]:
@@ -123,9 +141,10 @@ def test_earliest_start_agrees_with_unit_step_oracle():
         setup = rng.uniform(0, 5)
         proc = rng.uniform(1, 12)
         partial = rng.uniform(1, proc)
-        got = place_one(cal, ready, setup, proc, partial)
-        want = oracle_earliest(cal, ready, setup, proc, partial)
-        assert times(got) == want, (cal, ready, setup, proc, partial)
+        pred = random_pred(rng)
+        got = place_one(cal, ready, setup, proc, partial, pred)
+        want = oracle_earliest(cal, ready, setup, proc, partial, pred)
+        assert times(got) == want, (cal, ready, setup, proc, partial, pred)
         assert start_legal(cal, got.start)
         assert completion_at(cal, got.start, proc) == oracle_completion(cal, got.start, proc)
 
