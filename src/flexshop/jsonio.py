@@ -35,9 +35,10 @@ those of :class:`ScheduledOp`, a "setup_rule" those of :class:`SetupRule`, a
 result those of :class:`SolveResult`, a report entry those of :class:`Violation`.
 A field with a default may be omitted; the others are required. Malformed
 input, including JSON the parser cannot read (nested too deep, say) and a
-map with two keys that parse to one id ("1" and "01", "1,2" and "1,02"), raises
-:class:`FormatError`; the CLI maps that to exit code 2, keeping it distinct
-from domain violations (exit 1).
+map key that is not an id as ``str(n)`` writes it ("01", "+1", " 1", "1_0",
+"-0", or "1, 2" for a pair), raises :class:`FormatError`; the CLI maps that to
+exit code 2, keeping it distinct from domain violations (exit 1). So two keys
+of one map never name the same id.
 """
 
 from __future__ import annotations
@@ -77,17 +78,14 @@ def _as_int(value: Any, ctx: str) -> int:
 
 
 def _int_key(key: str, ctx: str) -> int:
+    """The id `key` spells, read only in the one spelling ``str(n)`` writes, so distinct keys are distinct ids."""
     try:
-        return int(key)
+        n = int(key)
+        if str(n) == key:
+            return n
     except (TypeError, ValueError):
-        raise FormatError(f"{ctx}: key {brief(key)} is not an integer") from None
-
-
-def _distinct(parsed: dict, raw: dict, ctx: str) -> dict:
-    """`parsed`, built from `raw`'s keys, unless two keys parsed alike (say "1" and "01")."""
-    if len(parsed) != len(raw):
-        raise FormatError(f"{ctx}: two keys denote the same entry")
-    return parsed
+        pass
+    raise FormatError(f"{ctx}: key {brief(key)} is not an integer written as str(n)")
 
 
 def _parse(text: str, what: str) -> Any:
@@ -208,30 +206,26 @@ def instance_from_dict(data: Any) -> Instance:
                 raise FormatError(f"{ctx}: has both a setup_rule and setup maps; give one form")
             setup: SetupRule | SetupTable = _from_record(SetupRule, raw["setup_rule"], f"{ctx}.setup_rule")
         else:
-            raw_firsts = _need(raw, "setup_first", ctx, dict)
             firsts = {_int_key(i, f"{ctx}.setup_first"): _as_int(g, f"{ctx}.setup_first")
-                      for i, g in raw_firsts.items()}
-            raw_pairs = _need(raw, "setup_between", ctx, dict)
+                      for i, g in _need(raw, "setup_first", ctx, dict).items()}
             pairs = {}
-            for key, g in raw_pairs.items():
+            for key, g in _need(raw, "setup_between", ctx, dict).items():
                 parts = str(key).split(",")
                 if len(parts) != 2:
                     raise FormatError(f"{ctx}.setup_between: key {brief(key)} is not 'pred,succ'")
                 pair = (_int_key(parts[0], ctx), _int_key(parts[1], ctx))
                 pairs[pair] = _as_int(g, f"{ctx}.setup_between[{brief(key)}]")
-            setup = SetupTable(firsts=_distinct(firsts, raw_firsts, f"{ctx}.setup_first"),
-                               pairs=_distinct(pairs, raw_pairs, f"{ctx}.setup_between"))
+            setup = SetupTable(firsts=firsts, pairs=pairs)
 
         machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))
 
     operations = []
     for idx, raw in enumerate(_need(data, "operations", "instance", list)):
         ctx = f"operation[{idx}]"
-        raw_eligible = _need(raw, "eligible", ctx)
-        if not isinstance(raw_eligible, dict) or not raw_eligible:
+        eligible = _need(raw, "eligible", ctx)
+        if not isinstance(eligible, dict) or not eligible:
             raise FormatError(f"{ctx}.eligible: expected a non-empty object")
-        eligible = _distinct({_int_key(k, f"{ctx}.eligible"): _as_int(p, f"{ctx}.eligible")
-                              for k, p in raw_eligible.items()}, raw_eligible, f"{ctx}.eligible")
+        eligible = {_int_key(k, f"{ctx}.eligible"): _as_int(p, f"{ctx}.eligible") for k, p in eligible.items()}
         fixed = _need(raw, "fixed", ctx, default=None)
         if fixed is not None:
             fixed = (_as_int(_need(fixed, "machine", f"{ctx}.fixed"), f"{ctx}.fixed.machine"),
@@ -277,13 +271,12 @@ def schedule_from_dict(data: Any) -> Schedule:
         if op_id in ops:
             raise FormatError(f"{ctx}: duplicate operation id {op_id}")
         ops[op_id] = _from_record(ScheduledOp, raw, ctx)
-    raw_sequences = _need(data, "sequences", "schedule", dict)
     sequences = {}
-    for key, ids in raw_sequences.items():
+    for key, ids in _need(data, "sequences", "schedule", dict).items():
         if not isinstance(ids, list):
             raise FormatError(f"schedule.sequences[{brief(key)}]: expected a list of op ids")
         sequences[_int_key(key, "schedule.sequences")] = tuple(_as_int(i, "sequence entry") for i in ids)
-    return Schedule(ops=ops, sequences=_distinct(sequences, raw_sequences, "schedule.sequences"))
+    return Schedule(ops=ops, sequences=sequences)
 
 
 def loads_schedule(text: str) -> Schedule:

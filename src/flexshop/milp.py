@@ -353,8 +353,8 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
             for a in listed_after.get((i, k), ()):
                 if a != i and a in here:
                     val[f"yI_{a}_{i}_{k}"] = 1
-            pick = inst.setup_between(k, prev, i) if on_k and prev is not None and prev in here \
-                else inst.setup_first(k, i)
+            pick = inst.setup_between(k, prev, i) if on_k and prev != i and prev in here \
+                else inst.setup_first(k, i)  # prev None, i itself (listed twice) or not eligible on k: no pair
             val[f"xih_{i}_{k}"] = pick
             val[f"xib_{i}_{k}"] = pick if on_k else 0
             if so is not None:

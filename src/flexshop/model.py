@@ -14,7 +14,8 @@ branches on the form. Rule machines keep large generated instances compact:
 the pair map is quadratic in the number of eligible operations and is pure
 arithmetic anyway.
 
-A :class:`SolveResult` is what both solvers report, its fields the result
+A :class:`SolveResult` is what :func:`~flexshop.solvers.solve_exact` and
+:func:`~flexshop.solvers.greedy_result` report, its fields the result
 document's keys in order.
 """
 

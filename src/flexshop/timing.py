@@ -313,10 +313,10 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
             if k in inst.op(i).eligible:
                 if pos == 0:
                     want = inst.setup_first(k, i)
-                elif k in inst.op(placed[pos - 1]).eligible:
+                elif placed[pos - 1] != i and k in inst.op(placed[pos - 1]).eligible:
                     want = inst.setup_between(k, placed[pos - 1], i)
                 else:
-                    want = None  # predecessor itself misassigned; its own violation covers it
+                    want = None  # predecessor misassigned, or i listed again; their own violations cover it
                 if want is not None and so.setup_len != want:
                     out.append(Violation("setup length mismatch", (i,),
                                          f"setup length {so.setup_len} on machine {k}, rule requires {want}"))

@@ -329,14 +329,24 @@ DEEP = "[" * 200_000
     pytest.param("solve", _hostile(op={"release": 85, "fixed": {"machine": 1, "start": 56}})[0], None, 1,
                  "instance invalid: fixed [1]: fixed start 56 is before release 85", id="pin-before-release"),
     pytest.param("solve", _hostile(op={"eligible": {"1": 5, "01": 7}})[0], None, 2,
-                 "error: operation[0].eligible: two keys denote the same entry", id="eligible-keys-collide"),
+                 "error: operation[0].eligible: key '01' is not an integer", id="eligible-keys-collide"),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0, "01": 0}, "setup_between": {}})[0], None, 2,
-                 "error: machine[0].setup_first: two keys denote the same entry", id="setup-first-keys-collide"),
+                 "error: machine[0].setup_first: key '01' is not an integer", id="setup-first-keys-collide"),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1,1": 0, "1,01": 0}})[0],
-                 None, 2, "error: machine[0].setup_between: two keys denote the same entry",
-                 id="setup-between-keys-collide"),
+                 None, 2, "error: machine[0]: key '01' is not an integer", id="setup-between-keys-collide"),
     pytest.param("check", _hostile()[0], {**_hostile()[1], "sequences": {"1": [], "01": [1]}}, 2,
-                 "error: schedule.sequences: two keys denote the same entry", id="sequence-keys-collide"),
+                 "error: schedule.sequences: key '01' is not an integer", id="sequence-keys-collide"),
+    *(pytest.param("solve", _hostile(op={"eligible": {key: 5}})[0], None, 2,
+                   f"error: operation[0].eligible: key {key!r} is not an integer written as str(n)",
+                   id=f"eligible-key-{name}")
+      for name, key in (("arabic-indic-1", "\u0661"), ("1_0", "1_0"), ("spaced-1", " 1 "), ("+1", "+1"),
+                        ("-0", "-0"))),
+    pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1, 2": 0}})[0], None, 2,
+                 "error: machine[0]: key ' 2' is not an integer written as str(n)", id="setup-between-key-1-space-2"),
+    pytest.param("check", _hostile()[0], {**_hostile()[1], "sequences": {"01": [1]}}, 2,
+                 "error: schedule.sequences: key '01' is not an integer written as str(n)", id="sequence-key-01"),
+    pytest.param("check", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {}})[0],
+                 {**_hostile()[1], "sequences": {"1": [1, 1]}}, 1, "", id="check-op-listed-twice-table-setup"),
     pytest.param("solve --node-limit -5", _hostile()[0], None, 2, "error: --node-limit must not be negative, got -5",
                  id="node-limit-negative"),
     pytest.param("solve --time-limit -1", _hostile()[0], None, 2,

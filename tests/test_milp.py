@@ -3,10 +3,12 @@ import pathlib
 import tracemalloc
 from dataclasses import replace
 
+import pytest
+
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import loads_instance
 from flexshop.milp import build_model, emit_lp, evaluate_schedule, schedule_values
-from flexshop.model import Schedule
+from flexshop.model import Instance, Machine, Operation, Schedule, SetupRule, SetupTable
 from flexshop.solvers import solve_greedy
 from flexshop.timing import check_schedule
 
@@ -204,6 +206,21 @@ def test_reversed_sequence_trips_the_machine_gap_row():
     names = {v.name for v in evaluate_schedule(inst, flipped)}
     # op 2 now claims to run first while its times still sit after op 1's
     assert "machine_gap_2_1" in names
+
+
+@pytest.mark.parametrize("setup", [SetupTable({1: 2, 2: 1}, {(1, 2): 3, (2, 1): 4}), SetupRule(1, 2, 3, 4)],
+                         ids=["table", "rule"])
+def test_an_operation_listed_twice_in_a_row_is_not_its_own_setup_predecessor(setup):
+    # a table has no (i, i) pair to look up, and a rule would ask for a 0 setup against the first one
+    ops = (Operation(1, 1, {1: 5}), Operation(2, 2, {1: 3}, size=2, color=2))
+    inst = Instance(num_machines=1, operations=ops, arcs=(), machines=(Machine(1, setup=setup),))
+    sched = solve_greedy(inst)
+    first, second = sched.sequences[1]
+    twice = Schedule(ops=sched.ops, sequences={1: (first, first, second)})
+    assert [(v.rule, v.op_ids) for v in check_schedule(inst, twice)] == [
+        ("structure", (first,)), ("machine overlap", (first, first))]
+    assert schedule_values(inst, twice) == schedule_values(inst, sched)
+    assert evaluate_schedule(inst, twice) == []
 
 
 def test_precedence_row_families_only_appear_with_arcs():

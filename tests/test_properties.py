@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_instance, dumps_result, loads_instance, schedule_from_dict
 from flexshop.milp import build_model, emit_lp, evaluate_schedule
-from flexshop.model import Instance, SetupTable, makespan, validate_instance
+from flexshop.model import Instance, Schedule, SetupTable, makespan, validate_instance
 from flexshop.solvers import _Bounder, greedy_result, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
@@ -83,6 +83,30 @@ def test_instances_and_greedy_results_round_trip_through_json(cls_k, seed):
         assert loaded == replace(case, arcs=tuple(sorted(case.arcs)))
         result = greedy_result(case)
         assert schedule_from_dict(json.loads(dumps_result(result))["schedule"]) == result.schedule
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 30), seed=st.integers(1, 10**6), data=st.data())
+def test_a_mutated_greedy_schedule_is_reported_not_raised(k, seed, data):
+    # a small instance has at least two machines, so every listing has another machine to move to
+    inst = generate(replace(params_for_class("small", k), seed=seed))
+    sched = solve_greedy(inst)
+    seqs = {mc: list(seq) for mc, seq in sched.sequences.items()}
+    mc, pos = data.draw(st.sampled_from([(mc, pos) for mc, seq in sorted(seqs.items()) for pos in range(len(seq))]))
+    i = seqs[mc][pos]
+    other = data.draw(st.sampled_from([m for m in range(1, inst.num_machines + 1) if m != mc]))
+    there = seqs.get(other, [])
+    at = data.draw(st.integers(0, len(there)))
+    mutants = (
+        Schedule(ops=sched.ops, sequences={**seqs, mc: seqs[mc][:pos + 1] + seqs[mc][pos:]}),  # i twice in a row
+        Schedule(ops=sched.ops, sequences={**seqs, mc: seqs[mc][:pos] + seqs[mc][pos + 1:],
+                                           other: there[:at] + [i] + there[at:]}),  # i listed on another machine
+        Schedule(ops={j: so for j, so in sched.ops.items() if j != i}, sequences=sched.sequences),  # i dropped
+    )
+    for case in (inst, tabled(inst)):
+        for mutant in mutants:
+            assert check_schedule(case, mutant) != []
+            assert isinstance(evaluate_schedule(case, mutant), list)
 
 
 @st.composite
