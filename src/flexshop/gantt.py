@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .model import MAX_TIME, Instance, Schedule, brief, makespan
+from .model import MAX_TIME, Instance, Schedule, brief, makespan, refuse_unknown_ids
 
 _LEFT, _TOP, _WIDTH = 70.0, 34.0, 960.0
 _ROW, _GAP = 26.0, 10.0
@@ -22,6 +22,7 @@ def _job_fill(job: int) -> str:
 
 
 def render_svg(inst: Instance, sched: Schedule) -> str:
+    refuse_unknown_ids(inst, sched)
     for i, so in sched.ops.items():
         drawn = (("setup_start", so.setup_start),) if so.setup_len > 0 else ()
         for label, t in (*drawn, ("start", so.start), ("completion", so.completion)):
@@ -63,12 +64,12 @@ def render_svg(inst: Instance, sched: Schedule) -> str:
 
     for i in sorted(sched.ops):
         so = sched.ops[i]
-        y = rows[inst.machine(so.machine).id]
+        y = rows[so.machine]
         if so.setup_len > 0:
             parts.append(f'<rect x="{x(so.setup_start)}" y="{y + 5:.2f}" '
                          f'width="{w(so.start - so.setup_start)}" height="{_ROW - 10:.2f}" '
                          f'fill="#3366cc"/>')
-        job = inst.op(i).job
+        job = inst.ops_by_id[i].job
         parts.append(f'<rect x="{x(so.start)}" y="{y:.2f}" '
                      f'width="{w(so.completion - so.start)}" height="{_ROW:.2f}" '
                      f'fill="{_job_fill(job)}" stroke="#333" stroke-width="0.5"/>')
@@ -79,7 +80,7 @@ def render_svg(inst: Instance, sched: Schedule) -> str:
 
     for k in machines:
         y = rows[k]
-        for b, e in inst.machine(k).windows:
+        for b, e in inst.machines_by_id[k].windows:
             parts.append(f'<rect x="{x(b)}" y="{y - 2:.2f}" width="{w(e - b)}" '
                          f'height="{_ROW + 4:.2f}" fill="#cc3333" fill-opacity="0.45"/>')
 

@@ -213,8 +213,9 @@ def instance_from_dict(data: Any) -> Instance:
                 parts = str(key).split(",")
                 if len(parts) != 2:
                     raise FormatError(f"{ctx}.setup_between: key {brief(key)} is not 'pred,succ'")
-                pair = (_int_key(parts[0], ctx), _int_key(parts[1], ctx))
-                pairs[pair] = _as_int(g, f"{ctx}.setup_between[{brief(key)}]")
+                where = f"{ctx}.setup_between[{brief(key)}]"
+                pair = (_int_key(parts[0], where), _int_key(parts[1], where))
+                pairs[pair] = _as_int(g, where)
             setup = SetupTable(firsts=firsts, pairs=pairs)
 
         machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))

@@ -19,13 +19,14 @@ feasible. The degree caps and the gap rows still force one simple chain
 through every operation the machine actually hosts.
 
 The model stores no names: each row formats the variable names it uses where
-it uses them. The three fields of :class:`MilpModel` are views that make their
-names or rows anew on each pass, from index data and, per machine, a setup
-object and hosted operation records. :func:`lp_blocks`, :func:`emit_lp` and
-:func:`evaluate_schedule` hold one row at a time, plus one block of LP text or,
-in :func:`emit_lp`, all of it. :func:`schedule_values` formats the same names
-on its own on purpose: it is the independent side of the row check, and a
-mismatch shows up as violated rows on a proven optimum.
+it uses them. The three fields of :class:`MilpModel` are views that keep no
+state: each pass, ``len()``'s counting pass too, makes their names or rows
+anew from index data and, per machine, a setup object and hosted operation
+records. :func:`lp_blocks`, :func:`emit_lp` and :func:`evaluate_schedule` hold
+one row at a time, plus one block of LP text or, in :func:`emit_lp`, all of it.
+:func:`schedule_values` formats the same names on its own on purpose: it is the
+independent side of the row check, and a mismatch shows up as violated rows on
+a proven optimum.
 """
 
 from __future__ import annotations
@@ -38,28 +39,18 @@ from .model import Instance, Schedule, makespan
 
 
 class _View:
-    """A sized view that makes its items anew on each pass and keeps none of them.
+    """A sized view that makes its items anew on each pass and keeps none of them; ``len()`` counts a fresh pass."""
 
-    ``len()`` counts the first full pass, making one if none has run yet.
-    """
-
-    __slots__ = ("_make", "_count")
+    __slots__ = ("_make",)
 
     def __init__(self, make: Callable[[], Iterator]):
         self._make = make
-        self._count: int | None = None
 
     def __iter__(self) -> Iterator:
-        count = 0
-        for count, item in enumerate(self._make(), start=1):
-            yield item
-        self._count = count
+        return self._make()
 
     def __len__(self) -> int:
-        if self._count is None:
-            for _ in self:
-                pass
-        return self._count
+        return sum(1 for _ in self._make())
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,7 @@ class MilpModel:
     ``(coefficient, variable)`` pairs and its ``sense`` ``"<="``, ``"="`` or
     ``">="``. All three of :func:`build_model`'s fields are views that make the
     same names or rows in the same order on each pass and keep none; ``len()``
-    counts the first full pass.
+    counts a fresh pass.
     """
 
     binaries: Iterable[str]  # variable names in declaration order
@@ -110,8 +101,8 @@ def big_m_constants(inst: Instance) -> BigM:
 
     m2 = m3
     for op in inst.operations:
-        m2 += max((p + inst.machine(k).setup.worst_into(op, inst.eligible_ops[k]) for k, p in op.eligible.items()),
-                  default=0)
+        m2 += max((p + inst.machines_by_id[k].setup.worst_into(op, inst.eligible_ops[k])
+                   for k, p in op.eligible.items()), default=0)
     return BigM(m1=m1, m2=m2, m3=m3)
 
 
@@ -123,8 +114,8 @@ def build_model(inst: Instance) -> MilpModel:
     op_of = inst.ops_by_id
     eligible = {i: sorted(op_of[i].eligible) for i in ops}
     hosts = {k: inst.eligible_ops[k] for k in sorted(inst.machines_by_id)}
-    windows = {k: inst.machine(k).windows for k in hosts}
-    setups = {k: inst.machine(k).setup for k in hosts}
+    windows = {k: inst.machines_by_id[k].windows for k in hosts}
+    setups = {k: inst.machines_by_id[k].setup for k in hosts}
     host_ops = {k: [op_of[i] for i in here] for k, here in hosts.items()}
     has_succ = sorted({i for i, _ in inst.arcs})
     arcs = sorted(inst.arcs)
@@ -358,7 +349,7 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
             val[f"xih_{i}_{k}"] = pick
             val[f"xib_{i}_{k}"] = pick if on_k else 0
             if so is not None:
-                for ell, (b, e) in enumerate(inst.machine(k).windows, start=1):
+                for ell, (b, e) in enumerate(inst.machines_by_id[k].windows, start=1):
                     val[f"v_{i}_{k}_{ell}"] = 1 if on_k and so.start >= e else 0
                     val[f"w_{i}_{k}_{ell}"] = 1 if on_k and so.completion > e else 0
                     val[f"wb_{i}_{k}_{ell}"] = 1 if on_k and so.partial_completion > e else 0

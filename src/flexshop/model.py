@@ -194,25 +194,13 @@ class Instance:
                     bk[k].append(op.id)
         return {k: tuple(sorted(ids)) for k, ids in bk.items()}
 
-    def op(self, op_id: int) -> Operation:
-        try:
-            return self.ops_by_id[op_id]
-        except KeyError:
-            raise ValueError(f"unknown operation id {op_id}") from None
-
-    def machine(self, machine_id: int) -> Machine:
-        try:
-            return self.machines_by_id[machine_id]
-        except KeyError:
-            raise ValueError(f"unknown machine id {machine_id}") from None
-
     # -- setup dispatch ------------------------------------------------------
 
     def setup_first(self, machine_id: int, op_id: int) -> int:
-        return self.machine(machine_id).setup.first(self.op(op_id))
+        return self.machines_by_id[machine_id].setup.first(self.ops_by_id[op_id])
 
     def setup_between(self, machine_id: int, pred_id: int, succ_id: int) -> int:
-        return self.machine(machine_id).setup.between(self.op(pred_id), self.op(succ_id))
+        return self.machines_by_id[machine_id].setup.between(self.ops_by_id[pred_id], self.ops_by_id[succ_id])
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,6 +232,17 @@ class SolveResult:
 
 def makespan(sched: Schedule) -> int:
     return max((so.completion for so in sched.ops.values()), default=0)
+
+
+def refuse_unknown_ids(inst: Instance, sched: Schedule) -> None:
+    """Raise ValueError naming the ids a schedule's records or sequences use that the instance lacks."""
+    listed = {i for seq in sched.sequences.values() for i in seq}
+    placed_on = {so.machine for so in sched.ops.values()}
+    for what, used, known in (("operations", sched.ops.keys() | listed, inst.ops_by_id),
+                              ("machines", sched.sequences.keys() | placed_on, inst.machines_by_id)):
+        unknown = sorted(used - known.keys())
+        if unknown:
+            raise ValueError(f"schedule references unknown {what} {brief(unknown)}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .model import Instance, Schedule, ScheduledOp, Violation
+from .model import Instance, Schedule, ScheduledOp, Violation, refuse_unknown_ids
 
 Calendar = Sequence[tuple[int, int]]
 
@@ -209,24 +209,16 @@ class PlacementEngine:
 def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
     """Every broken scheduling rule, empty when the schedule is feasible.
 
-    Raises ValueError when the schedule references operations or machines the
-    instance does not define; everything else is reported, not raised.
+    Raises ValueError, through :func:`~flexshop.model.refuse_unknown_ids`, when a
+    record's id or machine, a sequence key or a sequence entry is not in the
+    instance; everything else is reported, not raised. An operation listed twice
+    in a row draws one structure row and is not compared with itself.
     """
+    refuse_unknown_ids(inst, sched)
     out: list[Violation] = []
-    ids = {op.id for op in inst.operations}
+    ops = inst.ops_by_id
 
-    unknown_ops = sorted(set(sched.ops) - ids)
-    if unknown_ops:
-        raise ValueError(f"schedule references unknown operations {unknown_ops}")
-    unknown_machines = sorted(set(sched.sequences) - set(inst.machines_by_id))
-    if unknown_machines:
-        raise ValueError(f"schedule references unknown machines {unknown_machines}")
-    for k, seq_ids in sched.sequences.items():
-        bad = sorted(set(seq_ids) - ids)
-        if bad:
-            raise ValueError(f"machine {k} sequence references unknown operations {bad}")
-
-    for i in sorted(ids - set(sched.ops)):
+    for i in sorted(ops.keys() - sched.ops.keys()):
         out.append(Violation("structure", (i,), "operation missing from schedule"))
 
     # sequences must list exactly the operations placed on each machine, once
@@ -244,7 +236,7 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
             out.append(Violation("structure", (i,), f"machine {k} sequence lists an unscheduled operation"))
 
     for i, so in sorted(sched.ops.items()):
-        op = inst.op(i)
+        op = ops[i]
         eligible = so.machine in op.eligible
 
         if not eligible:
@@ -265,11 +257,7 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
             out.append(Violation("fixed operation moved", (i,),
                                  f"pinned to machine {op.fixed[0]} at {op.fixed[1]}, scheduled on {so.machine} at {so.start}"))
 
-        mc = inst.machines_by_id.get(so.machine)
-        if mc is None:
-            out.append(Violation("structure", (i,), f"machine {so.machine} does not exist"))
-            continue
-        calendar = mc.windows
+        calendar = inst.machines_by_id[so.machine].windows
         for b, e in calendar:
             if b <= so.start <= e - 1:
                 out.append(Violation("start inside unavailability", (i,),
@@ -306,24 +294,24 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
 
     for k, seq_ids in sorted(sched.sequences.items()):
         placed = [i for i in seq_ids if i in sched.ops]
-        for pos, i in enumerate(placed):
+        for prev, i in zip([None, *placed], placed):
             so = sched.ops[i]
-            if so.machine != k:
+            if so.machine != k or prev == i:
                 continue  # already a structure violation
-            if k in inst.op(i).eligible:
-                if pos == 0:
+            if k in ops[i].eligible:
+                if prev is None:
                     want = inst.setup_first(k, i)
-                elif placed[pos - 1] != i and k in inst.op(placed[pos - 1]).eligible:
-                    want = inst.setup_between(k, placed[pos - 1], i)
+                elif k in ops[prev].eligible:
+                    want = inst.setup_between(k, prev, i)
                 else:
-                    want = None  # predecessor misassigned, or i listed again; their own violations cover it
+                    want = None  # predecessor misassigned; its own violation covers it
                 if want is not None and so.setup_len != want:
                     out.append(Violation("setup length mismatch", (i,),
                                          f"setup length {so.setup_len} on machine {k}, rule requires {want}"))
-            if pos > 0:
-                prev_so = sched.ops[placed[pos - 1]]
+            if prev is not None:
+                prev_so = sched.ops[prev]
                 if so.setup_start < prev_so.completion:
-                    out.append(Violation("machine overlap", (placed[pos - 1], i),
+                    out.append(Violation("machine overlap", (prev, i),
                                          f"setup starts at {so.setup_start} before previous completion {prev_so.completion}"))
 
     return out

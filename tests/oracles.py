@@ -84,8 +84,8 @@ def iter_one_unit_left_shifts(inst, sched):
     """
     for i in sorted(sched.ops):
         so = sched.ops[i]
-        op = inst.op(i)
-        windows = inst.machine(so.machine).windows
+        op = inst.ops_by_id[i]
+        windows = inst.machines_by_id[so.machine].windows
         s = so.start - 1
         shifted = dataclasses.replace(
             so, setup_start=s - so.setup_len, start=s,
@@ -123,7 +123,7 @@ def full_pass_bound(inst: Instance, engine: PlacementEngine) -> int:
         if rec is not None:
             lb = max(lb, rec.completion)
             continue
-        h = inst.op(i).release
+        h = inst.ops_by_id[i].release
         for p in preds[i]:
             prec = engine.placed.get(p)
             if prec is not None:
@@ -136,7 +136,7 @@ def full_pass_bound(inst: Instance, engine: PlacementEngine) -> int:
     owed: dict[int, int] = {}
     for i, k in solo.items():
         if i not in engine.placed:
-            owed[k] = owed.get(k, 0) + inst.op(i).eligible[k]
+            owed[k] = owed.get(k, 0) + inst.ops_by_id[i].eligible[k]
     for k, extra in owed.items():
         seq = engine.seqs[k]
         lb = max(lb, (engine.placed[seq[-1]].completion if seq else 0) + extra)
@@ -206,7 +206,7 @@ def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
                 earliest_pin[k] = min(earliest_pin.get(k, (start, op.id)), (start, op.id))
         best = None
         for i in sorted(engine.ready):
-            for k in sorted(inst.op(i).eligible):
+            for k in sorted(inst.ops_by_id[i].eligible):
                 try:
                     rec = engine.placement(i, k)
                 except DecodeInfeasible:
@@ -238,7 +238,7 @@ def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequ
     if set(assignment) != ids:
         raise ValueError("assignment must cover exactly the instance's operations")
     for i, k in assignment.items():
-        if k not in inst.op(i).eligible:
+        if k not in inst.ops_by_id[i].eligible:
             raise ValueError(f"operation {i} assigned to machine {k} outside its eligible set")
     seq: dict[int, list[int]] = {mc.id: list(sequences.get(mc.id, ())) for mc in inst.machines}
     unknown = set(sequences) - set(seq)
@@ -277,7 +277,7 @@ def brute_force(inst: Instance) -> SolveResult:
     """
     t0 = perf_counter()
     ids = sorted(op.id for op in inst.operations)
-    eligible = [sorted(inst.op(i).eligible) for i in ids]
+    eligible = [sorted(inst.ops_by_id[i].eligible) for i in ids]
     machine_ids = sorted(mc.id for mc in inst.machines)
 
     best: Schedule | None = None

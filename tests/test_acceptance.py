@@ -118,14 +118,14 @@ def random_structure(inst, rng: Rng):
         while len(engine.placed) < len(inst.operations):
             ready = sorted(engine.ready)
             i = ready[rng.uniform(0, len(ready) - 1)]
-            ks = sorted(inst.op(i).eligible)
+            ks = sorted(inst.ops_by_id[i].eligible)
             k = ks[rng.uniform(0, len(ks) - 1)]
             try:
                 rec = engine.placement(i, k)
             except DecodeInfeasible:
                 rec = None
                 for i2 in ready:
-                    for k2 in sorted(inst.op(i2).eligible):
+                    for k2 in sorted(inst.ops_by_id[i2].eligible):
                         try:
                             rec = engine.placement(i2, k2)
                             i, k = i2, k2

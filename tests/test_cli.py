@@ -297,8 +297,12 @@ DEEP = "[" * 200_000
                  id="m-1e9-no-machines"),
     pytest.param("solve", _hostile(m=2, machines=({"id": 1}, {"id": 2}, {"id": 2}))[0], None, 1,
                  "machine ids must be 1..2", id="duplicate-machine-id"),
-    pytest.param("gantt", *_hostile(sched_machine=9), 2, "error: unknown machine id 9", id="gantt-unknown-machine"),
-    pytest.param("gantt", *_hostile(sched_op=99), 2, "error: unknown operation id 99", id="gantt-unknown-operation"),
+    pytest.param("gantt", *_hostile(sched_machine=9), 2, "error: schedule references unknown machines [9]",
+                 id="gantt-unknown-machine"),
+    pytest.param("gantt", *_hostile(sched_op=99), 2, "error: schedule references unknown operations [99]",
+                 id="gantt-unknown-operation"),
+    pytest.param("check", _hostile()[0], {**_hostile(sched_machine=9)[1], "sequences": {"1": [1]}}, 2,
+                 "error: schedule references unknown machines [9]", id="check-record-on-unknown-machine"),
     pytest.param("gantt", *_hostile(times={"completion": 10**400}), 2, "error: gantt: operation 1 completion 1000",
                  id="gantt-completion-1e400"),
     pytest.param("gantt", *_hostile(times={"start": -BIG}), 2, "error: gantt: operation 1 start -1000",
@@ -308,7 +312,7 @@ DEEP = "[" * 200_000
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {HUGE: 0}})[0], None, 2,
                  "error: machine[0].setup_between: key '999", id="setup-key-10MB"),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1," + HUGE: 0}})[0], None, 2,
-                 "error: machine[0]: key '999", id="setup-key-10MB-succ"),
+                 "error: machine[0].setup_between['1,999", id="setup-key-10MB-succ"),
     pytest.param("solve", _hostile(op={"release": BIG})[0], None, 1,
                  "release must be a non-negative 64-bit integer, got 1000", id="release-1e4000"),
     pytest.param("solve", _hostile(op={"theta_hundredths": BIG})[0], None, 1,
@@ -333,7 +337,8 @@ DEEP = "[" * 200_000
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0, "01": 0}, "setup_between": {}})[0], None, 2,
                  "error: machine[0].setup_first: key '01' is not an integer", id="setup-first-keys-collide"),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1,1": 0, "1,01": 0}})[0],
-                 None, 2, "error: machine[0]: key '01' is not an integer", id="setup-between-keys-collide"),
+                 None, 2, "error: machine[0].setup_between['1,01']: key '01' is not an integer",
+                 id="setup-between-keys-collide"),
     pytest.param("check", _hostile()[0], {**_hostile()[1], "sequences": {"1": [], "01": [1]}}, 2,
                  "error: schedule.sequences: key '01' is not an integer", id="sequence-keys-collide"),
     *(pytest.param("solve", _hostile(op={"eligible": {key: 5}})[0], None, 2,
@@ -342,7 +347,8 @@ DEEP = "[" * 200_000
       for name, key in (("arabic-indic-1", "\u0661"), ("1_0", "1_0"), ("spaced-1", " 1 "), ("+1", "+1"),
                         ("-0", "-0"))),
     pytest.param("solve", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {"1, 2": 0}})[0], None, 2,
-                 "error: machine[0]: key ' 2' is not an integer written as str(n)", id="setup-between-key-1-space-2"),
+                 "error: machine[0].setup_between['1, 2']: key ' 2' is not an integer written as str(n)",
+                 id="setup-between-key-1-space-2"),
     pytest.param("check", _hostile()[0], {**_hostile()[1], "sequences": {"01": [1]}}, 2,
                  "error: schedule.sequences: key '01' is not an integer written as str(n)", id="sequence-key-01"),
     pytest.param("check", _hostile(setup={"setup_first": {"1": 0}, "setup_between": {}})[0],

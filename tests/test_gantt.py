@@ -1,11 +1,15 @@
 import re
 
+import pytest
+
 from flexshop.gantt import render_svg
 from flexshop.model import (MAX_TIME, Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable,
                             validate_instance)
 
+from flexshop.timing import check_schedule
+
 from oracles import decode
-from test_timing import lift_instance, serial_instance
+from test_timing import lift_instance, serial_instance, tampered
 
 
 def test_svg_structure():
@@ -99,3 +103,20 @@ def test_negative_times_and_times_out_to_64_bits_still_render():
     for so in (ScheduledOp(1, -7, 2, -5, 0, 3), ScheduledOp(1, -MAX_TIME, 1, -MAX_TIME + 1, MAX_TIME, MAX_TIME)):
         svg = render_svg(inst, Schedule(ops={1: so}, sequences={1: (1,)}))
         assert f"makespan {so.completion}" in svg and svg.count('fill="#3366cc"') == 1
+
+
+@pytest.mark.parametrize("kind", ["record-id", "record-machine", "sequence-key", "sequence-entry"])
+def test_check_and_gantt_refuse_an_unknown_id_with_one_message(kind):
+    inst = serial_instance()
+    sched = decode(inst, {1: 1, 2: 1}, {1: [1, 2]})
+    sched, unknown = {
+        "record-id": (Schedule(ops={**sched.ops, 9: sched.ops[2]}, sequences=sched.sequences), "operations [9]"),
+        "record-machine": (tampered(sched, 2, machine=7), "machines [7]"),
+        "sequence-key": (Schedule(ops=sched.ops, sequences={**sched.sequences, 7: ()}), "machines [7]"),
+        "sequence-entry": (Schedule(ops=sched.ops, sequences={1: (1, 2, 9)}), "operations [9]"),
+    }[kind]
+    with pytest.raises(ValueError) as checked:
+        check_schedule(inst, sched)
+    with pytest.raises(ValueError) as drawn:
+        render_svg(inst, sched)
+    assert str(checked.value) == str(drawn.value) == f"schedule references unknown {unknown}"

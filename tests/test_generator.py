@@ -149,17 +149,17 @@ def test_pinned_operations_across_seeds():
             assert k not in machines_used
             machines_used.add(k)
             assert start >= 20
-            first_begin = inst.machine(k).windows[0][0]
+            first_begin = inst.machines_by_id[k].windows[0][0]
             assert start + op.eligible[k] <= first_begin
     assert pinned_total >= 1
 
 
 def test_pinned_example_frozen():
     inst = from_class("medium", 10, 2)
-    op = inst.op(3)
+    op = inst.ops_by_id[3]
     assert op.fixed == (2, 20)
     assert op.eligible == {2: 4}
-    assert inst.machine(2).windows[0] == (24, 33)
+    assert inst.machines_by_id[2].windows[0] == (24, 33)
 
 
 def test_with_full_overlap():

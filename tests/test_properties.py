@@ -162,7 +162,7 @@ def best_completion(inst: Instance, engine: PlacementEngine) -> int | None:
         return max((rec.completion for rec in engine.placed.values()), default=0)
     best = None
     for i in sorted(engine.ready):
-        for k in sorted(inst.op(i).eligible):
+        for k in sorted(inst.ops_by_id[i].eligible):
             try:
                 rec = engine.placement(i, k)
             except DecodeInfeasible:
@@ -189,7 +189,7 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
     for _ in range(data.draw(st.integers(max(1, len(inst.operations) - 4), len(inst.operations)))):
         appends = []
         for i in sorted(bounder.engine.ready):
-            for k in sorted(inst.op(i).eligible):
+            for k in sorted(inst.ops_by_id[i].eligible):
                 try:
                     appends.append((i, bounder.engine.placement(i, k)))
                 except DecodeInfeasible:

@@ -245,7 +245,7 @@ def test_growing_node_budgets_never_worsen_the_incumbent():
 def pinned_variant(inst: Instance, start: int) -> Instance:
     """`inst` with its lowest-id source operation pinned to its last eligible machine."""
     i = min(op.id for op in inst.operations if not inst.predecessors[op.id])
-    op = inst.op(i)
+    op = inst.ops_by_id[i]
     k = max(op.eligible)
     pinned = replace(op, eligible={k: op.eligible[k]}, fixed=(k, start))
     return replace(inst, operations=tuple(pinned if o.id == i else o for o in inst.operations))
@@ -363,7 +363,7 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
     def descend() -> None:
         nonlocal nodes
         for i in sorted(engine.ready):
-            for k in sorted(inst.op(i).eligible):
+            for k in sorted(inst.ops_by_id[i].eligible):
                 if nodes >= node_limit:
                     return
                 try:
