@@ -14,7 +14,7 @@ import heapq
 from time import perf_counter
 
 from .model import Instance, Schedule, ScheduledOp, SolveResult, makespan, topological_order
-from .timing import DecodeInfeasible, PlacementEngine
+from .timing import DecodeInfeasible, Floors, PlacementEngine
 
 _INF = float("inf")
 
@@ -112,6 +112,17 @@ class _Bounder:
         self.reach = reach
         return self.bound()
 
+    def child_bound(self, i: int, k: int, floors: Floors) -> int:
+        """From the `floors` of appending `i` to `k` alone, a bound at most what :meth:`push` would return.
+
+        The placement completes no earlier than the start floor plus `i`'s
+        processing time, nor before the completion floor, and `k` then owes
+        what it owes now, less `i`'s processing if `i` is eligible on `k` only.
+        """
+        _, start_floor, completion_floor = floors
+        c = start_floor + self.engine.ops[i].eligible[k]
+        return (c if c > completion_floor else completion_floor) + self.owed.get(k, 0) - self.solo.get(i, 0)
+
     def bound(self) -> int:
         """The bound of the current placement."""
         lb, tail = self.reach, self.engine.tail
@@ -155,7 +166,11 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     updates it along the appended operation's descendants only and an undo
     restores it from a trail, with no pass over every operation.
     One loop runs the search over a stack of frames, one per open node: its
-    child iterator, over the ready set its commit left. A child bounded below
+    child iterator, over the ready set its commit left. A child is bounded
+    before it is placed, from its floors alone (:meth:`_Bounder.child_bound`),
+    and one that bound prunes still counts as a node, so the tree and its
+    counts are those of pushing it; a pinned child, whose placement may raise
+    (a child that raises is no node), is placed first. A child bounded below
     the incumbent pushes a frame unless it is a leaf; a frame out of children
     pops, and unless it was the root's the bounder undoes its node's commit.
     One budget, fixed at entry, covers the whole solve: a deadline
@@ -172,7 +187,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     t0 = perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
     cap = _INF if node_limit is None else node_limit
-    n_ops = len(inst.operations)
+    n_ops, ops = len(inst.operations), inst.ops_by_id
     bounder = _Bounder(inst)
     engine = bounder.engine
     root_lb = bounder.root
@@ -201,8 +216,12 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
         for i, k in stack[-1]:
             if nodes >= cap or (deadline is not None and perf_counter() > deadline):
                 return _result("limit", t0, nodes, incumbent, root_lb)
+            floors = engine.floors(i, k)
+            if ops[i].fixed is None and bounder.child_bound(i, k, floors) >= ub:
+                nodes += 1  # the push would prune it; only a pin's placement can raise
+                continue
             try:
-                rec = engine.placement(i, k)
+                rec = engine.placement(i, k, floors)
             except DecodeInfeasible:
                 continue
             nodes += 1

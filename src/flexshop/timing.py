@@ -25,6 +25,7 @@ from typing import Sequence
 from .model import Instance, Schedule, ScheduledOp, Violation, refuse_unknown_ids
 
 Calendar = Sequence[tuple[int, int]]
+Floors = tuple[int, int, int]
 
 
 class DecodeInfeasible(ValueError):
@@ -105,7 +106,8 @@ class PlacementEngine:
     completion floor. Completion never falls as the start rises, so a start
     whose completion misses the floor is lifted to the first legal start past
     the latest start that completes before the floor; the placement stays
-    left-tight.
+    left-tight. The floors come first, from :meth:`floors`, which reads no
+    calendar, so a caller may bound an append before `placement` uses them.
     """
 
     def __init__(self, inst: Instance):
@@ -120,16 +122,14 @@ class PlacementEngine:
         self.pred_left: dict[int, int] = {op.id: len(self.preds[op.id]) for op in inst.operations}
         self.ready: set[int] = {i for i, n in self.pred_left.items() if n == 0}
 
-    def placement(self, op_id: int, machine_id: int) -> ScheduledOp:
-        """Compute the earliest placement at `machine_id`'s tail; changes nothing.
+    def floors(self, op_id: int, machine_id: int) -> Floors:
+        """(setup length, start floor, completion floor) of appending `op_id` to `machine_id`'s tail.
 
-        A pinned operation is placed as a free one whose start floor is raised
-        to its pin. Raises DecodeInfeasible when its start then misses the pin,
-        or its completion misses the completion floor: a pinned operation is
-        never lifted.
+        The start floor is the latest of the machine's tail plus the setup, the
+        release and the predecessors' partial completions, the completion floor
+        their latest completion; neither holds a pin. Changes nothing.
         """
         op = self.ops[op_id]
-        calendar = self.calendars[machine_id]
         seq = self.seqs[machine_id]
         setups = self.setups[machine_id]
         setup_len = setups.between(self.ops[seq[-1]], op) if seq else setups.first(op)
@@ -144,7 +144,20 @@ class PlacementEngine:
                 start_floor = rec.partial_completion
             if rec.completion > completion_floor:
                 completion_floor = rec.completion
+        return setup_len, start_floor, completion_floor
 
+    def placement(self, op_id: int, machine_id: int, floors: Floors | None = None) -> ScheduledOp:
+        """Compute the earliest placement at `machine_id`'s tail; changes nothing.
+
+        It starts from the append's :meth:`floors`, or from `floors` when the
+        caller has read them in the current state. A pinned operation is
+        placed as a free one whose start floor is raised to its pin. Raises
+        DecodeInfeasible when its start then misses the pin, or its completion
+        misses the completion floor: a pinned operation is never lifted.
+        """
+        setup_len, start_floor, completion_floor = self.floors(op_id, machine_id) if floors is None else floors
+        op = self.ops[op_id]
+        calendar = self.calendars[machine_id]
         proc = op.eligible[machine_id]
         pinned = None if op.fixed is None else op.fixed[1]
         if pinned is not None and pinned > start_floor:

@@ -202,3 +202,40 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
     best = best_completion(inst, replay)
     if best is not None:
         assert lb <= best
+
+
+@st.composite
+def pinned_overlapping_instances(draw) -> Instance:
+    """A small instance, windows on every machine, θ below 1 before each arc and a pin where one is valid."""
+    inst = generate(replace(params_for_class("small", draw(st.integers(1, 30))), seed=draw(st.integers(1, 10**6))))
+    has_succ = {i for i, _ in inst.arcs}
+    inst = replace(inst, operations=tuple(replace(op, theta_hundredths=draw(st.integers(50, 99)))
+                                          if op.id in has_succ else op for op in inst.operations))
+    pinned = pinned_variant(inst, draw(st.integers(0, 60)))
+    return inst if validate_instance(pinned) else pinned
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(inst=pinned_overlapping_instances(), data=st.data())
+def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
+    # after a random feasible prefix, every child's bound from its floors alone stays
+    # at or below the bound its push returns, and the floors place it as placement alone does
+    bounder = _Bounder(inst)
+    engine = bounder.engine
+    for _ in range(data.draw(st.integers(0, len(inst.operations) - 1))):
+        appends = []
+        for i in sorted(engine.ready):
+            for k in sorted(inst.ops_by_id[i].eligible):
+                floors = engine.floors(i, k)
+                try:
+                    rec = engine.placement(i, k, floors)
+                except DecodeInfeasible:
+                    continue
+                assert rec == engine.placement(i, k)
+                child_lb = bounder.child_bound(i, k, floors)
+                assert child_lb <= bounder.push(i, rec), (i, k)
+                bounder.pop()
+                appends.append((i, rec))
+        if not appends:
+            break
+        bounder.push(*data.draw(st.sampled_from(appends)))

@@ -354,7 +354,10 @@ def test_exact_returns_the_unreduced_incumbent():
 
 
 def walk_every_append(inst: Instance, node_limit: int) -> int:
-    """Check the incremental bound against the full pass at every append, depth first; returns the nodes."""
+    """Check the incremental bound against the full pass, and the pre-placement bound below it, at every append.
+
+    Walks depth first; returns the nodes.
+    """
     bounder = _Bounder(inst)
     engine = bounder.engine
     assert bounder.root == bounder.bound() == full_pass_bound(inst, engine)
@@ -366,13 +369,15 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
             for k in sorted(inst.ops_by_id[i].eligible):
                 if nodes >= node_limit:
                     return
+                floors = engine.floors(i, k)
                 try:
-                    rec = engine.placement(i, k)
+                    rec = engine.placement(i, k, floors)
                 except DecodeInfeasible:
                     continue
-                before = bounder.bound()
+                assert rec == engine.placement(i, k), (i, k)
+                before, child_lb = bounder.bound(), bounder.child_bound(i, k, floors)
                 nodes += 1
-                assert bounder.push(i, rec) == full_pass_bound(inst, engine), (i, k)
+                assert child_lb <= bounder.push(i, rec) == full_pass_bound(inst, engine), (i, k)
                 descend()
                 bounder.pop()
                 assert bounder.bound() == before == full_pass_bound(inst, engine), (i, k)
@@ -423,6 +428,20 @@ def test_proof_set_needs_few_nodes():
         assert (res.status, res.makespan) == ("optimal", optimum), seed
         nodes += res.nodes
     assert nodes < 60_000
+
+
+def test_the_search_tree_keeps_its_node_counts_and_budget_outcomes():
+    # machine-independent pins of the tree the search walks: a change in its
+    # per-node cost must leave every count, incumbent and bound where it was
+    def small(k: int, seed: int) -> Instance:
+        return generate(replace(params_for_class("small", k), seed=seed))
+
+    assert sum(solve_exact(small(1, seed)).nodes for seed in range(1, 13)) == 37_560
+    res = solve_exact(small(15, 42))
+    assert (res.status, res.makespan, res.nodes) == ("optimal", 263, 40_318)
+    budget = [solve_exact(small(15, seed), node_limit=100_000) for seed in (1, 2, 3)]
+    assert [(r.status, r.makespan, r.lower_bound, r.nodes) for r in budget] == [
+        ("limit", 434, 197, 100_000), ("limit", 244, 131, 100_000), ("limit", 276, 189, 100_000)]
 
 
 def test_greedy_chain():
