@@ -17,7 +17,7 @@ from . import __version__
 from .gantt import render_svg
 from .generator import generate, params_for_class
 from .jsonio import dumps_instance, dumps_manifest, dumps_report, dumps_result, loads_instance, loads_schedule
-from .milp import build_model, lp_blocks
+from .milp import build_model, lp_lines
 from .model import Instance, validate_instance
 from .solvers import greedy_result, solve_exact
 from .timing import DecodeInfeasible, check_schedule
@@ -36,17 +36,17 @@ def _write(path: str, text: str) -> None:
     _write_blocks(path, (text,))
 
 
-def _write_blocks(path: str, blocks: Iterable[str]) -> None:
-    """Write the blocks as they come; stdout gets a final newline if the text lacks one."""
+def _write_blocks(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces unjoined as they come, buffered by the file; stdout gets a final newline if the text lacks one."""
     if path == "-":
         last = ""
-        for last in blocks:
+        for last in pieces:
             sys.stdout.write(last)
         if not last.endswith("\n"):
             sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(blocks)
+        fh.writelines(pieces)
 
 
 def _load_valid_instance(path: str) -> Instance:
@@ -107,7 +107,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
-    _write_blocks(args.out, lp_blocks(build_model(inst)))
+    _write_blocks(args.out, lp_lines(build_model(inst)))
     return 0
 
 

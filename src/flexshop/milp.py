@@ -22,8 +22,8 @@ The model stores no names: each row formats the variable names it uses where
 it uses them. The three fields of :class:`MilpModel` are views that keep no
 state: each pass, ``len()``'s counting pass too, makes their names or rows
 anew from index data and, per machine, a setup object and hosted operation
-records. :func:`lp_blocks`, :func:`emit_lp` and :func:`evaluate_schedule` hold
-one row at a time, plus one block of LP text or, in :func:`emit_lp`, all of it.
+records. :func:`lp_lines`, :func:`emit_lp` and :func:`evaluate_schedule` hold
+one row at a time, plus one line of LP text or, in :func:`emit_lp`, all of it.
 :func:`schedule_values` formats the same names on its own on purpose: it is the
 independent side of the row check, and a mismatch shows up as violated rows on
 a proven optimum.
@@ -249,9 +249,6 @@ def build_model(inst: Instance) -> MilpModel:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_LINES = 4096  # lines per block of LP text: large enough to amortize a write, small to hold
-
-
 def _row_line(name: str, terms: tuple[tuple[int, str], ...], sense: str, rhs: int) -> str:
     parts = []
     for coef, var in terms:
@@ -259,28 +256,21 @@ def _row_line(name: str, terms: tuple[tuple[int, str], ...], sense: str, rhs: in
             parts.append(f"- {var}" if coef == -1 else f"- {-coef} {var}")
         else:
             parts.append(f"+ {var}" if coef == 1 else f"+ {coef} {var}")
-    return f" {name}: {' '.join(parts).removeprefix('+ ')} {sense} {rhs}"  # no sign before a leading plus
+    return f" {name}: {' '.join(parts).removeprefix('+ ')} {sense} {rhs}\n"  # no sign before a leading plus
 
 
-def _lp_lines(model: MilpModel) -> Iterator[str]:
-    yield from ("Minimize", " obj: Cmax", "Subject To")
-    yield from starmap(_row_line, model.constraints)
-    yield "Bounds"
-    yield from (f" {name} >= 0" for name in model.continuous)
-    yield "Binaries"
-    yield from (f" {name}" for name in model.binaries)
-    yield "End"
+def lp_lines(model: MilpModel) -> Iterator[str]:
+    """The text of :func:`emit_lp`, one line at a time, each ending in a newline.
 
-
-def lp_blocks(model: MilpModel) -> Iterator[str]:
-    """The text of :func:`emit_lp` in blocks of whole lines, each ending in a newline.
-
-    One pass over the rows; only the block being built is held.
+    One pass over the rows; only the line being yielded is held.
     """
-    lines = _lp_lines(model)
-    while block := list(islice(lines, _BLOCK_LINES)):
-        block.append("")
-        yield "\n".join(block)
+    yield from ("Minimize\n", " obj: Cmax\n", "Subject To\n")
+    yield from starmap(_row_line, model.constraints)
+    yield "Bounds\n"
+    yield from (f" {name} >= 0\n" for name in model.continuous)
+    yield "Binaries\n"
+    yield from (f" {name}\n" for name in model.binaries)
+    yield "End\n"
 
 
 def emit_lp(model: MilpModel) -> str:
@@ -289,7 +279,8 @@ def emit_lp(model: MilpModel) -> str:
     Continuous variables each get an explicit (default) bound line so the
     declaration list survives a round trip through the text form.
     """
-    return "".join(lp_blocks(model))
+    lines = lp_lines(model)  # joined in batches: a list of every line would outweigh the text
+    return "".join(iter(lambda: "".join(islice(lines, 4096)), ""))
 
 
 # ---------------------------------------------------------------------------

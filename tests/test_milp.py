@@ -7,7 +7,7 @@ import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import loads_instance
-from flexshop.milp import build_model, emit_lp, evaluate_schedule, schedule_values
+from flexshop.milp import build_model, emit_lp, evaluate_schedule, lp_lines, schedule_values
 from flexshop.model import Instance, Machine, Operation, Schedule, SetupRule, SetupTable
 from flexshop.solvers import solve_greedy
 from flexshop.timing import check_schedule
@@ -45,6 +45,15 @@ LP_SHA256 = {
 
 def seed7(cls: str, k: int):
     return generate(replace(params_for_class(cls, k), seed=7))
+
+
+def test_lp_lines_yields_whole_lines_that_join_to_emit_lp():
+    models = [build_model(golden(name)[0]) for name in ("single", "chain", "flex")]
+    models.append(build_model(seed7("medium", 1)))
+    for model in models:
+        lines = list(lp_lines(model))
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == emit_lp(model)
 
 
 def test_emitted_lp_matches_pinned_digests():
@@ -324,17 +333,24 @@ def test_build_model_keeps_no_names():
     assert len(model.constraints) > 0
 
 
-def test_lp_export_and_row_check_peak_below_a_fixed_bound():
-    # Python 3.11, medium 20 seed 7: holding every row peaked at 67 MB (LP
-    # export) and 45 MB (row check); made as they are consumed, 20 MB and 10 MB
-    inst = seed7("medium", 20)
+def traced_peak(run) -> int:
+    """The peak of the memory that ``run()`` allocates, in bytes, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lp_export_and_row_check_peak_below_a_multiple_of_the_text():
+    # Python 3.11, small 25 seed 7 (3,830 LP lines), in multiples of the LP
+    # text's size: made as they are consumed, the rows peaked at 3.3 in
+    # emit_lp and 0.6 in evaluate_schedule; holding every row, at 11.1 and 6.5
+    inst = seed7("small", 25)
     sched = solve_greedy(inst)
-    for label, run in (("emit_lp", lambda: emit_lp(build_model(inst))),
-                       ("evaluate_schedule", lambda: evaluate_schedule(inst, sched))):
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 35 * 2**20, f"{label} peaked at {peak / 2**20:.1f} MB"
+    size = len(emit_lp(build_model(inst)))
+    for label, run, bound in (("emit_lp", lambda: emit_lp(build_model(inst)), 6 * size),
+                              ("evaluate_schedule", lambda: evaluate_schedule(inst, sched), 2 * size)):
+        peak = traced_peak(run)
+        assert peak < bound, f"{label} peaked at {peak / size:.1f} times the LP text's size"
