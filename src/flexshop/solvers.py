@@ -11,6 +11,7 @@ returns the bare schedule, or None past its deadline.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from time import perf_counter
 
 from .model import Instance, Schedule, ScheduledOp, SolveResult, makespan, topological_order
@@ -260,21 +261,26 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     and returns None once the deadline has passed.
     Pairs wait in one heap of (key, op, machine, stamp, record or None) and
     are placed lazily. An entry's stamp is the length of the machine's
-    sequence when it was pushed: the greedy never undoes, so that length is
-    the machine's commit count. An entry holding None is keyed by a lower
-    bound on the pair's completion, the engine's `tail` of the machine plus
-    the processing time: a start follows the tail and its setup, and windows
-    only stretch the processing. When popped it is placed, pin check
-    included, and goes back keyed by its completion, or is dropped if the
-    placement raises or the pin check rejects it. A commit to a machine,
-    the only event that moves its tail or its earliest pin, lengthens its
-    sequence, which drops its older entries when popped, and pushes a bound
-    entry for each ready operation eligible there; an operation that becomes
-    ready gets one on each of its machines. No key exceeds its pair's
-    completion, so the first answer popped is the smallest (completion, op,
-    machine) over all live pairs, the pair a rescan of every pair would
-    commit. Each (op, machine, stamp) has at most one entry at a time, so
-    the record or None is never compared.
+    sequence when it was pushed, its commit count, as the greedy never
+    undoes; so a commit, the only event that moves a machine's tail or its
+    earliest pin, makes the machine's older entries drop when popped. An entry
+    holding None is keyed by a lower bound on the pair's completion, the
+    machine's `tail` plus the processing time (a start follows the tail and
+    its setup; windows only stretch the processing). Popped, it is placed,
+    pin check included, and goes back keyed by its completion, or is dropped
+    if the placement raises or the pin check rejects it. Each machine keeps
+    its ready operations sorted by (processing time, op), the order of their
+    keys under one stamp, and a cursor into that list: the heap holds one
+    cursor entry per machine, the least bound entry it still owes, and
+    popping it moves the cursor on and pushes the next one's. A commit takes
+    the operation out of every list, moving on each cursor held there, and
+    resets its machine's cursor. An operation that becomes ready joins the
+    list of each of its machines, and is pushed directly where it sorts
+    ahead of the cursor or the cursor is exhausted. No key exceeds its
+    pair's completion, so the first answer popped is the smallest
+    (completion, op, machine) over all live pairs, the pair a rescan of
+    every pair would commit. Each (op, machine, stamp) has at most one entry
+    at a time, so the record or None is never compared.
     """
     engine = PlacementEngine(inst)
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
@@ -297,14 +303,29 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
                 break
         return rec
 
-    heap = [(p, i, k, 0, None) for i in engine.ready for k, p in ops[i].eligible.items()]
+    front = {k: sorted((ops[i].eligible[k], i) for i in inst.eligible_ops[k] if i in engine.ready)
+             for k in seqs}  # machine -> its ready eligible (p, op), ascending
+    cursor = dict.fromkeys(seqs, 0)
+    heap = [(f[0][0], f[0][1], k, 0, None) for k, f in front.items() if f]  # every tail is 0
     heapq.heapify(heap)
+
+    def push_cursor(k: int, c: int) -> None:
+        """Move `k`'s cursor to index `c` and push the bound entry of the operation there, if any."""
+        cursor[k] = c
+        if c < len(front[k]):
+            p, j = front[k][c]
+            heapq.heappush(heap, (tail[k] + p, j, k, len(seqs[k]), None))
+
     while len(placed) < n_ops:
         if deadline is not None and perf_counter() > deadline:
             return None
         while heap:
             _, i, k, n, rec = heapq.heappop(heap)
-            if n != len(seqs[k]) or i in placed:
+            if n != len(seqs[k]):
+                continue
+            if rec is None and cursor[k] < len(front[k]) and front[k][cursor[k]][1] == i:  # the cursor entry
+                push_cursor(k, cursor[k] + 1)
+            if i in placed:
                 continue
             if rec is not None:
                 break
@@ -316,15 +337,20 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             raise DecodeInfeasible(
                 f"no operation can be placed (pinned starts block every candidate) among {stuck}")
         engine.commit(i, rec)
-        n, c = len(seqs[k]), tail[k]
-        for j in engine.ready:
-            p = ops[j].eligible.get(k)
-            if p is not None:
-                heapq.heappush(heap, (c + p, j, k, n, None))
+        for kj, p in ops[i].eligible.items():  # `i` leaves every list, and `k`'s cursor starts over
+            at = bisect_left(front[kj], (p, i))
+            del front[kj][at]
+            if kj == k or at == cursor[kj]:  # a reset, or `i` held the cursor: its entry is dead
+                push_cursor(kj, 0 if kj == k else at)
+            elif at < cursor[kj]:
+                cursor[kj] -= 1
         for j in engine.succs[i]:
             if j in engine.ready:  # ready only now, since `i` was its unplaced predecessor
                 for kj, p in ops[j].eligible.items():
-                    if kj != k:
+                    at = bisect_left(front[kj], (p, j))
+                    front[kj].insert(at, (p, j))
+                    if at <= cursor[kj]:  # ahead of the cursor, or the cursor is exhausted
+                        cursor[kj] += 1
                         heapq.heappush(heap, (tail[kj] + p, j, kj, len(seqs[kj]), None))
     return engine.schedule()
 

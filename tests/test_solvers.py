@@ -1,7 +1,9 @@
+import heapq
 import itertools
 import json
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -285,6 +287,26 @@ def two_pins_on_one_machine() -> Instance:
         machines=(Machine(1, windows=((50, 55),), setup=rule), Machine(2, setup=rule)))
 
 
+def frontier_direct_pushes() -> list[Instance]:
+    """Two instances in which an operation that becomes ready is pushed directly on another machine."""
+    rule = SetupRule(0, 0, 0, 0)
+    # ahead of the cursor: when 1 commits, machine 2's cursor holds 3 (key 10),
+    # and 2, which 1 made ready, sorts ahead of it there (key 1) and wins
+    ahead = Instance(
+        num_machines=2,
+        operations=(Operation(1, 1, {1: 2}), Operation(2, 1, {1: 9, 2: 1}), Operation(3, 2, {2: 10})),
+        arcs=((1, 2),), machines=(Machine(1, setup=rule), Machine(2, setup=rule)))
+    # the cursor exhausted: 3 (key 2) was popped on machine 2 and completes only
+    # at 22, after its release, so machine 2's cursor has run off its list when
+    # 1 commits; 2, which 1 made ready, sorts after 3 there and wins
+    exhausted = Instance(
+        num_machines=2,
+        operations=(Operation(1, 1, {1: 3}), Operation(2, 1, {2: 4}), Operation(3, 2, {2: 2}, release=20)),
+        arcs=((1, 2),), machines=(Machine(1, setup=rule), Machine(2, setup=rule)))
+    assert validate_instance(ahead) == validate_instance(exhausted) == []
+    return [ahead, exhausted]
+
+
 def test_greedy_equals_a_rescan_from_scratch():
     # the greedy places a pair only when its lower-bound key reaches the top of
     # the heap and keeps the answer until a commit moves that machine's tail;
@@ -292,12 +314,12 @@ def test_greedy_equals_a_rescan_from_scratch():
     # recomputed, must give the same schedule. On large 10 seed 7 some pairs
     # complete earlier after their machine's tail moves; on medium 9 seed 7 a
     # heap keyed by such stale completions commits a different pair
-    cases = [*unreduced_cases(), pinned_at_zero(), two_pins_on_one_machine()]
+    cases = [*unreduced_cases(), pinned_at_zero(), two_pins_on_one_machine(), *frontier_direct_pushes()]
     cases += [generate(replace(params_for_class(name, k), seed=seed))
               for name, k, seed in (("small", 16, 17), ("medium", 10, 2), ("medium", 17, 1),
                                     ("medium", 9, 7), ("large", 10, 7))]
     cases.append(reversed_ids(cases[-1]))  # every id tie-break flipped
-    assert len(cases) == 71
+    assert len(cases) == 73
     rejected = 0
     for inst in cases:
         try:
@@ -311,25 +333,62 @@ def test_greedy_equals_a_rescan_from_scratch():
     assert rejected > 0  # the pin check fires
 
 
+def count_greedy_work(monkeypatch) -> dict[str, int]:
+    """Count the placements made and the heap entries flexshop.solvers pushes, in the returned dict."""
+    counts = {"placements": 0, "pushes": 0}
+    place = PlacementEngine.placement
+
+    def counted_placement(self, i, k):
+        counts["placements"] += 1
+        return place(self, i, k)
+
+    def counted_push(heap, entry):
+        counts["pushes"] += 1
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(PlacementEngine, "placement", counted_placement)
+    monkeypatch.setattr("flexshop.solvers.heapq",
+                        SimpleNamespace(heappush=counted_push, heappop=heapq.heappop, heapify=heapq.heapify))
+    return counts
+
+
 def test_greedy_places_only_pairs_that_can_win(monkeypatch):
     # a pair is placed only once its lower-bound key reaches the top of the
     # heap; re-placing every ready pair on a machine after each commit to it
-    # made 19,603 placements on large 25. The exact counts are pinned, so a
-    # rewrite of the greedy that places a different set of pairs shows here
-    place = PlacementEngine.placement
-
-    def counted(self, i, k):
-        nonlocal calls
-        calls += 1
-        return place(self, i, k)
-
-    monkeypatch.setattr(PlacementEngine, "placement", counted)
-    counts = {}
-    for k in (25, 50):
-        calls = 0
+    # made 19,603 placements on large 25. Each machine pushes one cursor entry
+    # at a time; re-pushing every ready pair on a machine after each commit to
+    # it pushed 21,736, 79,184 and 387,994 entries. The exact counts are
+    # pinned, so a rewrite of the greedy that places a different set of pairs,
+    # or pushes more, shows here
+    counts = count_greedy_work(monkeypatch)
+    seen = {}
+    for k in (25, 50, 100):
+        counts.update(placements=0, pushes=0)
         solve_greedy(generate(replace(params_for_class("large", k), seed=7)))
-        counts[k] = calls
-    assert counts == {25: 3646, 50: 9759}
+        seen[k] = (counts["placements"], counts["pushes"])
+    assert seen == {25: (3646, 8525), 50: (9759, 22537), 100: (54338, 120671)}
+
+
+def one_machine(n: int) -> Instance:
+    """`n` operations on one machine, no arcs, processing times spread over 1..1009, mixed sizes and colors."""
+    return Instance(
+        num_machines=1,
+        operations=tuple(Operation(i, i, {1: 1 + i * 389 % 1009}, size=1 + i % 3, color=1 + i % 4)
+                         for i in range(1, n + 1)),
+        arcs=(), machines=(Machine(1, setup=SetupRule(2, 3, 1, 0)),))
+
+
+def test_greedy_pushes_linearly_in_its_placements_on_one_machine(monkeypatch):
+    # each pop of the machine's cursor entry is a placement and pushes one
+    # entry, each placement pushes its answer and each commit resets the
+    # cursor; pushing every ready operation at each commit pushed about
+    # n^2 / 2 entries, some 5 million here
+    assert solve_greedy(one_machine(200)) == rescan_greedy(one_machine(200))[0]
+    counts = count_greedy_work(monkeypatch)
+    inst = one_machine(3200)
+    assert validate_instance(inst) == []
+    assert solve_greedy(inst) is not None
+    assert counts["pushes"] <= 2 * counts["placements"] + 3200
 
 
 def test_exact_returns_the_unreduced_incumbent():
