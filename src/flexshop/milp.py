@@ -18,15 +18,18 @@ rather than equality, so an entirely unused machine (``sum(x) = 0``) stays
 feasible. The degree caps and the gap rows still force one simple chain
 through every operation the machine actually hosts.
 
-The model stores no names: each row formats the variable names it uses where
+The model stores no names: each row makes the variable names it uses where
 it uses them. The three fields of :class:`MilpModel` are views that keep no
 state: each pass, ``len()``'s counting pass too, makes their names or rows
 anew from index data and, per machine, a setup object and hosted operation
-records. :func:`lp_lines`, :func:`emit_lp` and :func:`evaluate_schedule` hold
+records. The index data holds the decimal text of every operation and machine
+id, made once per :func:`build_model` call, so the ``yI`` declarations and the
+rows quadratic in co-eligible pairs join strings and format no integer per
+name. :func:`lp_lines`, :func:`emit_lp` and :func:`evaluate_schedule` hold
 one row at a time, plus one line of LP text or, in :func:`emit_lp`, all of it.
-:func:`schedule_values` formats the same names on its own on purpose: it is the
-independent side of the row check, and a mismatch shows up as violated rows on
-a proven optimum.
+:func:`schedule_values` makes its own id text and the same names on its own on
+purpose: it is the independent side of the row check, and a mismatch shows up
+as violated rows on a proven optimum.
 """
 
 from __future__ import annotations
@@ -116,7 +119,11 @@ def build_model(inst: Instance) -> MilpModel:
     hosts = {k: inst.eligible_ops[k] for k in sorted(inst.machines_by_id)}
     windows = {k: inst.machines_by_id[k].windows for k in hosts}
     setups = {k: inst.machines_by_id[k].setup for k in hosts}
-    host_ops = {k: [op_of[i] for i in here] for k, here in hosts.items()}
+    # the decimal text of each id, made once: the yI declarations and the quadratic
+    # row families join these strings and format no integer for each name
+    text = {i: str(i) for i in ops}
+    k_text = {k: str(k) for k in hosts}
+    host_ops = {k: [(op_of[i], text[i]) for i in here] for k, here in hosts.items()}
     has_succ = sorted({i for i, _ in inst.arcs})
     arcs = sorted(inst.arcs)
 
@@ -124,7 +131,9 @@ def build_model(inst: Instance) -> MilpModel:
 
     def binaries() -> Iterator[str]:  # names in declaration order, as in continuous()
         yield from (f"x_{i}_{k}" for i, k in per_ik)
-        yield from (f"yI_{i}_{j}_{k}" for k, here in hosts.items() for i in here for j in here if i != j)
+        for k, here in host_ops.items():
+            sk = k_text[k]
+            yield from (f"yI_{si}_{sj}_{sk}" for opi, si in here for opj, sj in here if opi is not opj)
         for p in ("v", "w", "wb"):
             yield from (f"{p}_{i}_{k}_{ell}" for i, k in per_ik for ell in range(1, len(windows[k]) + 1))
 
@@ -179,36 +188,39 @@ def build_model(inst: Instance) -> MilpModel:
         for i, j in arcs:
             yield f"end_order_{i}_{j}", ((1, f"c_{i}"), (-1, f"c_{j}")), "<=", 0
 
-        for k, here in hosts.items():  # pairs in the declaration order of yI; both rows share their terms
-            minus_x = [(i, (-1, f"x_{i}_{k}")) for i in here]
-            for i, minus_xi in minus_x:
-                for j, minus_xj in minus_x:
-                    if i != j:
-                        tag = f"{i}_{j}_{k}"
+        for k, here in host_ops.items():  # pairs in the declaration order of yI; both rows share their terms
+            sk = k_text[k]
+            minus_x = [(opi, si, (-1, f"x_{si}_{sk}")) for opi, si in here]
+            for opi, si, minus_xi in minus_x:
+                for opj, sj, minus_xj in minus_x:
+                    if opi is not opj:
+                        tag = f"{si}_{sj}_{sk}"
                         plus_y = 1, f"yI_{tag}"
                         yield f"imm_x_pred_{tag}", (plus_y, minus_xi), "<=", 0
                         yield f"imm_x_succ_{tag}", (plus_y, minus_xj), "<=", 0
-        for k, here in hosts.items():
-            terms = [(1, f"yI_{i}_{j}_{k}") for i in here for j in here if i != j]
-            terms += [(-1, f"x_{i}_{k}") for i in here]
+        for k, here in host_ops.items():
+            sk = k_text[k]
+            terms = [(1, f"yI_{si}_{sj}_{sk}") for opi, si in here for opj, sj in here if opi is not opj]
+            terms += [(-1, f"x_{si}_{sk}") for _, si in here]
             if terms:
-                yield f"chain_count_{k}", tuple(terms), ">=", -1
-        for k, here in hosts.items():
-            for i in here:
-                if succ := tuple([(1, f"yI_{i}_{j}_{k}") for j in here if j != i]):
-                    yield f"succ_once_{k}_{i}", succ, "<=", 1
-            for j in here:
-                if pred := tuple([(1, f"yI_{i}_{j}_{k}") for i in here if i != j]):
-                    yield f"pred_once_{k}_{j}", pred, "<=", 1
+                yield f"chain_count_{sk}", tuple(terms), ">=", -1
+        for k, here in host_ops.items():
+            sk = k_text[k]
+            for opi, si in here:
+                if succ := tuple([(1, f"yI_{si}_{sj}_{sk}") for opj, sj in here if opj is not opi]):
+                    yield f"succ_once_{sk}_{si}", succ, "<=", 1
+            for opj, sj in here:
+                if pred := tuple([(1, f"yI_{si}_{sj}_{sk}") for opi, si in here if opi is not opj]):
+                    yield f"pred_once_{sk}_{sj}", pred, "<=", 1
 
         for j, k in per_ik:
             opj, setup = op_of[j], setups[k]
-            gf, between = setup.first(opj), setup.between
-            terms = [(1, f"xih_{j}_{k}")]
-            for opi in host_ops[k]:
+            gf, between, jk = setup.first(opj), setup.between, f"{text[j]}_{k_text[k]}"
+            terms = [(1, f"xih_{jk}")]
+            for opi, si in host_ops[k]:
                 if opi is not opj and (diff := between(opi, opj) - gf):
-                    terms.append((-diff, f"yI_{opi.id}_{j}_{k}"))
-            yield f"setup_pick_def_{j}_{k}", tuple(terms), "=", gf
+                    terms.append((-diff, f"yI_{si}_{jk}"))
+            yield f"setup_pick_def_{jk}", tuple(terms), "=", gf
         for j, k in per_ik:
             xjk, xih, xib = f"x_{j}_{k}", f"xih_{j}_{k}", f"xib_{j}_{k}"
             yield f"setup_sel_ub_{j}_{k}", ((1, xib), (-m1, xjk)), "<=", 0
@@ -218,11 +230,12 @@ def build_model(inst: Instance) -> MilpModel:
             yield f"setup_len_def_{j}", ((1, f"xi_{j}"), *[(-1, f"xib_{j}_{k}") for k in eligible[j]]), "=", 0
 
         for i in ops:
-            plus_c, on_i = (1, f"c_{i}"), eligible[i]
+            plus_c, on_i, si = (1, f"c_{i}"), eligible[i], text[i]
             for j in sorted({h for k in on_i for h in hosts[k]} - {i}):  # the ops sharing a machine with i
-                on_j = op_of[j].eligible
-                yield (f"machine_gap_{i}_{j}", (plus_c, (-1, f"s_{j}"), (1, f"xi_{j}"),
-                                                *[(m2, f"yI_{i}_{j}_{k}") for k in on_i if k in on_j]), "<=", m2)
+                on_j, sj = op_of[j].eligible, text[j]
+                yield (f"machine_gap_{si}_{sj}", (plus_c, (-1, f"s_{sj}"), (1, f"xi_{sj}"),
+                                                  *[(m2, f"yI_{si}_{sj}_{k_text[k]}") for k in on_i if k in on_j]),
+                       "<=", m2)
         for i in ops:
             yield f"setup_within_start_{i}", ((1, f"s_{i}"), (-1, f"xi_{i}")), ">=", 0
 
@@ -301,7 +314,8 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
     one pass over the operations then sets every value an operation indexes.
     """
     val: dict[str, int] = {}
-    hosts = {k: set(here) for k, here in inst.eligible_ops.items()}
+    text = {op.id: str(op.id) for op in inst.operations}  # each id's text, made here, not taken from build_model
+    hosts = {k: {a: text[a] for a in here} for k, here in inst.eligible_ops.items()}  # hosted id -> its text
     pred_on_machine: dict[int, int | None] = {}
     listed_after: dict[tuple[int, int], list[int | None]] = {}  # (op, machine) -> what each listing there follows
     for k, seq in sched.sequences.items():
@@ -327,18 +341,18 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
         prev = pred_on_machine.get(i)
         for k in sorted(op.eligible):
             on_k = k == k_here
-            here = hosts[k]
-            val[f"x_{i}_{k}"] = 1 if on_k else 0
-            for a in here:
+            here, ik = hosts[k], f"{text[i]}_{k}"
+            val[f"x_{ik}"] = 1 if on_k else 0
+            for a, sa in here.items():
                 if a != i:
-                    val[f"yI_{a}_{i}_{k}"] = 0
+                    val[f"yI_{sa}_{ik}"] = 0
             for a in listed_after.get((i, k), ()):
                 if a != i and a in here:
-                    val[f"yI_{a}_{i}_{k}"] = 1
+                    val[f"yI_{here[a]}_{ik}"] = 1
             pick = inst.setup_between(k, prev, i) if on_k and prev != i and prev in here \
                 else inst.setup_first(k, i)  # prev None, i itself (listed twice) or not eligible on k: no pair
-            val[f"xih_{i}_{k}"] = pick
-            val[f"xib_{i}_{k}"] = pick if on_k else 0
+            val[f"xih_{ik}"] = pick
+            val[f"xib_{ik}"] = pick if on_k else 0
             if so is not None:
                 for ell, (b, e) in enumerate(inst.machines_by_id[k].windows, start=1):
                     val[f"v_{i}_{k}_{ell}"] = 1 if on_k and so.start >= e else 0

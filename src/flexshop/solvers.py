@@ -34,8 +34,8 @@ def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None
 # ---------------------------------------------------------------------------
 
 
-class _Bounder:
-    """A partial placement in its own engine, with a lower bound on its completions.
+class _Root:
+    """The lower bound of the empty placement, `root`, and the data it is made of.
 
     The bound is the largest of three independently valid parts: the largest
     placed completion; a head recursion through the precedence graph (an
@@ -44,25 +44,11 @@ class _Bounder:
     bounded by head plus their own minimum partial length, and completes no
     earlier than head plus its minimum processing time); and per machine the
     completion of its tail plus the processing still owed to it by unplaced
-    operations eligible nowhere else.
-
-    `root` is the bound of the empty placement. The bound is then kept
-    alongside `engine` rather than recomputed: :meth:`push` commits to the
-    engine and :meth:`pop` undoes the latest commit, so the placement changes
-    through them only. A commit only ever raises heads, since a placed
-    operation starts at or after its head, so the first two parts stay one
-    running maximum that a push folds the raised values into. A push walks
-    only the descendants of the placed operation whose head rises, and the
-    third part reads the engine's `tail` of each machine with single-machine
-    operations. Every head a push overwrites goes on a trail, and a pop
-    restores them.
+    operations eligible nowhere else. With nothing placed, every tail is 0.
     """
 
     def __init__(self, inst: Instance):
-        self.engine = PlacementEngine(inst)
-        topo = topological_order(inst)
-        self.rank = {i: n for n, i in enumerate(topo)}
-        self.succs = inst.successors
+        self.topo = topo = topological_order(inst)
         ops = inst.ops_by_id
         self.pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
         self.pbmin = {op.id: min(map(op.partial_units, op.eligible)) for op in inst.operations}
@@ -80,7 +66,28 @@ class _Bounder:
         self.head = head
         # the largest placed completion or unplaced head + pmin; nothing is placed yet
         self.reach = max((head[i] + self.pmin[i] for i in topo), default=0)
-        self.root = self.bound()
+        self.root = max([self.reach, *self.owed.values()])
+
+
+class _Bounder(_Root):
+    """A partial placement in its own engine, with the lower bound of :class:`_Root` on its completions.
+
+    The bound is kept alongside `engine` rather than recomputed: :meth:`push`
+    commits to the engine and :meth:`pop` undoes the latest commit, so the
+    placement changes through them only. A commit only ever raises heads,
+    since a placed operation starts at or after its head, so the first two
+    parts stay one running maximum that a push folds the raised values into.
+    A push walks only the descendants of the placed operation whose head
+    rises, and the third part reads the engine's `tail` of each machine with
+    single-machine operations. Every head a push overwrites goes on a trail,
+    and a pop restores them.
+    """
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.engine = PlacementEngine(inst)
+        self.rank = {i: n for n, i in enumerate(self.topo)}
+        self.succs = inst.successors
         self._trail: list[tuple[int, int]] = []  # (operation, its head before a push raised it)
         self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
 
@@ -362,4 +369,4 @@ def greedy_result(inst: Instance) -> SolveResult:
     """
     t0 = perf_counter()
     sched = solve_greedy(inst)
-    return _result("feasible", t0, 0, sched, _Bounder(inst).root)
+    return _result("feasible", t0, 0, sched, _Root(inst).root)

@@ -319,6 +319,38 @@ def test_schedule_values_match_pinned_digests():
     assert {label: values_digest(*case) for label, case in cases.items()} == VALUES_SHA256
 
 
+def sparse_ids(inst: Instance) -> Instance:
+    """`inst` with operation i renamed 1000 + 7i and machine k renamed 50 + 3k.
+
+    Validation refuses such ids, but the model code takes any int ids; these
+    are multi-digit, sparse, and no operation id equals a machine id, so a
+    name that swaps an operation's text for a machine's no longer matches.
+    """
+    def op_id(i):
+        return 1000 + 7 * i
+
+    def mc_id(k):
+        return 50 + 3 * k
+
+    ops = tuple(replace(op, id=op_id(op.id), eligible={mc_id(k): p for k, p in op.eligible.items()},
+                        fixed=None if op.fixed is None else (mc_id(op.fixed[0]), op.fixed[1]))
+                for op in inst.operations)
+    return replace(inst, operations=ops, arcs=tuple((op_id(i), op_id(j)) for i, j in inst.arcs),
+                   machines=tuple(replace(mc, id=mc_id(mc.id)) for mc in inst.machines))
+
+
+def test_sparse_ids_give_pinned_lp_and_values():
+    # generated instances number operations 1..n and machines 1..m, so a
+    # mix-up of operation and machine id text passes every pin made on them
+    inst = sparse_ids(seed7("small", 15))
+    text = emit_lp(build_model(inst))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "eb994a94c3238cee69416ca602e9e8a52ca1fda7afc4941514a08bc6d225e821"
+    sched = solve_greedy(inst)
+    assert values_digest(inst, sched) == "03b62eb0492b3118db0a00ddfaf2be15f1a45d154d0dc99662b2067b721679a4"
+    assert evaluate_schedule(inst, sched) == []
+
+
 def test_build_model_keeps_no_names():
     # Python 3.11, medium 20 seed 7: tables of every variable name kept 6.2-6.7 MB;
     # formatting each name where a row uses it keeps under 0.1 MB
