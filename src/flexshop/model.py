@@ -45,7 +45,7 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        return f"{self.rule} {list(self.op_ids)}: {self.detail}"
+        return f"{self.rule} {brief(list(self.op_ids))}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,10 @@ def refuse_unknown_ids(inst: Instance, sched: Schedule) -> None:
 
 def brief(value: object) -> str:
     """``repr(value)`` cut to about 80 characters, so that a huge input value cannot flood a message."""
-    text = repr(value)
+    return _cut(repr(value))
+
+
+def _cut(text: str) -> str:
     return text if len(text) <= 80 else text[:72] + "...[cut]"
 
 
@@ -324,7 +327,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
     try:
         topological_order(inst)
     except CycleError as exc:
-        report.append(Violation("precedence", tuple(exc.witness), "cycle: " + " -> ".join(map(str, exc.witness))))
+        report.append(Violation("precedence", tuple(exc.witness), "cycle: " + _cut(" -> ".join(map(str, exc.witness)))))
 
     for mc in inst.machines:
         prev_end = None

@@ -14,7 +14,7 @@ import heapq
 from bisect import bisect_left
 from time import perf_counter
 
-from .model import Instance, Schedule, ScheduledOp, SolveResult, makespan, topological_order
+from .model import Instance, Schedule, ScheduledOp, SolveResult, brief, makespan, topological_order
 from .timing import DecodeInfeasible, Floors, PlacementEngine
 
 _INF = float("inf")
@@ -34,8 +34,8 @@ def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None
 # ---------------------------------------------------------------------------
 
 
-class _Root:
-    """The lower bound of the empty placement, `root`, and the data it is made of.
+class _Bounder(PlacementEngine):
+    """A partial placement that keeps a lower bound on its completions; `root` is the empty placement's.
 
     The bound is the largest of three independently valid parts: the largest
     placed completion; a head recursion through the precedence graph (an
@@ -44,14 +44,23 @@ class _Root:
     bounded by head plus their own minimum partial length, and completes no
     earlier than head plus its minimum processing time); and per machine the
     completion of its tail plus the processing still owed to it by unplaced
-    operations eligible nowhere else. With nothing placed, every tail is 0.
+    operations eligible nowhere else.
+    The bound is kept rather than recomputed: :meth:`push` commits and
+    :meth:`pop` undoes the latest commit, so the placement changes through
+    them only. A commit only ever raises heads, since a placed operation
+    starts at or after its head, so the first two parts stay one running
+    maximum that a push folds the raised values into. A push walks only the
+    descendants of the placed operation whose head rises, and the third part
+    reads the `tail` of each machine with single-machine operations. Every
+    head a push overwrites goes on a trail, and a pop restores them.
     """
 
     def __init__(self, inst: Instance):
-        self.topo = topo = topological_order(inst)
-        ops = inst.ops_by_id
+        super().__init__(inst)
+        self.rank = {i: n for n, i in enumerate(topological_order(inst))}
         self.pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
-        self.pbmin = {op.id: min(map(op.partial_units, op.eligible)) for op in inst.operations}
+        # partial_units never falls as p grows, so a machine of least p gives the least partial length
+        self.pbmin = {op.id: op.partial_units(min(op.eligible, key=op.eligible.get)) for op in inst.operations}
         self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
         self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
         for op in inst.operations:
@@ -61,40 +70,19 @@ class _Root:
                 self.owed[k] = self.owed.get(k, 0) + p
 
         head: dict[int, int] = {}
-        for i in topo:
-            head[i] = max([ops[i].release, *(head[p] + self.pbmin[p] for p in inst.predecessors[i])])
+        for i in self.rank:  # in topological order
+            head[i] = max([self.ops[i].release, *(head[p] + self.pbmin[p] for p in self.preds[i])])
         self.head = head
         # the largest placed completion or unplaced head + pmin; nothing is placed yet
-        self.reach = max((head[i] + self.pmin[i] for i in topo), default=0)
-        self.root = max([self.reach, *self.owed.values()])
-
-
-class _Bounder(_Root):
-    """A partial placement in its own engine, with the lower bound of :class:`_Root` on its completions.
-
-    The bound is kept alongside `engine` rather than recomputed: :meth:`push`
-    commits to the engine and :meth:`pop` undoes the latest commit, so the
-    placement changes through them only. A commit only ever raises heads,
-    since a placed operation starts at or after its head, so the first two
-    parts stay one running maximum that a push folds the raised values into.
-    A push walks only the descendants of the placed operation whose head
-    rises, and the third part reads the engine's `tail` of each machine with
-    single-machine operations. Every head a push overwrites goes on a trail,
-    and a pop restores them.
-    """
-
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        self.engine = PlacementEngine(inst)
-        self.rank = {i: n for n, i in enumerate(self.topo)}
-        self.succs = inst.successors
+        self.reach = max((h + self.pmin[i] for i, h in head.items()), default=0)
         self._trail: list[tuple[int, int]] = []  # (operation, its head before a push raised it)
         self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
+        self.root = self.bound()
 
     def push(self, i: int, rec: ScheduledOp) -> int:
         """Commit the ready operation `i` at `rec`; returns the bound of the new placement."""
         head, pbmin, pmin, succs, rank, trail = self.head, self.pbmin, self.pmin, self.succs, self.rank, self._trail
-        self.engine.commit(i, rec)
+        self.commit(i, rec)
         self._frames.append((len(trail), self.reach, i))
         if i in self.solo:
             self.owed[rec.machine] -= self.solo[i]
@@ -128,12 +116,12 @@ class _Bounder(_Root):
         what it owes now, less `i`'s processing if `i` is eligible on `k` only.
         """
         _, start_floor, completion_floor = floors
-        c = start_floor + self.engine.ops[i].eligible[k]
+        c = start_floor + self.ops[i].eligible[k]
         return (c if c > completion_floor else completion_floor) + self.owed.get(k, 0) - self.solo.get(i, 0)
 
     def bound(self) -> int:
         """The bound of the current placement."""
-        lb, tail = self.reach, self.engine.tail
+        lb, tail = self.reach, self.tail
         for k, w in self.owed.items():
             if tail[k] + w > lb:
                 lb = tail[k] + w
@@ -147,8 +135,8 @@ class _Bounder(_Root):
             j, h = trail.pop()
             head[j] = h
         if i in self.solo:
-            self.owed[self.engine.placed[i].machine] += self.solo[i]
-        self.engine.undo(i)
+            self.owed[self.placed[i].machine] += self.solo[i]
+        self.undo(i)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +185,6 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     cap = _INF if node_limit is None else node_limit
     n_ops, ops = len(inst.operations), inst.ops_by_id
     bounder = _Bounder(inst)
-    engine = bounder.engine
-    root_lb = bounder.root
 
     try:
         incumbent = solve_greedy(inst, deadline)
@@ -219,27 +205,27 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                 yield i, k
 
     nodes = 0
-    stack = [appends(sorted(engine.ready), -_INF, None)] if ub > root_lb else []
+    stack = [appends(sorted(bounder.ready), -_INF, None)] if ub > bounder.root else []
     while stack:
         for i, k in stack[-1]:
             if nodes >= cap or (deadline is not None and perf_counter() > deadline):
-                return _result("limit", t0, nodes, incumbent, root_lb)
-            floors = engine.floors(i, k)
+                return _result("limit", t0, nodes, incumbent, bounder.root)
+            floors = bounder.floors(i, k)
             if ops[i].fixed is None and bounder.child_bound(i, k, floors) >= ub:
                 nodes += 1  # the push would prune it; only a pin's placement can raise
                 continue
             try:
-                rec = engine.placement(i, k, floors)
+                rec = bounder.placement(i, k, floors)
             except DecodeInfeasible:
                 continue
             nodes += 1
             lb = bounder.push(i, rec)
             if lb < ub:
-                if len(engine.placed) < n_ops:
-                    stack.append(appends(sorted(engine.ready), i, k))
+                if len(bounder.placed) < n_ops:
+                    stack.append(appends(sorted(bounder.ready), i, k))
                     break
                 ub = lb  # a leaf's bound is its makespan
-                incumbent = engine.schedule()
+                incumbent = bounder.schedule()
             bounder.pop()
         else:
             stack.pop()
@@ -342,7 +328,7 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
         else:
             stuck = sorted(op.id for op in inst.operations if op.id not in placed)
             raise DecodeInfeasible(
-                f"no operation can be placed (pinned starts block every candidate) among {stuck}")
+                f"no operation can be placed (pinned starts block every candidate) among {brief(stuck)}")
         engine.commit(i, rec)
         for kj, p in ops[i].eligible.items():  # `i` leaves every list, and `k`'s cursor starts over
             at = bisect_left(front[kj], (p, i))
@@ -368,5 +354,4 @@ def greedy_result(inst: Instance) -> SolveResult:
     Raises DecodeInfeasible when the greedy finds no schedule.
     """
     t0 = perf_counter()
-    sched = solve_greedy(inst)
-    return _result("feasible", t0, 0, sched, _Root(inst).root)
+    return _result("feasible", t0, 0, solve_greedy(inst), _Bounder(inst).root)

@@ -1,6 +1,6 @@
 """Module boundaries: imports point down one layer order, no private names cross modules, only
-jsonio reads or writes JSON, no module-level import goes unused, and no public name serves only
-the tests."""
+jsonio reads or writes JSON, no module-level import goes unused, no public name serves only
+the tests, and the README's library example runs."""
 
 import ast
 import pathlib
@@ -120,3 +120,10 @@ def test_every_public_name_serves_the_package_or_the_benchmark():
     unused = [f"{path.name}: {name}" for path in sources
               for name in public_definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
     assert unused == []
+
+
+def test_the_readme_library_example_runs():
+    # the README's one python block imports each name from its module, so a name that moves fails here
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (## Library)", "exec"), {})

@@ -378,6 +378,39 @@ def test_hostile_input_ends_in_a_message_not_a_traceback(tmp_path, capsys, comma
     assert len(err.encode()) < 1024
 
 
+def _cycle(n):
+    """`n` operations of one job whose arcs close one cycle through all of them."""
+    return {"m": 1, "machines": [{"id": 1, **RULE}], "arcs": [[i, i % n + 1] for i in range(1, n + 1)],
+            "operations": [{"id": i, "job": 1, "eligible": {"1": 5}} for i in range(1, n + 1)]}
+
+
+def _pins_and_solos(n):
+    """`n` operations on one machine, the first two pinned to the same start."""
+    return {"m": 1, "arcs": [], "machines": [{"id": 1, **RULE}],
+            "operations": [{"id": i, "job": i, "eligible": {"1": 5},
+                            **({"fixed": {"machine": 1, "start": 3}} if i <= 2 else {})} for i in range(1, n + 1)]}
+
+
+@pytest.mark.parametrize("args, instance, err", [
+    pytest.param([], _cycle(3), "instance invalid: precedence [1, 2, 3, 1]: cycle: 1 -> 2 -> 3 -> 1\n", id="cycle-3"),
+    pytest.param([], _cycle(20_000), "instance invalid: precedence [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, "
+                 "15, 16, 17, 18, 19, 20, ...[cut]: cycle: 1 -> 2 -> 3 -> 4 -> 5 -> 6 -> 7 -> 8 -> 9 -> 10 -> 11 -> "
+                 "12 -> 13 -> 14 ...[cut]\n", id="cycle-20000"),
+    pytest.param(["--alg", "greedy"], _pins_and_solos(3),
+                 "greedy failed: no operation can be placed (pinned starts block every candidate) among [2, 3]\n",
+                 id="pins-3"),
+    pytest.param(["--alg", "greedy"], _pins_and_solos(20_000),
+                 "greedy failed: no operation can be placed (pinned starts block every candidate) among [2, 3, 4, "
+                 "5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,...[cut]\n", id="pins-20000"),
+])
+def test_a_long_id_list_is_cut_and_a_short_one_kept_whole(tmp_path, capsys, args, instance, err):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    assert main(["solve", str(path), *args]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert len(err.encode()) < 1024
+
+
 def test_invalid_instance_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad_inst.json"
     bad.write_text(json.dumps({

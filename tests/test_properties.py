@@ -188,10 +188,10 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
     lb = bounder.root
     for _ in range(data.draw(st.integers(max(1, len(inst.operations) - 4), len(inst.operations)))):
         appends = []
-        for i in sorted(bounder.engine.ready):
+        for i in sorted(bounder.ready):
             for k in sorted(inst.ops_by_id[i].eligible):
                 try:
-                    appends.append((i, bounder.engine.placement(i, k)))
+                    appends.append((i, bounder.placement(i, k)))
                 except DecodeInfeasible:
                     pass
         if not appends:
@@ -221,17 +221,16 @@ def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
     # after a random feasible prefix, every child's bound from its floors alone stays
     # at or below the bound its push returns, and the floors place it as placement alone does
     bounder = _Bounder(inst)
-    engine = bounder.engine
     for _ in range(data.draw(st.integers(0, len(inst.operations) - 1))):
         appends = []
-        for i in sorted(engine.ready):
+        for i in sorted(bounder.ready):
             for k in sorted(inst.ops_by_id[i].eligible):
-                floors = engine.floors(i, k)
+                floors = bounder.floors(i, k)
                 try:
-                    rec = engine.placement(i, k, floors)
+                    rec = bounder.placement(i, k, floors)
                 except DecodeInfeasible:
                     continue
-                assert rec == engine.placement(i, k)
+                assert rec == bounder.placement(i, k)
                 child_lb = bounder.child_bound(i, k, floors)
                 assert child_lb <= bounder.push(i, rec), (i, k)
                 bounder.pop()

@@ -420,28 +420,27 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
     Walks depth first; returns the nodes.
     """
     bounder = _Bounder(inst)
-    engine = bounder.engine
-    assert bounder.root == bounder.bound() == full_pass_bound(inst, engine)
+    assert bounder.root == bounder.bound() == full_pass_bound(inst, bounder)
     nodes = 0
 
     def descend() -> None:
         nonlocal nodes
-        for i in sorted(engine.ready):
+        for i in sorted(bounder.ready):
             for k in sorted(inst.ops_by_id[i].eligible):
                 if nodes >= node_limit:
                     return
-                floors = engine.floors(i, k)
+                floors = bounder.floors(i, k)
                 try:
-                    rec = engine.placement(i, k, floors)
+                    rec = bounder.placement(i, k, floors)
                 except DecodeInfeasible:
                     continue
-                assert rec == engine.placement(i, k), (i, k)
+                assert rec == bounder.placement(i, k), (i, k)
                 before, child_lb = bounder.bound(), bounder.child_bound(i, k, floors)
                 nodes += 1
-                assert child_lb <= bounder.push(i, rec) == full_pass_bound(inst, engine), (i, k)
+                assert child_lb <= bounder.push(i, rec) == full_pass_bound(inst, bounder), (i, k)
                 descend()
                 bounder.pop()
-                assert bounder.bound() == before == full_pass_bound(inst, engine), (i, k)
+                assert bounder.bound() == before == full_pass_bound(inst, bounder), (i, k)
 
     descend()
     return nodes
