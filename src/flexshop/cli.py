@@ -32,11 +32,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    _write_blocks(path, (text,))
-
-
-def _write_blocks(path: str, pieces: Iterable[str]) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
     """Write the pieces unjoined as they come, buffered by the file; stdout gets a final newline if the text lacks one."""
     if path == "-":
         last = ""
@@ -63,7 +59,7 @@ def _load_valid_instance(path: str) -> Instance:
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = replace(params_for_class(args.instance_class, args.k), seed=args.seed)
     inst = generate(params)
-    _write(args.out, dumps_instance(inst))
+    _write(args.out, (dumps_instance(inst),))
     if args.out != "-":
         manifest = {
             "class": args.instance_class,
@@ -74,7 +70,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "operations": len(inst.operations),
             "machines": inst.num_machines,
         }
-        _write(args.out + ".manifest.json", dumps_manifest(manifest))
+        _write(args.out + ".manifest.json", (dumps_manifest(manifest),))
     return 0
 
 
@@ -94,27 +90,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         except DecodeInfeasible as exc:
             print(f"greedy failed: {exc}", file=sys.stderr)
             return 1
-    _write(args.out, dumps_result(result))
+    _write(args.out, (dumps_result(result),))
     return 0 if result.schedule is not None else 1
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
     report = check_schedule(inst, loads_schedule(_read(args.schedule)))
-    _write(args.out, dumps_report(report))
+    _write(args.out, (dumps_report(report),))
     return 1 if report else 0
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
-    _write_blocks(args.out, lp_lines(build_model(inst)))
+    _write(args.out, lp_lines(build_model(inst)))
     return 0
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
     inst = _load_valid_instance(args.instance)
     sched = loads_schedule(_read(args.schedule))
-    _write(args.out, render_svg(inst, sched))
+    _write(args.out, (render_svg(inst, sched),))
     return 0
 
 

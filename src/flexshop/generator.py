@@ -101,20 +101,14 @@ def gen_job_dag(rng: Rng, o_min: int, o_max: int) -> JobDag:
         layers.append(tuple(range(next_id, next_id + size)))
         next_id += size
 
-    arcs: list[tuple[int, int]] = []
-    have = set()
+    arcs: dict[tuple[int, int], None] = {}  # insertion-ordered: the draw order and the membership test
     for lower, upper in zip(layers, layers[1:]):
         for v in lower:
-            w = rng.choice(upper)
-            arcs.append((v, w))
-            have.add((v, w))
+            arcs[v, rng.choice(upper)] = None
         for v in lower:
             for w in upper:
-                if (v, w) in have:
-                    continue
-                if rng.bernoulli(85, 100):
-                    arcs.append((v, w))
-                    have.add((v, w))
+                if (v, w) not in arcs and rng.bernoulli(85, 100):
+                    arcs[v, w] = None
     return JobDag(count=count, arcs=tuple(arcs), layers=tuple(layers))
 
 

@@ -158,18 +158,13 @@ def build_model(inst: Instance) -> MilpModel:
             yield (f"overlap_def_{i}",
                    ((1, f"ppb_{i}"), *[(-op_of[i].partial_units(k), f"x_{i}_{k}") for k in eligible[i]]), "=", 0)
 
-        for i in ops:
-            terms: list[tuple[int, str]] = [(1, f"u_{i}")]
-            for k in eligible[i]:
-                for ell, (b, e) in enumerate(windows[k], start=1):
-                    terms += (e - b, f"v_{i}_{k}_{ell}"), (-(e - b), f"w_{i}_{k}_{ell}")
-            yield f"unavail_sum_{i}", tuple(terms), "=", 0
-        for i in ops:
-            terms = [(1, f"ub_{i}")]
-            for k in eligible[i]:
-                for ell, (b, e) in enumerate(windows[k], start=1):
-                    terms += (e - b, f"v_{i}_{k}_{ell}"), (-(e - b), f"wb_{i}_{k}_{ell}")
-            yield f"overlap_unavail_sum_{i}", tuple(terms), "=", 0
+        for row, slack, past in (("unavail_sum", "u", "w"), ("overlap_unavail_sum", "ub", "wb")):
+            for i in ops:
+                terms: list[tuple[int, str]] = [(1, f"{slack}_{i}")]
+                for k in eligible[i]:
+                    for ell, (b, e) in enumerate(windows[k], start=1):
+                        terms += (e - b, f"v_{i}_{k}_{ell}"), (-(e - b), f"{past}_{i}_{k}_{ell}")
+                yield f"{row}_{i}", tuple(terms), "=", 0
 
         for i in ops:
             yield f"start_before_partial_{i}", ((1, f"s_{i}"), (-1, f"cb_{i}")), "<=", 0

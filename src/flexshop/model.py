@@ -33,7 +33,7 @@ class CycleError(ValueError):
 
     def __init__(self, witness: list[int]):
         self.witness = witness
-        super().__init__("precedence cycle: " + " -> ".join(str(i) for i in witness))
+        super().__init__("precedence cycle: " + _cut(" -> ".join(map(str, witness))))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ class _Bounder(PlacementEngine):
     maximum that a push folds the raised values into. A push walks only the
     descendants of the placed operation whose head rises, and the third part
     reads the `tail` of each machine with single-machine operations. Every
-    head a push overwrites goes on a trail, and a pop restores them.
+    head or `owed` entry a push changes goes on one trail as (table, key,
+    value before), and a pop restores them.
     """
 
     def __init__(self, inst: Instance):
@@ -75,7 +76,7 @@ class _Bounder(PlacementEngine):
         self.head = head
         # the largest placed completion or unplaced head + pmin; nothing is placed yet
         self.reach = max((h + self.pmin[i] for i, h in head.items()), default=0)
-        self._trail: list[tuple[int, int]] = []  # (operation, its head before a push raised it)
+        self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a push changed it)
         self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
         self.root = self.bound()
 
@@ -85,6 +86,7 @@ class _Bounder(PlacementEngine):
         self.commit(i, rec)
         self._frames.append((len(trail), self.reach, i))
         if i in self.solo:
+            trail.append((self.owed, rec.machine, self.owed[rec.machine]))
             self.owed[rec.machine] -= self.solo[i]
 
         reach = self.reach if self.reach > rec.completion else rec.completion
@@ -94,7 +96,7 @@ class _Bounder(PlacementEngine):
         while True:
             for s in succs[j]:
                 if out > head[s]:
-                    trail.append((s, head[s]))
+                    trail.append((head, s, head[s]))
                     head[s] = out
                     if s not in queued:
                         queued.add(s)
@@ -130,12 +132,10 @@ class _Bounder(PlacementEngine):
     def pop(self) -> None:
         """Undo the latest push's commit."""
         mark, self.reach, i = self._frames.pop()
-        head, trail = self.head, self._trail
+        trail = self._trail
         while len(trail) > mark:
-            j, h = trail.pop()
-            head[j] = h
-        if i in self.solo:
-            self.owed[self.placed[i].machine] += self.solo[i]
+            table, key, value = trail.pop()
+            table[key] = value
         self.undo(i)
 
 

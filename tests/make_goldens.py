@@ -1,6 +1,7 @@
 """Regenerate the golden fixtures under tests/data/.
 
-Run from the repository root: python tests/make_goldens.py
+Run from the repository root: PYTHONPATH=src python tests/make_goldens.py
+(or plain `python tests/make_goldens.py` with flexshop installed).
 The output is committed; regenerate only after deliberate model-format or
 solver-output changes, and re-audit the diff by hand before committing.
 """

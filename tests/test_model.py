@@ -5,6 +5,7 @@ import pytest
 from flexshop.milp import BigM, big_m_constants
 from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, topological_order,
                             validate_instance)
+from flexshop.solvers import solve_exact
 
 TWO_OP_TABLE = SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 4})
 
@@ -105,6 +106,7 @@ def test_cycle_is_reported_with_witness():
     with pytest.raises(CycleError) as err:
         topological_order(inst)
     assert set(err.value.witness) >= {1, 2}
+    assert str(err.value) == "precedence cycle: 1 -> 2 -> 1"
 
 
 def test_cycle_witness_of_a_long_cycle_is_found_in_linear_time():
@@ -119,6 +121,12 @@ def test_cycle_witness_of_a_long_cycle_is_found_in_linear_time():
         topological_order(inst)
     assert time.perf_counter() - t0 < 2.0
     assert err.value.witness == list(range(1, n + 1)) + [1]
+    # the message is cut, the witness is not; unvalidated, the cycle reaches a library caller through the solver
+    cut = "precedence cycle: 1 -> 2 -> 3 -> 4 -> 5 -> 6 -> 7 -> 8 -> 9 -> 10 -> 11 -> 12 -> 13 -> 14 ...[cut]"
+    assert str(err.value) == cut
+    with pytest.raises(CycleError) as err:
+        solve_exact(inst)
+    assert (str(err.value), len(err.value.witness)) == (cut, n + 1)
     report = validate_instance(inst)
     assert [v.op_ids for v in report if v.rule == "precedence"] == [tuple(err.value.witness)]
 
