@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, starmap
+from typing import NamedTuple
 
 from .model import Instance, Schedule, makespan
 
@@ -80,8 +81,7 @@ class RowViolation:
     rhs: int
 
 
-@dataclass(frozen=True)
-class BigM:
+class BigM(NamedTuple):
     m1: int
     m2: int
     m3: int
@@ -110,15 +110,13 @@ def big_m_constants(inst: Instance) -> BigM:
 
 
 def build_model(inst: Instance) -> MilpModel:
-    bigm = big_m_constants(inst)
-    m1, m2, m3 = bigm.m1, bigm.m2, bigm.m3
+    m1, m2, m3 = big_m_constants(inst)
 
     ops = sorted(op.id for op in inst.operations)
     op_of = inst.ops_by_id
     eligible = {i: sorted(op_of[i].eligible) for i in ops}
     hosts = {k: inst.eligible_ops[k] for k in sorted(inst.machines_by_id)}
     windows = {k: inst.machines_by_id[k].windows for k in hosts}
-    setups = {k: inst.machines_by_id[k].setup for k in hosts}
     # the decimal text of each id, made once: the yI declarations and the quadratic
     # row families join these strings and format no integer for each name
     text = {i: str(i) for i in ops}
@@ -209,7 +207,7 @@ def build_model(inst: Instance) -> MilpModel:
                     yield f"pred_once_{sk}_{sj}", pred, "<=", 1
 
         for j, k in per_ik:
-            opj, setup = op_of[j], setups[k]
+            opj, setup = op_of[j], inst.machines_by_id[k].setup
             gf, between, jk = setup.first(opj), setup.between, f"{text[j]}_{k_text[k]}"
             terms = [(1, f"xih_{jk}")]
             for opi, si in host_ops[k]:
@@ -335,7 +333,7 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
             val[f"xi_{i}"] = so.setup_len
         prev = pred_on_machine.get(i)
         for k in sorted(op.eligible):
-            on_k = k == k_here
+            on_k, mc = k == k_here, inst.machines_by_id[k]
             here, ik = hosts[k], f"{text[i]}_{k}"
             val[f"x_{ik}"] = 1 if on_k else 0
             for a, sa in here.items():
@@ -344,12 +342,12 @@ def schedule_values(inst: Instance, sched: Schedule) -> dict[str, int]:
             for a in listed_after.get((i, k), ()):
                 if a != i and a in here:
                     val[f"yI_{here[a]}_{ik}"] = 1
-            pick = inst.setup_between(k, prev, i) if on_k and prev != i and prev in here \
-                else inst.setup_first(k, i)  # prev None, i itself (listed twice) or not eligible on k: no pair
+            pick = mc.setup.between(inst.ops_by_id[prev], op) if on_k and prev != i and prev in here \
+                else mc.setup.first(op)  # prev None, i itself (listed twice) or not eligible on k: no pair
             val[f"xih_{ik}"] = pick
             val[f"xib_{ik}"] = pick if on_k else 0
             if so is not None:
-                for ell, (b, e) in enumerate(inst.machines_by_id[k].windows, start=1):
+                for ell, (b, e) in enumerate(mc.windows, start=1):
                     val[f"v_{i}_{k}_{ell}"] = 1 if on_k and so.start >= e else 0
                     val[f"w_{i}_{k}_{ell}"] = 1 if on_k and so.completion > e else 0
                     val[f"wb_{i}_{k}_{ell}"] = 1 if on_k and so.partial_completion > e else 0

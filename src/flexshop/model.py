@@ -134,7 +134,9 @@ class SetupTable:
         bk = set(hosts)
         if set(self.firsts) != bk:
             report.append(Violation("setup", (), f"machine {machine_id} first-setup keys do not match its eligible operations"))
-        if set(self.pairs) != {(i, j) for i in bk for j in bk if i != j}:
+        n = len(bk)  # n(n - 1) distinct keys, each two distinct hosts, are exactly the ordered host pairs
+        if len(self.pairs) != n * (n - 1) or not all(
+                isinstance(key, tuple) and len(key) == 2 and key[0] != key[1] and bk.issuperset(key) for key in self.pairs):
             report.append(Violation("setup", (), f"machine {machine_id} pair-setup keys do not cover exactly its eligible pairs"))
         for g in self.firsts.values():
             _check_time(report, "setup", (), f"machine {machine_id} first setup", g)
@@ -195,9 +197,6 @@ class Instance:
         return {k: tuple(sorted(ids)) for k, ids in bk.items()}
 
     # -- setup dispatch ------------------------------------------------------
-
-    def setup_first(self, machine_id: int, op_id: int) -> int:
-        return self.machines_by_id[machine_id].setup.first(self.ops_by_id[op_id])
 
     def setup_between(self, machine_id: int, pred_id: int, succ_id: int) -> int:
         return self.machines_by_id[machine_id].setup.between(self.ops_by_id[pred_id], self.ops_by_id[succ_id])

@@ -58,24 +58,22 @@ class _Bounder(PlacementEngine):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        self.rank = {i: n for n, i in enumerate(topological_order(inst))}
-        self.pmin = {op.id: min(op.eligible.values()) for op in inst.operations}
-        # partial_units never falls as p grows, so a machine of least p gives the least partial length
-        self.pbmin = {op.id: op.partial_units(min(op.eligible, key=op.eligible.get)) for op in inst.operations}
+        # per operation: its topological rank, least processing time, least partial length and head;
+        # reach is the largest placed completion or unplaced head + pmin, and nothing is placed yet
+        rank, pmin, pbmin, head, reach = {}, {}, {}, {}, 0
         self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
         self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
-        for op in inst.operations:
+        for n, i in enumerate(topological_order(inst)):  # a predecessor's entries come first
+            op = self.ops[i]
+            k = min(op.eligible, key=op.eligible.get)
+            # partial_units never falls as p grows, so a machine of least p gives the least partial length
+            rank[i], pmin[i], pbmin[i] = n, op.eligible[k], op.partial_units(k)
+            head[i] = max([op.release, *(head[p] + pbmin[p] for p in self.preds[i])])
+            reach = max(reach, head[i] + pmin[i])
             if len(op.eligible) == 1:
-                [(k, p)] = op.eligible.items()
-                self.solo[op.id] = p
-                self.owed[k] = self.owed.get(k, 0) + p
-
-        head: dict[int, int] = {}
-        for i in self.rank:  # in topological order
-            head[i] = max([self.ops[i].release, *(head[p] + self.pbmin[p] for p in self.preds[i])])
-        self.head = head
-        # the largest placed completion or unplaced head + pmin; nothing is placed yet
-        self.reach = max((h + self.pmin[i] for i, h in head.items()), default=0)
+                self.solo[i] = pmin[i]
+                self.owed[k] = self.owed.get(k, 0) + pmin[i]
+        self.rank, self.pmin, self.pbmin, self.head, self.reach = rank, pmin, pbmin, head, reach
         self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a push changed it)
         self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
         self.root = self.bound()
@@ -183,7 +181,6 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     t0 = perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
     cap = _INF if node_limit is None else node_limit
-    n_ops, ops = len(inst.operations), inst.ops_by_id
     bounder = _Bounder(inst)
 
     try:
@@ -198,7 +195,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     def appends(ready: list[int], last: float, last_k: int | None):
         """The (operation, machine) children of the node that appended `last` to `last_k`, in visiting order."""
         for i in ready:
-            commutes = i < last and last not in inst.predecessors[i]
+            commutes = i < last and last not in bounder.preds[i]
             for k in machine_order[i]:
                 if commutes and k != last_k:
                     continue  # reached through the id-ascending order instead
@@ -211,7 +208,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
             if nodes >= cap or (deadline is not None and perf_counter() > deadline):
                 return _result("limit", t0, nodes, incumbent, bounder.root)
             floors = bounder.floors(i, k)
-            if ops[i].fixed is None and bounder.child_bound(i, k, floors) >= ub:
+            if bounder.ops[i].fixed is None and bounder.child_bound(i, k, floors) >= ub:
                 nodes += 1  # the push would prune it; only a pin's placement can raise
                 continue
             try:
@@ -221,7 +218,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
             nodes += 1
             lb = bounder.push(i, rec)
             if lb < ub:
-                if len(bounder.placed) < n_ops:
+                if bounder.ready:  # the bounder refused a cycle, so an unplaced operation leaves one ready
                     stack.append(appends(sorted(bounder.ready), i, k))
                     break
                 ub = lb  # a leaf's bound is its makespan

@@ -306,6 +306,7 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                                  f"completion {a.completion} is after successor completion {b.completion}"))
 
     for k, seq_ids in sorted(sched.sequences.items()):
+        setup = inst.machines_by_id[k].setup
         placed = [i for i in seq_ids if i in sched.ops]
         for prev, i in zip([None, *placed], placed):
             so = sched.ops[i]
@@ -313,9 +314,9 @@ def check_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
                 continue  # already a structure violation
             if k in ops[i].eligible:
                 if prev is None:
-                    want = inst.setup_first(k, i)
+                    want = setup.first(ops[i])
                 elif k in ops[prev].eligible:
-                    want = inst.setup_between(k, prev, i)
+                    want = setup.between(ops[prev], ops[i])
                 else:
                     want = None  # predecessor misassigned; its own violation covers it
                 if want is not None and so.setup_len != want:

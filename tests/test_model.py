@@ -1,10 +1,11 @@
 import time
+import tracemalloc
 
 import pytest
 
 from flexshop.milp import BigM, big_m_constants
-from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, topological_order,
-                            validate_instance)
+from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, Violation,
+                            topological_order, validate_instance)
 from flexshop.solvers import solve_exact
 
 TWO_OP_TABLE = SetupTable({1: 2, 2: 2}, {(1, 2): 1, (2, 1): 4})
@@ -146,6 +147,35 @@ def test_setup_maps_must_cover_exactly_the_eligible_ops():
     mc = Machine(1, setup=SetupTable({1: 2, 2: 2}, {(1, 2): 1}))
     report = validate_instance(two_op_instance(machines=(mc,)))
     assert any("pair-setup keys" in v.detail for v in report)
+
+
+PAIR_KEYS = Violation("setup", (), "machine 1 pair-setup keys do not cover exactly its eligible pairs")
+
+
+@pytest.mark.parametrize("pairs", [
+    pytest.param({(1, 2): 1}, id="missing-pair"),
+    pytest.param({(1, 2): 1, (1, 1): 0}, id="self-pair-in-place-of-a-missing-pair"),  # the key count still matches
+    pytest.param({(1, 2): 1, (1, 3): 0}, id="non-host"),
+    pytest.param({(1, 2): 1, "2,1": 0}, id="non-tuple"),
+    pytest.param({(1, 2): 1, (2, 1, 1): 0}, id="three-ids"),
+])
+def test_each_wrong_pair_key_set_draws_the_one_pair_setup_message(pairs):
+    report = validate_instance(two_op_instance(machines=(Machine(1, setup=SetupTable({1: 2, 2: 2}, pairs)),)))
+    assert report == [PAIR_KEYS]
+
+
+def test_pair_keys_are_checked_without_building_every_host_pair():
+    # 1,000 hosts and an empty pair map: a set of all 999,000 ordered host pairs peaked at about 85 MB
+    hosts = tuple(range(1, 1001))
+    table = SetupTable(dict.fromkeys(hosts, 0), {})
+    tracemalloc.start()
+    try:
+        report = table.violations(1, hosts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == [PAIR_KEYS]
+    assert peak < 2**20, f"validating the pair keys peaked at {peak / 2**20:.2f} MB"
 
 
 def test_big_m_worked_example_with_window():

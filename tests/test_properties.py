@@ -238,3 +238,20 @@ def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
         if not appends:
             break
         bounder.push(*data.draw(st.sampled_from(appends)))
+
+
+pair_keys = st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, 5),
+                      st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hosts=st.sets(st.integers(1, 4)), data=st.data())
+def test_the_pair_key_check_is_set_equality_with_every_ordered_host_pair(hosts, data):
+    # the host pairs less a drawn few plus drawn extra keys: self-pair, non-host, non-tuple and
+    # three-id keys, often as many as were dropped, so that the key count alone cannot tell
+    everything = {(i, j) for i in hosts for j in hosts if i != j}
+    dropped = data.draw(st.sets(st.sampled_from(sorted(everything)), max_size=2)) if everything else set()
+    keys = everything - dropped | data.draw(st.sets(pair_keys, max_size=len(dropped) + 1))
+    table = SetupTable(dict.fromkeys(hosts, 0), dict.fromkeys(keys, 0))
+    flagged = any("pair-setup keys" in v.detail for v in table.violations(1, tuple(sorted(hosts))))
+    assert flagged == (keys != everything)
