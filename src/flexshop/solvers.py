@@ -54,6 +54,11 @@ class _Bounder(PlacementEngine):
     reads the `tail` of each machine with single-machine operations. Every
     head or `owed` entry a push changes goes on one trail as (table, key,
     value before), and a pop restores them.
+    The same recursion, run backwards, gives each operation's Q, the least
+    time from its start to the last completion among it and its descendants:
+    Q_i = max(pmin_i, pbmin_i + the largest Q over i's successors). `chain`
+    keeps that largest Q per operation, fixed at construction, for
+    :meth:`child_bound`.
     """
 
     def __init__(self, inst: Instance):
@@ -63,7 +68,8 @@ class _Bounder(PlacementEngine):
         rank, pmin, pbmin, head, reach = {}, {}, {}, {}, 0
         self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
         self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
-        for n, i in enumerate(topological_order(inst)):  # a predecessor's entries come first
+        order = topological_order(inst)
+        for n, i in enumerate(order):  # a predecessor's entries come first
             op = self.ops[i]
             k = min(op.eligible, key=op.eligible.get)
             # partial_units never falls as p grows, so a machine of least p gives the least partial length
@@ -74,6 +80,11 @@ class _Bounder(PlacementEngine):
                 self.solo[i] = pmin[i]
                 self.owed[k] = self.owed.get(k, 0) + pmin[i]
         self.rank, self.pmin, self.pbmin, self.head, self.reach = rank, pmin, pbmin, head, reach
+        q: dict[int, int] = {}
+        self.chain: dict[int, int] = {}  # operation -> the largest Q over its successors, 0 without any
+        for i in reversed(order):  # a successor's entries come first
+            chain = max([q[s] for s in self.succs[i]], default=0)
+            self.chain[i], q[i] = chain, max(pmin[i], pbmin[i] + chain)
         self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a push changed it)
         self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
         self.root = self.bound()
@@ -114,10 +125,16 @@ class _Bounder(PlacementEngine):
         The placement completes no earlier than the start floor plus `i`'s
         processing time, nor before the completion floor, and `k` then owes
         what it owes now, less `i`'s processing if `i` is eligible on `k` only.
+        Nor can the chain after `i` end before the start floor plus `i`'s
+        partial length on `k` plus the largest Q over its successors: the push
+        raises each successor's head to at least `i`'s partial completion.
         """
         _, start_floor, completion_floor = floors
-        c = start_floor + self.ops[i].eligible[k]
-        return (c if c > completion_floor else completion_floor) + self.owed.get(k, 0) - self.solo.get(i, 0)
+        op = self.ops[i]
+        c = start_floor + op.eligible[k]
+        lb = (c if c > completion_floor else completion_floor) + self.owed.get(k, 0) - self.solo.get(i, 0)
+        chain = start_floor + op.partial_units(k) + self.chain[i]
+        return chain if chain > lb else lb
 
     def bound(self) -> int:
         """The bound of the current placement."""
@@ -249,17 +266,24 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     no candidate survives, raises DecodeInfeasible. Given a `deadline`, a
     :func:`time.perf_counter` reading, it reads the clock before each commit
     and returns None once the deadline has passed.
-    Pairs wait in one heap of (key, op, machine, stamp, record or None) and
-    are placed lazily. An entry's stamp is the length of the machine's
-    sequence when it was pushed, its commit count, as the greedy never
-    undoes; so a commit, the only event that moves a machine's tail or its
-    earliest pin, makes the machine's older entries drop when popped. An entry
-    holding None is keyed by a lower bound on the pair's completion, the
-    machine's `tail` plus the processing time (a start follows the tail and
-    its setup; windows only stretch the processing). Popped, it is placed,
-    pin check included, and goes back keyed by its completion, or is dropped
-    if the placement raises or the pin check rejects it. Each machine keeps
-    its ready operations sorted by (processing time, op), the order of their
+    Pairs wait in one heap of (key, op, machine, stamp, held) and are placed
+    lazily. An entry's stamp is the length of the machine's sequence when it
+    was pushed, its commit count, as the greedy never undoes; so a commit,
+    the only event that moves a machine's tail or its earliest pin, makes the
+    machine's older entries drop when popped. What an entry holds makes it
+    one of three kinds, each keyed by a lower bound on the pair's completion
+    (a start follows the tail and its setup; windows only stretch the
+    processing). A bound entry holds None and is keyed by the machine's
+    `tail` plus the processing time; popped, it reads the pair's floors and
+    goes back as a floors entry. A floors entry holds the pair's
+    :meth:`~flexshop.timing.PlacementEngine.floors`, which hold under its
+    stamp since a ready operation's predecessors are all placed, and is keyed
+    by the larger of the start floor plus the processing time and the
+    completion floor; popped, it is placed from them, pin check included, and
+    goes back as a record entry, or is dropped if the placement raises or the
+    pin check rejects it. A record entry holds the placement and is keyed by
+    its completion; popped, it is committed. Each machine keeps its ready
+    operations sorted by (processing time, op), the order of their bound
     keys under one stamp, and a cursor into that list: the heap holds one
     cursor entry per machine, the least bound entry it still owes, and
     popping it moves the cursor on and pushes the next one's. A commit takes
@@ -270,7 +294,7 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     pair's completion, so the first answer popped is the smallest
     (completion, op, machine) over all live pairs, the pair a rescan of
     every pair would commit. Each (op, machine, stamp) has at most one entry
-    at a time, so the record or None is never compared.
+    at a time, so what the entries hold is never compared.
     """
     engine = PlacementEngine(inst)
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
@@ -280,10 +304,10 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
         pins.setdefault(k, []).append((start, i))
 
-    def candidate(i: int, k: int) -> ScheduledOp | None:
-        """The placement appending `i` to `k`'s tail now, or None if it raises or blocks `k`'s earliest pin."""
+    def candidate(i: int, k: int, floors: Floors) -> ScheduledOp | None:
+        """The placement appending `i` to `k`'s tail from its `floors`, or None if it raises or blocks `k`'s earliest pin."""
         try:
-            rec = engine.placement(i, k)
+            rec = engine.placement(i, k, floors)
         except DecodeInfeasible:
             return None
         for start, pin in pins.get(k, ()):
@@ -310,18 +334,25 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
         if deadline is not None and perf_counter() > deadline:
             return None
         while heap:
-            _, i, k, n, rec = heapq.heappop(heap)
+            _, i, k, n, held = heapq.heappop(heap)
             if n != len(seqs[k]):
                 continue
-            if rec is None and cursor[k] < len(front[k]) and front[k][cursor[k]][1] == i:  # the cursor entry
+            if held is None and cursor[k] < len(front[k]) and front[k][cursor[k]][1] == i:  # the cursor entry
                 push_cursor(k, cursor[k] + 1)
             if i in placed:
                 continue
-            if rec is not None:
+            if held is None:  # a bound entry: key it again by its floors
+                floors = engine.floors(i, k)
+                _, start_floor, completion_floor = floors
+                c = start_floor + ops[i].eligible[k]
+                heapq.heappush(heap, (c if c > completion_floor else completion_floor, i, k, n, floors))
+            elif isinstance(held, ScheduledOp):  # a record entry: the answer
+                rec = held
                 break
-            rec = candidate(i, k)
-            if rec is not None:
-                heapq.heappush(heap, (rec.completion, i, k, n, rec))
+            else:  # a floors entry: place it
+                rec = candidate(i, k, held)
+                if rec is not None:
+                    heapq.heappush(heap, (rec.completion, i, k, n, rec))
         else:
             stuck = sorted(op.id for op in inst.operations if op.id not in placed)
             raise DecodeInfeasible(

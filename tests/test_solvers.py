@@ -334,39 +334,47 @@ def test_greedy_equals_a_rescan_from_scratch():
 
 
 def count_greedy_work(monkeypatch) -> dict[str, int]:
-    """Count the placements made and the heap entries flexshop.solvers pushes, in the returned dict."""
-    counts = {"placements": 0, "pushes": 0}
-    place = PlacementEngine.placement
+    """Count the placements made, the floors read and the heap entries flexshop.solvers pushes, in the returned dict."""
+    counts = {"placements": 0, "floors": 0, "pushes": 0}
+    place, read_floors = PlacementEngine.placement, PlacementEngine.floors
 
-    def counted_placement(self, i, k):
+    def counted_placement(self, i, k, floors=None):
         counts["placements"] += 1
-        return place(self, i, k)
+        return place(self, i, k, floors)
+
+    def counted_floors(self, i, k):
+        counts["floors"] += 1
+        return read_floors(self, i, k)
 
     def counted_push(heap, entry):
         counts["pushes"] += 1
         heapq.heappush(heap, entry)
 
     monkeypatch.setattr(PlacementEngine, "placement", counted_placement)
+    monkeypatch.setattr(PlacementEngine, "floors", counted_floors)
     monkeypatch.setattr("flexshop.solvers.heapq",
                         SimpleNamespace(heappush=counted_push, heappop=heapq.heappop, heapify=heapq.heapify))
     return counts
 
 
 def test_greedy_places_only_pairs_that_can_win(monkeypatch):
-    # a pair is placed only once its lower-bound key reaches the top of the
-    # heap; re-placing every ready pair on a machine after each commit to it
-    # made 19,603 placements on large 25. Each machine pushes one cursor entry
-    # at a time; re-pushing every ready pair on a machine after each commit to
-    # it pushed 21,736, 79,184 and 387,994 entries. The exact counts are
-    # pinned, so a rewrite of the greedy that places a different set of pairs,
-    # or pushes more, shows here
+    # a pair's floors are read only once its tail + p key reaches the top of
+    # the heap, and it is placed only once its floors key does; re-placing
+    # every ready pair on a machine after each commit to it made 19,603
+    # placements on large 25, and placing each pair at its tail + p key made
+    # 3,646, 9,759 and 54,338, the floor reads pinned here. Each machine
+    # pushes one cursor entry at a time; re-pushing every ready pair on a
+    # machine after each commit to it pushed 21,736, 79,184 and 387,994
+    # entries. The exact (placements, floor reads, pushes) are pinned, so a
+    # rewrite of the greedy that places a different set of pairs, or pushes
+    # more, shows here
     counts = count_greedy_work(monkeypatch)
     seen = {}
     for k in (25, 50, 100):
-        counts.update(placements=0, pushes=0)
+        counts.update(placements=0, floors=0, pushes=0)
         solve_greedy(generate(replace(params_for_class("large", k), seed=7)))
-        seen[k] = (counts["placements"], counts["pushes"])
-    assert seen == {25: (3646, 8525), 50: (9759, 22537), 100: (54338, 120671)}
+        seen[k] = (counts["placements"], counts["floors"], counts["pushes"])
+    assert seen == {25: (931, 3646, 9456), 50: (2260, 9759, 24808), 100: (7378, 54338, 128049)}
 
 
 def one_machine(n: int) -> Instance:
@@ -378,17 +386,31 @@ def one_machine(n: int) -> Instance:
         arcs=(), machines=(Machine(1, setup=SetupRule(2, 3, 1, 0)),))
 
 
+def crowded_machine(n: int) -> Instance:
+    """`one_machine(n)` with processing times crowded into 1..10, so that many tail + p keys tie."""
+    inst = one_machine(n)
+    return replace(inst, operations=tuple(replace(op, eligible={1: 1 + 7 * op.id % 10}) for op in inst.operations))
+
+
 def test_greedy_pushes_linearly_in_its_placements_on_one_machine(monkeypatch):
-    # each pop of the machine's cursor entry is a placement and pushes one
-    # entry, each placement pushes its answer and each commit resets the
-    # cursor; pushing every ready operation at each commit pushed about
-    # n^2 / 2 entries, some 5 million here
+    # each pop of the machine's cursor entry reads the pair's floors and
+    # pushes two entries, the next cursor entry and the floors entry, each
+    # placement pushes its answer and each commit resets the cursor; pushing
+    # every ready operation at each commit pushed about n^2 / 2 entries, some
+    # 5 million here. Without windows, releases, arcs or pins a floors key is
+    # the completion, so each commit places one pair; keyed by tail + p the
+    # greedy placed 13,378 pairs on one_machine(3200) and 109,370 on the
+    # crowded machine, where its floor reads still grow quadratically
     assert solve_greedy(one_machine(200)) == rescan_greedy(one_machine(200))[0]
+    assert solve_greedy(crowded_machine(200)) == rescan_greedy(crowded_machine(200))[0]
     counts = count_greedy_work(monkeypatch)
-    inst = one_machine(3200)
-    assert validate_instance(inst) == []
-    assert solve_greedy(inst) is not None
-    assert counts["pushes"] <= 2 * counts["placements"] + 3200
+    for inst in (one_machine(3200), crowded_machine(1600)):
+        n = len(inst.operations)
+        assert validate_instance(inst) == []
+        counts.update(placements=0, floors=0, pushes=0)
+        assert solve_greedy(inst) is not None
+        assert counts["placements"] == n
+        assert counts["pushes"] <= 2 * counts["floors"] + counts["placements"] + n
 
 
 def test_exact_returns_the_unreduced_incumbent():
@@ -502,6 +524,36 @@ def test_the_search_tree_keeps_its_node_counts_and_budget_outcomes():
     budget = [solve_exact(small(15, seed), node_limit=100_000) for seed in (1, 2, 3)]
     assert [(r.status, r.makespan, r.lower_bound, r.nodes) for r in budget] == [
         ("limit", 434, 197, 100_000), ("limit", 244, 131, 100_000), ("limit", 276, 189, 100_000)]
+
+
+def test_the_pre_placement_bound_keeps_its_push_counts(monkeypatch):
+    # machine-independent pins of the pushes the same tree makes: a child the
+    # bound from its floors prunes is never pushed. Bounding on the machine's
+    # tail alone pushed 14,632, 20,065 and 43,419/38,440/54,111; the successor
+    # chain after the appended operation lowers them
+    pushes = 0
+    push = _Bounder.push
+
+    def counted(self, i, rec):
+        nonlocal pushes
+        pushes += 1
+        return push(self, i, rec)
+
+    monkeypatch.setattr(_Bounder, "push", counted)
+
+    def small(k: int, seed: int) -> Instance:
+        return generate(replace(params_for_class("small", k), seed=seed))
+
+    def pushes_of(*solves: tuple[Instance, int | None]) -> int:
+        nonlocal pushes
+        pushes = 0
+        for inst, limit in solves:
+            solve_exact(inst, node_limit=limit)
+        return pushes
+
+    assert pushes_of(*((small(1, seed), None) for seed in range(1, 13))) == 13_062
+    assert pushes_of((small(15, 42), None)) == 14_172
+    assert [pushes_of((small(15, seed), 100_000)) for seed in (1, 2, 3)] == [36_900, 33_932, 40_388]
 
 
 def test_greedy_chain():
