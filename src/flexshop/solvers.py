@@ -45,15 +45,15 @@ class _Bounder(PlacementEngine):
     earlier than head plus its minimum processing time); and per machine the
     completion of its tail plus the processing still owed to it by unplaced
     operations eligible nowhere else.
-    The bound is kept rather than recomputed: :meth:`push` commits and
-    :meth:`pop` undoes the latest commit, so the placement changes through
-    them only. A commit only ever raises heads, since a placed operation
+    The bound is kept rather than recomputed: :meth:`commit` and
+    :meth:`undo` extend the engine's, so the placement never changes
+    without it. A commit only ever raises heads, since a placed operation
     starts at or after its head, so the first two parts stay one running
-    maximum that a push folds the raised values into. A push walks only the
-    descendants of the placed operation whose head rises, and the third part
-    reads the `tail` of each machine with single-machine operations. Every
-    head or `owed` entry a push changes goes on one trail as (table, key,
-    value before), and a pop restores them.
+    maximum that a commit folds the raised values into. A commit walks only
+    the descendants of the placed operation whose head rises, and the third
+    part reads the `tail` of each machine with single-machine operations.
+    Every head or `owed` entry a commit changes goes on one trail as (table,
+    key, value before), and an undo restores them.
     The same recursion, run backwards, gives each operation's Q, the least
     time from its start to the last completion among it and its descendants:
     Q_i = max(pmin_i, pbmin_i + the largest Q over i's successors). `chain`
@@ -85,15 +85,15 @@ class _Bounder(PlacementEngine):
         for i in reversed(order):  # a successor's entries come first
             chain = max([q[s] for s in self.succs[i]], default=0)
             self.chain[i], q[i] = chain, max(pmin[i], pbmin[i] + chain)
-        self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a push changed it)
-        self._frames: list[tuple[int, int, int]] = []  # per push: trail length, reach before, operation
+        self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a commit changed it)
+        self._frames: list[tuple[int, int]] = []  # per commit: trail length, reach before
         self.root = self.bound()
 
-    def push(self, i: int, rec: ScheduledOp) -> int:
-        """Commit the ready operation `i` at `rec`; returns the bound of the new placement."""
+    def commit(self, i: int, rec: ScheduledOp) -> None:
+        """Commit the ready operation `i` at `rec` and keep the bound, trailing each head and `owed` entry it changes."""
         head, pbmin, pmin, succs, rank, trail = self.head, self.pbmin, self.pmin, self.succs, self.rank, self._trail
-        self.commit(i, rec)
-        self._frames.append((len(trail), self.reach, i))
+        PlacementEngine.commit(self, i, rec)
+        self._frames.append((len(trail), self.reach))
         if i in self.solo:
             trail.append((self.owed, rec.machine, self.owed[rec.machine]))
             self.owed[rec.machine] -= self.solo[i]
@@ -117,17 +117,16 @@ class _Bounder(PlacementEngine):
                 reach = head[j] + pmin[j]
             out = head[j] + pbmin[j]
         self.reach = reach
-        return self.bound()
 
     def child_bound(self, i: int, k: int, floors: Floors) -> int:
-        """From the `floors` of appending `i` to `k` alone, a bound at most what :meth:`push` would return.
+        """From the `floors` of appending `i` to `k` alone, a bound at most :meth:`bound` after that commit.
 
         The placement completes no earlier than the start floor plus `i`'s
         processing time, nor before the completion floor, and `k` then owes
         what it owes now, less `i`'s processing if `i` is eligible on `k` only.
         Nor can the chain after `i` end before the start floor plus `i`'s
-        partial length on `k` plus the largest Q over its successors: the push
-        raises each successor's head to at least `i`'s partial completion.
+        partial length on `k` plus the largest Q over its successors: the
+        commit raises each successor's head to at least `i`'s partial completion.
         """
         _, start_floor, completion_floor = floors
         op = self.ops[i]
@@ -144,14 +143,14 @@ class _Bounder(PlacementEngine):
                 lb = tail[k] + w
         return lb
 
-    def pop(self) -> None:
-        """Undo the latest push's commit."""
-        mark, self.reach, i = self._frames.pop()
+    def undo(self) -> None:
+        """Undo the latest commit, restoring the heads, `owed` and `reach` it changed."""
+        mark, self.reach = self._frames.pop()
         trail = self._trail
         while len(trail) > mark:
             table, key, value = trail.pop()
             table[key] = value
-        self.undo(i)
+        PlacementEngine.undo(self)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +179,11 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     child iterator, over the ready set its commit left. A child is bounded
     before it is placed, from its floors alone (:meth:`_Bounder.child_bound`),
     and one that bound prunes still counts as a node, so the tree and its
-    counts are those of pushing it; a pinned child, whose placement may raise
-    (a child that raises is no node), is placed first. A child bounded below
-    the incumbent pushes a frame unless it is a leaf; a frame out of children
-    pops, and unless it was the root's the bounder undoes its node's commit.
+    counts are those of committing it; a pinned child, whose placement may
+    raise (a child that raises is no node), is placed first. A child bounded
+    below the incumbent pushes a frame unless it is a leaf; a frame out of
+    children pops, and unless it was the root's the bounder undoes its
+    node's commit.
     One budget, fixed at entry, covers the whole solve: a deadline
     `time_limit` seconds after the call, and a node cap. The greedy incumbent
     checks the deadline before each commit and gives up once it has passed.
@@ -226,25 +226,26 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                 return _result("limit", t0, nodes, incumbent, bounder.root)
             floors = bounder.floors(i, k)
             if bounder.ops[i].fixed is None and bounder.child_bound(i, k, floors) >= ub:
-                nodes += 1  # the push would prune it; only a pin's placement can raise
+                nodes += 1  # its commit would prune it; only a pin's placement can raise
                 continue
             try:
                 rec = bounder.placement(i, k, floors)
             except DecodeInfeasible:
                 continue
             nodes += 1
-            lb = bounder.push(i, rec)
+            bounder.commit(i, rec)
+            lb = bounder.bound()
             if lb < ub:
                 if bounder.ready:  # the bounder refused a cycle, so an unplaced operation leaves one ready
                     stack.append(appends(sorted(bounder.ready), i, k))
                     break
                 ub = lb  # a leaf's bound is its makespan
                 incumbent = bounder.schedule()
-            bounder.pop()
+            bounder.undo()
         else:
             stack.pop()
             if stack:
-                bounder.pop()
+                bounder.undo()
 
     if incumbent is None:
         return _result("infeasible", t0, nodes)
@@ -312,7 +313,7 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             return None
         for start, pin in pins.get(k, ()):
             if pin not in placed:  # the earliest unplaced pin
-                if pin != i and rec.completion + inst.setup_between(k, i, pin) > start:
+                if pin != i and rec.completion + engine.setups[k].between(ops[i], ops[pin]) > start:
                     return None
                 break
         return rec

@@ -89,15 +89,16 @@ def _earliest_legal(calendar: Calendar, ready: int, setup_len: int) -> int:
 class PlacementEngine:
     """One partial schedule, grown by appending operations to machine tails.
 
-    `placed` maps each placed operation to its record, `seqs` lists each
-    machine's operations in append order (its last operation is the last
-    entry), `tail` maps each machine to that operation's completion, or 0
-    while the machine is empty, `pred_left` counts each operation's unplaced
-    graph predecessors, and `ready` holds the unplaced operations whose count
-    is zero. Only :meth:`commit` and :meth:`undo` change them. The instance
-    data a placement reads is bound once, at construction: `ops` (each
-    operation record by id), `calendars` and `setups` (each machine's windows
-    and setup object), and the graph's `preds` and `succs`.
+    `placed` maps each placed operation to its record in commit order, `seqs`
+    lists each machine's operations in append order (its last operation is
+    the last entry), `tail` maps each machine to that operation's completion,
+    or 0 while the machine is empty, `pred_left` counts each operation's
+    unplaced graph predecessors, and `ready` holds the unplaced operations
+    whose count is zero. Only :meth:`commit` and :meth:`undo` change them;
+    :meth:`undo` takes back the latest commit, the last entry of `placed`.
+    The instance data a placement reads is bound once, at construction: `ops`
+    (each operation record by id), `calendars` and `setups` (each machine's
+    windows and setup object), and the graph's `preds` and `succs`.
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
@@ -107,7 +108,8 @@ class PlacementEngine:
     whose completion misses the floor is lifted to the first legal start past
     the latest start that completes before the floor; the placement stays
     left-tight. The floors come first, from :meth:`floors`, which reads no
-    calendar, so a caller may bound an append before `placement` uses them.
+    calendar, so a caller may bound an append before it passes them to
+    :meth:`placement`.
     """
 
     def __init__(self, inst: Instance):
@@ -146,16 +148,16 @@ class PlacementEngine:
                 completion_floor = rec.completion
         return setup_len, start_floor, completion_floor
 
-    def placement(self, op_id: int, machine_id: int, floors: Floors | None = None) -> ScheduledOp:
+    def placement(self, op_id: int, machine_id: int, floors: Floors) -> ScheduledOp:
         """Compute the earliest placement at `machine_id`'s tail; changes nothing.
 
-        It starts from the append's :meth:`floors`, or from `floors` when the
-        caller has read them in the current state. A pinned operation is
-        placed as a free one whose start floor is raised to its pin. Raises
-        DecodeInfeasible when its start then misses the pin, or its completion
-        misses the completion floor: a pinned operation is never lifted.
+        It starts from `floors`, the append's :meth:`floors` read in the
+        current state. A pinned operation is placed as a free one whose start
+        floor is raised to its pin. Raises DecodeInfeasible when its start then
+        misses the pin, or its completion misses the completion floor: a
+        pinned operation is never lifted.
         """
-        setup_len, start_floor, completion_floor = self.floors(op_id, machine_id) if floors is None else floors
+        setup_len, start_floor, completion_floor = floors
         op = self.ops[op_id]
         calendar = self.calendars[machine_id]
         proc = op.eligible[machine_id]
@@ -198,9 +200,9 @@ class PlacementEngine:
             if not self.pred_left[j]:
                 self.ready.add(j)
 
-    def undo(self, op_id: int) -> None:
-        """Reverse the latest commit, which must be the one of `op_id`."""
-        rec = self.placed.pop(op_id)
+    def undo(self) -> None:
+        """Reverse the latest commit."""
+        op_id, rec = self.placed.popitem()
         seq = self.seqs[rec.machine]
         seq.pop()
         self.tail[rec.machine] = self.placed[seq[-1]].completion if seq else 0

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from time import perf_counter
 
 from flexshop.milp import RowViolation, build_model, schedule_values
-from flexshop.model import Instance, Schedule, SolveResult, makespan, topological_order
+from flexshop.model import Instance, Schedule, SetupTable, SolveResult, makespan, topological_order
 from flexshop.solvers import solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine
 
@@ -101,6 +101,17 @@ def with_full_overlap(inst: Instance) -> Instance:
     return Instance(num_machines=inst.num_machines, operations=ops, arcs=inst.arcs, machines=inst.machines)
 
 
+def tabled(inst: Instance) -> Instance:
+    """`inst` with each machine's setup rule written out as the explicit table it implies."""
+    machines = []
+    for mc in inst.machines:
+        here = [inst.ops_by_id[i] for i in inst.eligible_ops[mc.id]]
+        table = SetupTable({a.id: mc.setup.first(a) for a in here},
+                           {(a.id, b.id): mc.setup.between(a, b) for a in here for b in here if a is not b})
+        machines.append(dataclasses.replace(mc, setup=table))
+    return dataclasses.replace(inst, machines=tuple(machines))
+
+
 def full_pass_bound(inst: Instance, engine: PlacementEngine) -> int:
     """The exact search's lower bound on `engine`'s placement, from one pass over every operation.
 
@@ -173,13 +184,13 @@ def plain_branch_and_bound(inst: Instance, node_limit: int | None = None):
                 if node_limit is not None and nodes >= node_limit:
                     return False
                 try:
-                    rec = engine.placement(i, k)
+                    rec = engine.placement(i, k, engine.floors(i, k))
                 except DecodeInfeasible:
                     continue
                 engine.commit(i, rec)
                 nodes += 1
                 going = full_pass_bound(inst, engine) >= ub or descend()
-                engine.undo(i)
+                engine.undo()
                 if not going:
                     return False
         return True
@@ -209,12 +220,13 @@ def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
         for i in sorted(engine.ready):
             for k in sorted(inst.ops_by_id[i].eligible):
                 try:
-                    rec = engine.placement(i, k)
+                    rec = engine.placement(i, k, engine.floors(i, k))
                 except DecodeInfeasible:
                     continue
                 pin = earliest_pin.get(k)
+                setup = inst.machines_by_id[k].setup
                 if (pin is not None and pin[1] != i
-                        and rec.completion + inst.setup_between(k, i, pin[1]) > pin[0]):
+                        and rec.completion + setup.between(inst.ops_by_id[i], inst.ops_by_id[pin[1]]) > pin[0]):
                     rejected += 1
                     continue
                 if best is None or (rec.completion, i, k) < best[:3]:
@@ -261,7 +273,7 @@ def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequ
             stuck = sorted(ids - engine.placed.keys())
             raise DecodeInfeasible(f"deadlock: no placeable operation among {stuck}")
         i = min(fronts)
-        engine.commit(i, engine.placement(i, assignment[i]))
+        engine.commit(i, engine.placement(i, assignment[i], engine.floors(i, assignment[i])))
     return engine.schedule()
 
 

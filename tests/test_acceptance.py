@@ -121,13 +121,13 @@ def random_structure(inst, rng: Rng):
             ks = sorted(inst.ops_by_id[i].eligible)
             k = ks[rng.uniform(0, len(ks) - 1)]
             try:
-                rec = engine.placement(i, k)
+                rec = engine.placement(i, k, engine.floors(i, k))
             except DecodeInfeasible:
                 rec = None
                 for i2 in ready:
                     for k2 in sorted(inst.ops_by_id[i2].eligible):
                         try:
-                            rec = engine.placement(i2, k2)
+                            rec = engine.placement(i2, k2, engine.floors(i2, k2))
                             i, k = i2, k2
                             break
                         except DecodeInfeasible:

@@ -20,7 +20,7 @@ from flexshop.solvers import _Bounder, greedy_result, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from lputil import parse_lp
-from oracles import brute_force, decode, listed_violations, rescan_greedy
+from oracles import brute_force, decode, listed_violations, rescan_greedy, tabled
 from test_solvers import pinned_variant, reversed_ids
 
 classes = st.one_of(st.tuples(st.just("small"), st.integers(1, 30)),
@@ -41,17 +41,6 @@ def test_greedy_equals_a_rescan_on_drawn_instances(cls_k, seed):
                 solve_greedy(case)
             continue
         assert solve_greedy(case) == want
-
-
-def tabled(inst: Instance) -> Instance:
-    """`inst` with each machine's setup rule written out as the explicit table it implies."""
-    machines = []
-    for mc in inst.machines:
-        here = [inst.ops_by_id[i] for i in inst.eligible_ops[mc.id]]
-        table = SetupTable({a.id: mc.setup.first(a) for a in here},
-                           {(a.id, b.id): mc.setup.between(a, b) for a in here for b in here if a is not b})
-        machines.append(replace(mc, setup=table))
-    return replace(inst, machines=tuple(machines))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -164,12 +153,12 @@ def best_completion(inst: Instance, engine: PlacementEngine) -> int | None:
     for i in sorted(engine.ready):
         for k in sorted(inst.ops_by_id[i].eligible):
             try:
-                rec = engine.placement(i, k)
+                rec = engine.placement(i, k, engine.floors(i, k))
             except DecodeInfeasible:
                 continue
             engine.commit(i, rec)
             mk = best_completion(inst, engine)
-            engine.undo(i)
+            engine.undo()
             if mk is not None and (best is None or mk < best):
                 best = mk
     return best
@@ -191,13 +180,14 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
         for i in sorted(bounder.ready):
             for k in sorted(inst.ops_by_id[i].eligible):
                 try:
-                    appends.append((i, bounder.placement(i, k)))
+                    appends.append((i, bounder.placement(i, k, bounder.floors(i, k))))
                 except DecodeInfeasible:
                     pass
         if not appends:
             break
         i, rec = data.draw(st.sampled_from(appends))
-        lb = bounder.push(i, rec)
+        bounder.commit(i, rec)
+        lb = bounder.bound()
         replay.commit(i, rec)
     best = best_completion(inst, replay)
     if best is not None:
@@ -219,7 +209,7 @@ def pinned_overlapping_instances(draw) -> Instance:
 @given(inst=pinned_overlapping_instances(), data=st.data())
 def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
     # after a random feasible prefix, every child's bound from its floors alone stays
-    # at or below the bound its push returns, and the floors place it as placement alone does
+    # at or below the bound after its commit
     bounder = _Bounder(inst)
     for _ in range(data.draw(st.integers(0, len(inst.operations) - 1))):
         appends = []
@@ -230,14 +220,14 @@ def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
                     rec = bounder.placement(i, k, floors)
                 except DecodeInfeasible:
                     continue
-                assert rec == bounder.placement(i, k)
                 child_lb = bounder.child_bound(i, k, floors)
-                assert child_lb <= bounder.push(i, rec), (i, k)
-                bounder.pop()
+                bounder.commit(i, rec)
+                assert child_lb <= bounder.bound(), (i, k)
+                bounder.undo()
                 appends.append((i, rec))
         if not appends:
             break
-        bounder.push(*data.draw(st.sampled_from(appends)))
+        bounder.commit(*data.draw(st.sampled_from(appends)))
 
 
 pair_keys = st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, 5),

@@ -7,6 +7,7 @@ from flexshop.generator import GenParams, generate
 from flexshop.model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupTable, Violation,
                             makespan, validate_instance)
 from flexshop.rng import Rng
+from flexshop.solvers import _Bounder
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from oracles import decode, iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
@@ -47,9 +48,9 @@ def place_one(calendar, ready, setup_len, proc, partial, pred=None, pinned=None)
                     machines=tuple(machines))
     engine = PlacementEngine(inst)
     if pred is not None:
-        engine.commit(2, engine.placement(2, 2))
+        engine.commit(2, engine.placement(2, 2, engine.floors(2, 2)))
         assert times(engine.placed[2])[2:] == pred
-    return engine.placement(1, 1)
+    return engine.placement(1, 1, engine.floors(1, 1))
 
 
 def random_pred(rng: Rng) -> tuple[int, int] | None:
@@ -152,7 +153,7 @@ def test_earliest_start_agrees_with_unit_step_oracle():
 
 def placement_or_none(engine, i, k):
     try:
-        return engine.placement(i, k)
+        return engine.placement(i, k, engine.floors(i, k))
     except DecodeInfeasible:
         return None
 
@@ -167,12 +168,21 @@ def ready_by_predecessors(inst, engine):
             and all(p in engine.placed for p in inst.predecessors[op.id])}
 
 
-def test_undo_restores_a_fresh_replay_of_the_prefix():
+def named_trail(bounder: _Bounder) -> list[tuple[str, int, int]]:
+    """The bounder's trail, each table given by its attribute name."""
+    names = {id(bounder.head): "head", id(bounder.owed): "owed"}
+    return [(names[id(table)], key, value) for table, key, value in bounder._trail]
+
+
+@pytest.mark.parametrize("engine", [PlacementEngine, _Bounder], ids=lambda cls: cls.__name__)
+def test_undo_restores_a_fresh_replay_of_the_prefix(engine):
+    # a bounder's undo also restores the tables its bound is kept in
     rng = Rng(31337)
     undone = 0
+    trailed = set()  # the tables of the compared trails
     for seed in range(1, 31):
         inst = generate(GenParams(n=2, o_min=2, o_max=4, m_min=2, m_max=3, q=2, seed=seed))
-        state = PlacementEngine(inst)
+        state = engine(inst)
         log = []  # (op, machine) in commit order
         while True:
             options = [(i, rec) for i, k in ready_pairs(inst, state)
@@ -184,11 +194,12 @@ def test_undo_restores_a_fresh_replay_of_the_prefix():
             log.append((i, rec.machine))
         assert log
         while log:
-            i, _ = log.pop()
-            state.undo(i)
-            replay = PlacementEngine(inst)
+            log.pop()
+            state.undo()
+            replay = engine(inst)
             for j, k in log:
-                replay.commit(j, replay.placement(j, k))
+                replay.commit(j, replay.placement(j, k, replay.floors(j, k)))
+            assert list(state.placed) == [j for j, _ in log]
             assert state.placed == replay.placed
             assert state.seqs == replay.seqs
             assert state.tail == replay.tail == {
@@ -199,8 +210,13 @@ def test_undo_restores_a_fresh_replay_of_the_prefix():
             assert pairs == ready_pairs(inst, state) and pairs
             for j, k in pairs:
                 assert placement_or_none(state, j, k) == placement_or_none(replay, j, k)
+            if engine is _Bounder:
+                assert (state.head, state.owed, state.reach, named_trail(state), state._frames, state.bound()) == (
+                    replay.head, replay.owed, replay.reach, named_trail(replay), replay._frames, replay.bound())
+                trailed.update(name for name, _, _ in named_trail(state))
             undone += 1
     assert undone >= 100
+    assert trailed == (set() if engine is PlacementEngine else {"head", "owed"})
 
 
 # ---------------------------------------------------------------------------
