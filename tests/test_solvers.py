@@ -9,8 +9,8 @@ import pytest
 
 from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_result
-from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, SolveResult,
-                            makespan, validate_instance)
+from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, makespan,
+                            validate_instance)
 from flexshop.solvers import _Bounder, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
@@ -512,13 +512,25 @@ def test_proof_set_needs_few_nodes():
     assert nodes < 60_000
 
 
-def test_the_search_tree_keeps_its_node_counts_and_budget_outcomes(monkeypatch):
-    # machine-independent pins of the tree the search walks and of the commits
-    # it makes there: a change in its per-node cost must leave every count,
-    # incumbent and bound where it was. A child the bound from its floors
-    # prunes is never committed; bounding on the machine's tail alone committed
-    # 14,632, 20,065 and 43,419/38,440/54,111, and the successor chain after
-    # the appended operation lowers them
+def test_the_search_tree_keeps_its_node_counts_and_budget_outcomes():
+    # machine-independent pins of the tree the search walks: a change in its
+    # per-node cost must leave every count, incumbent and bound where it was
+    def small(k: int, seed: int) -> Instance:
+        return generate(replace(params_for_class("small", k), seed=seed))
+
+    assert sum(solve_exact(small(1, seed)).nodes for seed in range(1, 13)) == 37_560
+    res = solve_exact(small(15, 42))
+    assert (res.status, res.makespan, res.nodes) == ("optimal", 263, 40_318)
+    budget = [solve_exact(small(15, seed), node_limit=100_000) for seed in (1, 2, 3)]
+    assert [(r.status, r.makespan, r.lower_bound, r.nodes) for r in budget] == [
+        ("limit", 434, 197, 100_000), ("limit", 244, 131, 100_000), ("limit", 276, 189, 100_000)]
+
+
+def test_the_pre_placement_bound_keeps_its_push_counts(monkeypatch):
+    # machine-independent pins of the commits the same tree makes: a child the
+    # bound from its floors prunes is never committed. Bounding on the
+    # machine's tail alone committed 14,632, 20,065 and 43,419/38,440/54,111;
+    # the successor chain after the appended operation lowers them
     commits = 0
     commit = _Bounder.commit
 
@@ -529,20 +541,19 @@ def test_the_search_tree_keeps_its_node_counts_and_budget_outcomes(monkeypatch):
 
     monkeypatch.setattr(_Bounder, "commit", counted)
 
-    def solve(k: int, seed: int, node_limit: int | None = None) -> tuple[SolveResult, int]:
-        """`solve_exact` on small k seed `seed`, and the commits it made."""
+    def small(k: int, seed: int) -> Instance:
+        return generate(replace(params_for_class("small", k), seed=seed))
+
+    def commits_of(*solves: tuple[Instance, int | None]) -> int:
         nonlocal commits
         commits = 0
-        return solve_exact(generate(replace(params_for_class("small", k), seed=seed)), node_limit=node_limit), commits
+        for inst, limit in solves:
+            solve_exact(inst, node_limit=limit)
+        return commits
 
-    proofs = [solve(1, seed) for seed in range(1, 13)]
-    assert (sum(r.nodes for r, _ in proofs), sum(n for _, n in proofs)) == (37_560, 13_062)
-    res, n = solve(15, 42)
-    assert (res.status, res.makespan, res.nodes, n) == ("optimal", 263, 40_318, 14_172)
-    budget = [solve(15, seed, 100_000) for seed in (1, 2, 3)]
-    assert [(r.status, r.makespan, r.lower_bound, r.nodes) for r, _ in budget] == [
-        ("limit", 434, 197, 100_000), ("limit", 244, 131, 100_000), ("limit", 276, 189, 100_000)]
-    assert [n for _, n in budget] == [36_900, 33_932, 40_388]
+    assert commits_of(*((small(1, seed), None) for seed in range(1, 13))) == 13_062
+    assert commits_of((small(15, 42), None)) == 14_172
+    assert [commits_of((small(15, seed), 100_000)) for seed in (1, 2, 3)] == [36_900, 33_932, 40_388]
 
 
 def test_greedy_chain():
