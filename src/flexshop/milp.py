@@ -10,7 +10,8 @@ exact integer arithmetic.
 
 Three constants derived from the instance data alone make the indicator
 rows work: ``m1`` bounds setup lengths, ``m3`` bounds window ends, ``m2``
-bounds the schedule horizon; see :func:`big_m_constants`.
+bounds the schedule horizon, counted from the latest window end, release or
+pinned start; see :func:`big_m_constants`.
 
 One deliberate deviation from the obvious chain-count formulation: per
 machine the immediate-predecessor pairs satisfy ``sum(y) >= sum(x) - 1``
@@ -91,10 +92,13 @@ def big_m_constants(inst: Instance) -> BigM:
     """The three model constants, from the instance data alone.
 
     m1 bounds every setup length. m3 bounds every unavailability-window end.
-    m2 bounds any sensible schedule horizon: the latest window end plus, for
-    each operation, its worst eligible processing time plus the worst setup
-    that could precede it there. Empty maxima count as 0 so the formulas stay
-    total on window-free or setup-free instances.
+    m2 bounds any sensible schedule horizon: the latest of the last window
+    end, every release and every pinned start, plus, for each operation, its
+    worst eligible processing time plus the worst setup that could precede
+    it there. After that first time no window, release or pin delays
+    anything, so a left-tight schedule completes by m2, which the
+    ``machine_gap`` and window rows need. Empty maxima count as 0 so the
+    formulas stay total on window-free or setup-free instances.
     """
     m1 = 0
     m3 = 0
@@ -102,7 +106,7 @@ def big_m_constants(inst: Instance) -> BigM:
         m3 = max(m3, mc.last_window_end())
         m1 = max(m1, mc.setup.longest())
 
-    m2 = m3
+    m2 = max([m3, *(op.release for op in inst.operations), *(op.fixed[1] for op in inst.operations if op.fixed)])
     for op in inst.operations:
         m2 += max((p + inst.machines_by_id[k].setup.worst_into(op, inst.eligible_ops[k])
                    for k, p in op.eligible.items()), default=0)

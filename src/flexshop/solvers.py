@@ -35,7 +35,7 @@ def _result(status: str, t0: float, nodes: int, schedule: Schedule | None = None
 
 
 class _Bounder(PlacementEngine):
-    """A partial placement that keeps a lower bound on its completions; `root` is the empty placement's.
+    """A partial placement that keeps a lower bound on its completions.
 
     The bound is the largest of three independently valid parts: the largest
     placed completion; a head recursion through the precedence graph (an
@@ -87,7 +87,6 @@ class _Bounder(PlacementEngine):
             self.chain[i], q[i] = chain, max(pmin[i], pbmin[i] + chain)
         self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a commit changed it)
         self._frames: list[tuple[int, int]] = []  # per commit: trail length, reach before
-        self.root = self.bound()
 
     def commit(self, i: int, rec: ScheduledOp) -> None:
         """Commit the ready operation `i` at `rec` and keep the bound, trailing each head and `owed` entry it changes."""
@@ -160,8 +159,42 @@ class _Bounder(PlacementEngine):
 
 def solve_exact(inst: Instance, time_limit: float | None = None,
                 node_limit: int | None = None) -> SolveResult:
-    """Branch over (ready operation, machine) appends, prune on bound.
+    """Branch over (ready operation, machine) appends, prune on bound: the greedy incumbent, then :func:`_search`.
 
+    One budget, fixed at entry, covers the whole solve: a deadline
+    `time_limit` seconds after the call, and a node cap. The greedy incumbent
+    checks the deadline before each commit and gives up once it has passed;
+    the search checks both before each candidate's placement, so a fixed
+    node limit always explores the same tree regardless of wall time.
+    There is one return per status: "limit" with the best incumbent (none if
+    the greedy gave up, and then 0 nodes) and the root bound; "infeasible"
+    once an exhausted search holds no incumbent; otherwise "optimal", with
+    the incumbent's makespan as its bound.
+    """
+    t0 = perf_counter()
+    deadline = None if time_limit is None else t0 + time_limit
+    bounder = _Bounder(inst)
+    try:
+        incumbent = solve_greedy(inst, deadline)
+    except DecodeInfeasible:
+        incumbent = None
+    incumbent, ub, nodes, exhausted = _search(bounder, incumbent, _INF if node_limit is None else node_limit, deadline)
+    if not exhausted:
+        return _result("limit", t0, nodes, incumbent, bounder.bound())
+    if incumbent is None:
+        return _result("infeasible", t0, nodes)
+    return _result("optimal", t0, nodes, incumbent, ub)
+
+
+def _search(bounder: _Bounder, incumbent: Schedule | None, cap: float, deadline: float | None) -> tuple[Schedule | None, float, int, bool]:
+    """Search every completion of the bounder's placement for one better than `incumbent`.
+
+    Returns the best schedule found, or `incumbent` if none beats it; its
+    makespan as the ub, infinite without one; the nodes; and whether the
+    search was exhausted rather than stopped by the node `cap` or the
+    `deadline`, a :func:`time.perf_counter` reading checked before each
+    candidate's placement. On every return the bounder's own commits are
+    undone, so it is back at the placement it was called with.
     A node appends one operation whose graph predecessors are all placed to
     the end of one of its machines' current sequences; children are visited
     by ascending operation id, then ascending (processing time, machine id).
@@ -171,7 +204,8 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     another machine is skipped unless `i` precedes `b`: each partial schedule
     is reached only through its id-ascending append order, the first one this
     depth-first order visits anyway, and later visits could only tie the
-    incumbent, never replace it. Skipped children are not nodes.
+    incumbent, never replace it. Skipped children are not nodes. The first
+    frame follows no append of its own, so it skips none.
     The bound is kept incrementally (see :class:`_Bounder`): an append
     updates it along the appended operation's descendants only and an undo
     restores it from a trail, with no pass over every operation.
@@ -182,32 +216,13 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
     counts are those of committing it; a pinned child, whose placement may
     raise (a child that raises is no node), is placed first. A child bounded
     below the incumbent pushes a frame unless it is a leaf; a frame out of
-    children pops, and unless it was the root's the bounder undoes its
-    node's commit.
-    One budget, fixed at entry, covers the whole solve: a deadline
-    `time_limit` seconds after the call, and a node cap. The greedy incumbent
-    checks the deadline before each commit and gives up once it has passed.
-    The search checks both before each candidate's placement, so a fixed
-    node limit always explores the same tree regardless of wall time; a
-    greedy incumbent that meets the root bound leaves it no frame to search.
-    There is one return per status: "limit" with the best incumbent (none if
-    the greedy gave up, and then 0 nodes) and the root bound; "infeasible"
-    once an exhausted search holds no incumbent; otherwise "optimal", with
-    the incumbent's makespan as its bound.
+    children pops, and unless it was the first the bounder undoes its node's
+    commit. A placement whose bound already meets the incumbent's makespan
+    leaves no frame to search. At a limit, each open frame but the first
+    still holds its node's commit, and the bounder undoes each of them.
     """
-    t0 = perf_counter()
-    deadline = None if time_limit is None else t0 + time_limit
-    cap = _INF if node_limit is None else node_limit
-    bounder = _Bounder(inst)
-
-    try:
-        incumbent = solve_greedy(inst, deadline)
-    except DecodeInfeasible:
-        incumbent = None
     ub: float = _INF if incumbent is None else makespan(incumbent)
-
-    machine_order = {op.id: [k for k, p in sorted(op.eligible.items(), key=lambda kp: (kp[1], kp[0]))]
-                     for op in inst.operations}
+    machine_order = {i: sorted(op.eligible, key=lambda k: (op.eligible[k], k)) for i, op in bounder.ops.items()}
 
     def appends(ready: list[int], last: float, last_k: int | None):
         """The (operation, machine) children of the node that appended `last` to `last_k`, in visiting order."""
@@ -219,11 +234,13 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
                 yield i, k
 
     nodes = 0
-    stack = [appends(sorted(bounder.ready), -_INF, None)] if ub > bounder.root else []
+    stack = [appends(sorted(bounder.ready), -_INF, None)] if ub > bounder.bound() else []
     while stack:
         for i, k in stack[-1]:
             if nodes >= cap or (deadline is not None and perf_counter() > deadline):
-                return _result("limit", t0, nodes, incumbent, bounder.root)
+                for _ in stack[1:]:
+                    bounder.undo()
+                return incumbent, ub, nodes, False
             floors = bounder.floors(i, k)
             if bounder.ops[i].fixed is None and bounder.child_bound(i, k, floors) >= ub:
                 nodes += 1  # its commit would prune it; only a pin's placement can raise
@@ -246,10 +263,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
             stack.pop()
             if stack:
                 bounder.undo()
-
-    if incumbent is None:
-        return _result("infeasible", t0, nodes)
-    return _result("optimal", t0, nodes, incumbent, ub)
+    return incumbent, ub, nodes, True
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +313,10 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     """
     engine = PlacementEngine(inst)
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
-    n_ops = len(inst.operations)
 
     pins: dict[int, list[tuple[int, int]]] = {}  # machine -> every (pinned start, op) on it, ascending
     for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
         pins.setdefault(k, []).append((start, i))
-
-    def candidate(i: int, k: int, floors: Floors) -> ScheduledOp | None:
-        """The placement appending `i` to `k`'s tail from its `floors`, or None if it raises or blocks `k`'s earliest pin."""
-        try:
-            rec = engine.placement(i, k, floors)
-        except DecodeInfeasible:
-            return None
-        for start, pin in pins.get(k, ()):
-            if pin not in placed:  # the earliest unplaced pin
-                if pin != i and rec.completion + engine.setups[k].between(ops[i], ops[pin]) > start:
-                    return None
-                break
-        return rec
 
     front = {k: sorted((ops[i].eligible[k], i) for i in inst.eligible_ops[k] if i in engine.ready)
              for k in seqs}  # machine -> its ready eligible (p, op), ascending
@@ -331,7 +331,7 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             p, j = front[k][c]
             heapq.heappush(heap, (tail[k] + p, j, k, len(seqs[k]), None))
 
-    while len(placed) < n_ops:
+    while len(placed) < len(ops):
         if deadline is not None and perf_counter() > deadline:
             return None
         while heap:
@@ -350,8 +350,16 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             elif isinstance(held, ScheduledOp):  # a record entry: the answer
                 rec = held
                 break
-            else:  # a floors entry: place it
-                rec = candidate(i, k, held)
+            else:  # a floors entry: place it, unless that raises or blocks `k`'s earliest unplaced pin
+                try:
+                    rec = engine.placement(i, k, held)
+                except DecodeInfeasible:
+                    continue
+                for start, pin in pins.get(k, ()):
+                    if pin not in placed:  # the earliest unplaced pin
+                        if pin != i and rec.completion + engine.setups[k].between(ops[i], ops[pin]) > start:
+                            rec = None
+                        break
                 if rec is not None:
                     heapq.heappush(heap, (rec.completion, i, k, n, rec))
         else:
@@ -383,4 +391,4 @@ def greedy_result(inst: Instance) -> SolveResult:
     Raises DecodeInfeasible when the greedy finds no schedule.
     """
     t0 = perf_counter()
-    return _result("feasible", t0, 0, solve_greedy(inst), _Bounder(inst).root)
+    return _result("feasible", t0, 0, solve_greedy(inst), _Bounder(inst).bound())

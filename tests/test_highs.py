@@ -20,6 +20,7 @@ from flexshop.timing import check_schedule
 
 from highs import solve_model
 from oracles import decode, tabled, with_full_overlap
+from test_milp import late_release
 from test_solvers import pinned_variant, reversed_ids
 
 KS = [7, 10, 2, 15]
@@ -65,7 +66,7 @@ def test_highs_proves_the_exact_optimum_and_the_root_bound_stays_below_it(k):
     assert abs(res.fun - optimum) < 1e-6
     exact = solve_exact(inst)
     assert (exact.status, exact.makespan) == ("optimal", optimum)
-    assert _Bounder(inst).root <= optimum
+    assert _Bounder(inst).bound() <= optimum
 
 
 @pytest.mark.parametrize("k", KS)
@@ -76,6 +77,16 @@ def test_the_highs_solution_decodes_to_a_checked_schedule_at_its_optimum(k):
     assert check_schedule(inst, sched) == []
     assert evaluate_schedule(inst, sched) == []
     assert makespan(sched) == round(res.fun)
+
+
+def test_highs_proves_the_optimum_of_a_pin_and_a_late_release():
+    # the drawn instances below keep releases under 100 and pins before the first window,
+    # so none puts a release or a pin past the last window end, where m2 must count from it
+    inst = late_release(pinned=True)
+    res = solve_model(build_model(inst), time_limit=20)
+    assert res.status == 0, res.message
+    exact = solve_exact(inst)
+    assert (exact.status, exact.makespan, round(res.fun)) == ("optimal", 1005, 1005)
 
 
 def drawn(count: int, seed: int):
@@ -118,7 +129,7 @@ def agree(label: str, inst: Instance, time_limit: float) -> str:
         assert check_schedule(inst, sched) == [] == evaluate_schedule(inst, sched), label
         assert exact.status == "optimal" and exact.makespan <= makespan(sched) <= res.fun + 1e-6, label
     if exact.status == "optimal":
-        assert _Bounder(inst).root <= exact.makespan, label
+        assert _Bounder(inst).bound() <= exact.makespan, label
         assert res.mip_dual_bound is None or res.mip_dual_bound <= exact.makespan + 1e-6, label
         if status == "optimal":
             assert abs(res.fun - exact.makespan) < 1e-6, label

@@ -9,7 +9,7 @@ from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import loads_instance
 from flexshop.milp import build_model, emit_lp, evaluate_schedule, lp_lines, schedule_values
 from flexshop.model import Instance, Machine, Operation, Schedule, SetupRule, SetupTable
-from flexshop.solvers import solve_greedy
+from flexshop.solvers import solve_exact, solve_greedy
 from flexshop.timing import check_schedule
 
 from lputil import parse_lp
@@ -262,6 +262,22 @@ def test_moved_pinned_op_trips_its_fix_row():
     drifted = tampered(res.schedule, 1, setup_start=5, start=7, partial_completion=12, completion=12)
     names = {v.name for v in evaluate_schedule(pinned, drifted)}
     assert "fix_start_1" in names
+
+
+def late_release(pinned: bool) -> Instance:
+    """One machine without setups: op 1 (p 5), pinned at 0 if `pinned`, and op 2 (p 5) released at 1000."""
+    ops = (Operation(1, 1, {1: 5}, fixed=(1, 0) if pinned else None), Operation(2, 2, {1: 5}, release=1000))
+    return Instance(num_machines=1, operations=ops, arcs=(),
+                    machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),))
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+def test_an_optimum_past_the_last_window_end_satisfies_every_row(pinned):
+    # no window, so m2 must count from the release or the pin, not from the last window end at 0
+    inst = late_release(pinned)
+    res = solve_exact(inst)
+    assert (res.status, res.makespan) == ("optimal", 1005)
+    assert evaluate_schedule(inst, res.schedule) == []
 
 
 def test_streamed_row_check_matches_the_listed_oracle():

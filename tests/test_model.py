@@ -183,6 +183,16 @@ def test_big_m_worked_example_with_window():
     assert big_m_constants(inst) == BigM(m1=4, m2=20, m3=6)
 
 
+@pytest.mark.parametrize("pin, m2", [(50, 94), (120, 134)])
+def test_big_m_horizon_counts_from_the_latest_release_or_pin(pin, m2):
+    # the release at 80 and the pin lie past the window's end at 6; from the later of them
+    # m2 adds (3 + 4) for op 1 and (5 + 2) for op 2, as in the worked example with a window
+    inst = two_op_instance(operations=(Operation(1, 1, {1: 3}, fixed=(1, pin)), Operation(2, 1, {1: 5}, release=80)),
+                           machines=(Machine(1, windows=((4, 6),), setup=TWO_OP_TABLE),))
+    assert validate_instance(inst) == []
+    assert big_m_constants(inst) == BigM(m1=4, m2=m2, m3=6)
+
+
 def test_big_m_worked_example_without_windows():
     inst = Instance(num_machines=1, operations=(Operation(1, 1, {1: 5}),), arcs=(),
                     machines=(Machine(1, setup=SetupTable({1: 2}, {})),))

@@ -170,11 +170,11 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
     bounder = _Bounder(inst)
     optimum = brute_force(inst).makespan
     if optimum is not None:
-        assert bounder.root <= optimum
+        assert bounder.bound() <= optimum
     # a random feasible prefix, replayed in a second engine that the exhaustive search may walk;
     # at most 4 operations stay unplaced, to keep that search small
     replay = PlacementEngine(inst)
-    lb = bounder.root
+    lb = bounder.bound()
     for _ in range(data.draw(st.integers(max(1, len(inst.operations) - 4), len(inst.operations)))):
         appends = []
         for i in sorted(bounder.ready):

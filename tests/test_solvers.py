@@ -11,11 +11,11 @@ from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_result
 from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, makespan,
                             validate_instance)
-from flexshop.solvers import _Bounder, solve_exact, solve_greedy
+from flexshop.solvers import _Bounder, _search, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from oracles import brute_force, decode, full_pass_bound, plain_branch_and_bound, rescan_greedy, with_full_overlap
-from test_timing import serial_instance
+from test_timing import named_trail, serial_instance
 
 
 def flexible_instance() -> Instance:
@@ -195,7 +195,7 @@ def test_a_deadline_inside_the_greedy_stops_it_between_commits(monkeypatch):
     res = solve_exact(inst, time_limit=100.5)
     assert commits == 100 < len(inst.operations)
     assert (res.status, res.nodes, res.schedule, res.makespan, res.gap) == ("limit", 0, None, None, None)
-    assert res.lower_bound == _Bounder(inst).root
+    assert res.lower_bound == _Bounder(inst).bound()
 
 
 def test_a_generous_time_limit_changes_nothing_at_a_node_limit():
@@ -442,7 +442,7 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
     Walks depth first; returns the nodes.
     """
     bounder = _Bounder(inst)
-    assert bounder.root == bounder.bound() == full_pass_bound(inst, bounder)
+    assert bounder.bound() == full_pass_bound(inst, bounder)
     nodes = 0
 
     def descend() -> None:
@@ -510,6 +510,45 @@ def test_proof_set_needs_few_nodes():
         assert (res.status, res.makespan) == ("optimal", optimum), seed
         nodes += res.nodes
     assert nodes < 60_000
+
+
+def bounder_state(bounder: _Bounder) -> tuple:
+    """A copy of every table of the bounder's placement and bound; `placed` keeps its commit order."""
+    return (list(bounder.placed.items()), {k: list(seq) for k, seq in bounder.seqs.items()}, dict(bounder.tail),
+            set(bounder.ready), dict(bounder.pred_left), dict(bounder.head), dict(bounder.owed), bounder.reach,
+            named_trail(bounder), list(bounder._frames), bounder.bound())
+
+
+def test_the_search_leaves_the_bounder_where_it_started():
+    # exhausted, stopped by its node cap, or below a committed prefix, the search
+    # takes back every commit it made before it returns
+    for seed, optimum in enumerate(PROOF_SET_OPTIMA, start=1):
+        inst = generate(replace(params_for_class("small", 1), seed=seed))
+        bounder = _Bounder(inst)
+
+        def search(incumbent, cap=float("inf")):
+            before = bounder_state(bounder)
+            found = _search(bounder, incumbent, cap, None)
+            assert bounder_state(bounder) == before, seed
+            return found
+
+        best = solve_exact(inst).schedule
+        found, ub, _, exhausted = search(best)
+        assert (found, ub, exhausted) == (best, optimum, True), seed
+        found, ub, nodes, exhausted = search(None)
+        assert (makespan(found), ub, exhausted) == (optimum, optimum, True), seed
+        assert check_schedule(inst, found) == [], seed
+        assert search(None, nodes // 2)[2:] == (nodes // 2, False), seed
+
+        prefix = list(best.ops.items())[:len(best.ops) // 2]
+        for i, rec in prefix:
+            again = bounder.placement(i, rec.machine, bounder.floors(i, rec.machine))
+            assert again == rec, (seed, i)
+            bounder.commit(i, again)
+        found, ub, _, exhausted = search(None)
+        assert (makespan(found), ub, exhausted) == (optimum, optimum, True), seed
+        assert list(found.ops.items())[:len(prefix)] == prefix, seed
+        assert list(bounder.placed.items()) == prefix, seed
 
 
 def test_the_search_tree_keeps_its_node_counts_and_budget_outcomes():
