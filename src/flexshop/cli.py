@@ -8,6 +8,7 @@ found, instance invalid, no feasible schedule), 2 malformed input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Iterable
@@ -125,6 +126,7 @@ def _finite_seconds(text: str) -> float:
     return seconds
 
 
+@functools.cache  # built once per process: parsing reads the parser and never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flexshop",
                                      description="Job-shop scheduling with calendars, "

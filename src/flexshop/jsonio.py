@@ -38,7 +38,10 @@ input, including JSON the parser cannot read (nested too deep, say) and a
 map key that is not an id as ``str(n)`` writes it ("01", "+1", " 1", "1_0",
 "-0", or "1, 2" for a pair), raises :class:`FormatError`; the CLI maps that to
 exit code 2, keeping it distinct from domain violations (exit 1). So two keys
-of one map never name the same id.
+of one map never name the same id. A read tests each value's type once and
+builds a field's error context only to raise it: a value of type exactly int
+is taken as read, any other goes through the checks that name it, and an
+operation's eligible map builds one context for all its keys.
 """
 
 from __future__ import annotations
@@ -57,11 +60,15 @@ class FormatError(ValueError):
     """The payload is not structurally valid instance/schedule JSON."""
 
 
-def _need(obj: Any, key: str, ctx: str, kind: type | None = None, default: Any = dataclasses.MISSING) -> Any:
-    """``obj[key]``, required unless a default is given; with `kind` (list or dict) the value must be one."""
+def _object(obj: Any, ctx: str) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"{ctx}: expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    return obj
+
+
+def _need(obj: Any, key: str, ctx: str, kind: type | None = None, default: Any = dataclasses.MISSING) -> Any:
+    """``obj[key]``, required unless a default is given; with `kind` (list or dict) the value must be one."""
+    if key not in _object(obj, ctx):
         if default is dataclasses.MISSING:
             raise FormatError(f"{ctx}: missing key {key!r}")
         return default
@@ -123,16 +130,22 @@ def _put(o: Any, pad: str, emit: Callable[[str], Any]) -> None:
     elif isinstance(o, dict) and o:
         inner, lead = pad + " ", "{"
         for key, item in o.items():
-            emit(f"{lead}{inner}{_quote(key)}: ")
+            if type(item) is int:
+                emit(f"{lead}{inner}{_quote(key)}: {item}")
+            else:
+                emit(f"{lead}{inner}{_quote(key)}: ")
+                _put(item, inner, emit)
             lead = ","
-            _put(item, inner, emit)
         emit(pad + "}")
     elif isinstance(o, (list, tuple)) and o:
         inner, lead = pad + " ", "["
         for item in o:
-            emit(lead + inner)
+            if type(item) is int:
+                emit(f"{lead}{inner}{item}")
+            else:
+                emit(lead + inner)
+                _put(item, inner, emit)
             lead = ","
-            _put(item, inner, emit)
         emit(pad + "]")
     elif o is None:
         emit("null")
@@ -150,9 +163,12 @@ def _to_record(obj: Any, **given: Any) -> dict:
 
 def _from_record(cls: type, raw: Any, ctx: str, **given: Any) -> Any:
     """Dataclass `cls` from JSON object `raw`: `given` fields as passed, every other one an integer."""
+    get = _object(raw, ctx).get
     for f in _fields(cls):
-        if f.name not in given:
-            given[f.name] = _as_int(_need(raw, f.name, ctx, default=f.default), f"{ctx}.{f.name}")
+        name = f.name
+        if name not in given:
+            v = get(name, f.default)
+            given[name] = v if type(v) is int else _as_int(_need(raw, name, ctx, default=f.default), f"{ctx}.{name}")
     return cls(**given)
 
 
@@ -226,8 +242,9 @@ def instance_from_dict(data: Any) -> Instance:
         eligible = _need(raw, "eligible", ctx)
         if not isinstance(eligible, dict) or not eligible:
             raise FormatError(f"{ctx}.eligible: expected a non-empty object")
-        eligible = {_int_key(k, f"{ctx}.eligible"): _as_int(p, f"{ctx}.eligible") for k, p in eligible.items()}
-        fixed = _need(raw, "fixed", ctx, default=None)
+        where = f"{ctx}.eligible"
+        eligible = {_int_key(k, where): p if type(p) is int else _as_int(p, where) for k, p in eligible.items()}
+        fixed = raw.get("fixed")
         if fixed is not None:
             fixed = (_as_int(_need(fixed, "machine", f"{ctx}.fixed"), f"{ctx}.fixed.machine"),
                      _as_int(_need(fixed, "start", f"{ctx}.fixed"), f"{ctx}.fixed.start"))
@@ -235,9 +252,11 @@ def instance_from_dict(data: Any) -> Instance:
 
     arcs = []
     for arc in _need(data, "arcs", "instance", list):
-        if not isinstance(arc, list) or len(arc) != 2:
-            raise FormatError("instance.arcs: each arc is a [tail, head] pair")
-        arcs.append((_as_int(arc[0], "arc tail"), _as_int(arc[1], "arc head")))
+        if not (type(arc) is list and len(arc) == 2 and type(arc[0]) is int and type(arc[1]) is int):
+            if not isinstance(arc, list) or len(arc) != 2:
+                raise FormatError("instance.arcs: each arc is a [tail, head] pair")
+            arc = [_as_int(arc[0], "arc tail"), _as_int(arc[1], "arc head")]
+        arcs.append((arc[0], arc[1]))
 
     return Instance(num_machines=m, operations=tuple(operations), arcs=tuple(arcs), machines=tuple(machines))
 
@@ -268,7 +287,9 @@ def schedule_from_dict(data: Any) -> Schedule:
     ops: dict[int, ScheduledOp] = {}
     for idx, raw in enumerate(_need(data, "operations", "schedule", list)):
         ctx = f"schedule operation[{idx}]"
-        op_id = _as_int(_need(raw, "id", ctx), f"{ctx}.id")
+        op_id = _object(raw, ctx).get("id")
+        if type(op_id) is not int:
+            op_id = _as_int(_need(raw, "id", ctx), f"{ctx}.id")
         if op_id in ops:
             raise FormatError(f"{ctx}: duplicate operation id {op_id}")
         ops[op_id] = _from_record(ScheduledOp, raw, ctx)
@@ -276,7 +297,8 @@ def schedule_from_dict(data: Any) -> Schedule:
     for key, ids in _need(data, "sequences", "schedule", dict).items():
         if not isinstance(ids, list):
             raise FormatError(f"schedule.sequences[{brief(key)}]: expected a list of op ids")
-        sequences[_int_key(key, "schedule.sequences")] = tuple(_as_int(i, "sequence entry") for i in ids)
+        entries = tuple(i if type(i) is int else _as_int(i, "sequence entry") for i in ids)
+        sequences[_int_key(key, "schedule.sequences")] = entries
     return Schedule(ops=ops, sequences=sequences)
 
 

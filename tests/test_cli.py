@@ -488,6 +488,29 @@ def test_dash_reads_stdin_and_writes_stdout(capsys, monkeypatch):
     assert result["makespan"] == 13
 
 
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main() reuses one parser per process; each call must parse as if it were the first
+    monkeypatch.setattr(cli, "NODE_CAP", 1_000)
+    inst_path = str(gen_instance(tmp_path, k="30", seed="42"))
+    capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["solve", inst_path, "--alg", "greedy"]) == 0
+    greedy = json.loads(capsys.readouterr().out)
+    assert (greedy["status"], greedy["nodes"]) == ("feasible", 0)
+    with pytest.raises(SystemExit) as info:
+        main(["solve"])
+    assert info.value.code == 2
+    assert "the following arguments are required: instance" in capsys.readouterr().err
+    assert main(["solve", inst_path, "--node-limit", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 10
+    assert main(["solve", inst_path]) == 0  # exact, at the default node cap: no --alg or --node-limit carried over
+    exact = json.loads(capsys.readouterr().out)
+    assert (exact["status"], exact["nodes"]) == ("limit", 1_000)
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert (info.value.code, capsys.readouterr().out) == (0, f"flexshop {__version__}\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

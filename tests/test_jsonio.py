@@ -1,3 +1,4 @@
+import enum
 import gc
 import json
 
@@ -6,10 +7,14 @@ import pytest
 from flexshop.cli import main
 from flexshop.generator import generate, params_for_class
 from flexshop.jsonio import (FormatError, dumps_instance, dumps_manifest, dumps_report, dumps_result,
-                             instance_to_dict, loads_instance, loads_schedule, schedule_to_dict)
+                             instance_from_dict, instance_to_dict, loads_instance, loads_schedule, schedule_to_dict)
 from flexshop.model import (Instance, Machine, Operation, Schedule, ScheduledOp, SetupRule, SetupTable, SolveResult,
                             Violation)
 from flexshop.solvers import solve_greedy
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
 
 
 def sample_instance() -> Instance:
@@ -49,7 +54,10 @@ def test_documents_are_written_byte_for_byte_as_json_dumps_with_indent_1():
     for doc in ({"class": "small", "k": 15, "seed": 1, "generator_version": "0.1.0", "jobs": 4},
                 {odd: [True, False, None, 0.0, -0.0, 1.5, 1e300, -2.5e-300, float("inf"), float("-inf"),
                        float("nan"), -7, 10**30, [], {}, (), [[]], {"": {"x": [{}]}}], "": odd},
-                {}, [], [[1, [2, [3]]], {"a": ()}]):
+                {}, [], [[1, [2, [3]]], {"a": ()}],
+                # direct members that take the inline int path (exact ints) and those that skip it
+                {"t": True, "f": False, "enum": Level.HIGH, "zero": -0, "big": 10**4000, "neg": -7},
+                [True, False, Level.HIGH, -0, 10**4000, -7]):
         cases.append((dumps_manifest(doc), doc))
     for text, doc in cases:
         assert text == json.dumps(doc, indent=1)
@@ -153,6 +161,59 @@ def test_malformed_instance_raises_format_error(mutate):
     mutate(data)
     with pytest.raises(FormatError):
         loads_instance(json.dumps(data))
+
+
+RECORD = {"id": 1, "machine": 1, "setup_start": 0, "setup_len": 0, "start": 0, "partial_completion": 1,
+          "completion": 1}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["operations"][0].__setitem__("release", True), "operation[0].release: expected an integer, got True"),
+    (lambda d: d["operations"][0].__setitem__("size", 1.5), "operation[0].size: expected an integer, got 1.5"),
+    (lambda d: d["operations"][0].pop("job"), "operation[0]: missing key 'job'"),
+    (lambda d: d["machines"][1]["setup_rule"].__setitem__("ct", "2"),
+     "machine[1].setup_rule.ct: expected an integer, got '2'"),
+    (lambda d: d["machines"][1].__setitem__("setup_rule", 7), "machine[1].setup_rule: expected an object, got int"),
+    (lambda d: d["operations"][1]["fixed"].__setitem__("machine", True),
+     "operation[1].fixed.machine: expected an integer, got True"),
+    (lambda d: d["operations"][0]["eligible"].__setitem__("1", True),
+     "operation[0].eligible: expected an integer, got True"),
+    (lambda d: d["operations"][0]["eligible"].__setitem__("01", 3),
+     "operation[0].eligible: key '01' is not an integer written as str(n)"),
+    (lambda d: d["arcs"].append([1, True]), "arc head: expected an integer, got True"),
+    (lambda d: d["arcs"].append([1]), "instance.arcs: each arc is a [tail, head] pair"),
+])
+def test_malformed_instance_values_raise_their_whole_message(mutate, message):
+    data = instance_to_dict(sample_instance())
+    mutate(data)
+    with pytest.raises(FormatError) as info:
+        loads_instance(json.dumps(data))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["operations"][0].__setitem__("start", True),
+     "schedule operation[0].start: expected an integer, got True"),
+    (lambda d: d["operations"][0].pop("completion"), "schedule operation[0]: missing key 'completion'"),
+    (lambda d: d["operations"][0].__setitem__("id", "1"), "schedule operation[0].id: expected an integer, got '1'"),
+    (lambda d: d["operations"].__setitem__(0, [1]), "schedule operation[0]: expected an object, got list"),
+    (lambda d: d["sequences"].__setitem__("1", [1.0]), "sequence entry: expected an integer, got 1.0"),
+])
+def test_malformed_schedule_values_raise_their_whole_message(mutate, message):
+    body = {"operations": [dict(RECORD)], "sequences": {"1": [1]}}
+    mutate(body)
+    with pytest.raises(FormatError) as info:
+        loads_schedule(json.dumps(body))
+    assert str(info.value) == message
+
+
+def test_int_subclass_values_are_still_read_as_integers():
+    data = instance_to_dict(sample_instance())
+    data["operations"][0]["release"] = Level.HIGH
+    data["operations"][0]["eligible"]["1"] = Level.HIGH
+    data["arcs"] = [[1, Level.HIGH]]
+    inst = instance_from_dict(data)
+    assert (inst.operations[0].release, inst.operations[0].eligible[1], inst.arcs) == (2, 2, ((1, 2),))
 
 
 def test_instance_text_must_be_json():
