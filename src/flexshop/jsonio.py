@@ -123,9 +123,7 @@ def _put(o: Any, pad: str, emit: Callable[[str], Any]) -> None:
     A module-level function, not a closure: a nested one that calls itself is a
     reference cycle, which would keep every part alive until the cyclic collector runs.
     """
-    if type(o) is int:
-        emit(f"{o}")
-    elif isinstance(o, str):
+    if isinstance(o, str):
         emit(_quote(o))
     elif isinstance(o, dict) and o:
         inner, lead = pad + " ", "{"
@@ -150,7 +148,7 @@ def _put(o: Any, pad: str, emit: Callable[[str], Any]) -> None:
     elif o is None:
         emit("null")
     else:
-        emit(json.dumps(o))  # bools, floats, empty containers; TypeError as json.dumps raises it
+        emit(json.dumps(o))  # bools, floats, a bare int, empty containers; TypeError as json.dumps raises it
 
 
 _fields = functools.cache(dataclasses.fields)  # keyed by class; fields() builds a new tuple on every call

@@ -275,10 +275,12 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     """Repeatedly commit the ready (operation, machine) pair finishing first.
 
     Ties break on the lower operation id, then machine id. A machine holding
-    unplaced pinned operations accepts another operation only if it would
-    complete in time for the setup of the earliest of them, the first of the
-    machine's pins, sorted once by (start, op), that is not yet placed; when
-    no candidate survives, raises DecodeInfeasible. Given a `deadline`, a
+    unplaced pinned operations accepts another operation only if the earliest
+    of them, by (start, op), could still be placed right after it: the pin's
+    setup fits between the operation's completion and the pinned start and
+    clears every window, and the start is legal
+    (:meth:`~flexshop.timing.PlacementEngine.keeps_pin`); when no candidate
+    survives, raises DecodeInfeasible. Given a `deadline`, a
     :func:`time.perf_counter` reading, it reads the clock before each commit
     and returns None once the deadline has passed.
     Pairs wait in one heap of (key, op, machine, stamp, held) and are placed
@@ -313,10 +315,6 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     """
     engine = PlacementEngine(inst)
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
-
-    pins: dict[int, list[tuple[int, int]]] = {}  # machine -> every (pinned start, op) on it, ascending
-    for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
-        pins.setdefault(k, []).append((start, i))
 
     front = {k: sorted((ops[i].eligible[k], i) for i in inst.eligible_ops[k] if i in engine.ready)
              for k in seqs}  # machine -> its ready eligible (p, op), ascending
@@ -355,12 +353,7 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
                     rec = engine.placement(i, k, held)
                 except DecodeInfeasible:
                     continue
-                for start, pin in pins.get(k, ()):
-                    if pin not in placed:  # the earliest unplaced pin
-                        if pin != i and rec.completion + engine.setups[k].between(ops[i], ops[pin]) > start:
-                            rec = None
-                        break
-                if rec is not None:
+                if engine.keeps_pin(i, rec):
                     heapq.heappush(heap, (rec.completion, i, k, n, rec))
         else:
             stuck = sorted(op.id for op in inst.operations if op.id not in placed)

@@ -98,7 +98,8 @@ class PlacementEngine:
     :meth:`undo` takes back the latest commit, the last entry of `placed`.
     The instance data a placement reads is bound once, at construction: `ops`
     (each operation record by id), `calendars` and `setups` (each machine's
-    windows and setup object), and the graph's `preds` and `succs`.
+    windows and setup object), the graph's `preds` and `succs`, and for
+    :meth:`keeps_pin` each machine's pins, sorted by (start, op).
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
@@ -118,6 +119,9 @@ class PlacementEngine:
         self.setups = {mc.id: mc.setup for mc in inst.machines}
         self.preds = inst.predecessors
         self.succs = inst.successors
+        self._pins: dict[int, list[tuple[int, int]]] = {}  # machine -> every (pinned start, op) on it, ascending
+        for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
+            self._pins.setdefault(k, []).append((start, i))
         self.placed: dict[int, ScheduledOp] = {}
         self.seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
         self.tail: dict[int, int] = dict.fromkeys(self.seqs, 0)
@@ -188,6 +192,24 @@ class PlacementEngine:
                                 else _finish(calendar, s, op.partial_units(machine_id))),
             completion=completion,
         )
+
+    def keeps_pin(self, op_id: int, rec: ScheduledOp) -> bool:
+        """Whether `rec.machine`'s earliest unplaced pin could still start on time right after `op_id` at `rec`.
+
+        True when the machine has no unplaced pin or `op_id` is that pin;
+        otherwise the pin, with its setup after `op_id`, must start exactly at
+        its pinned start from `rec`'s completion, as :meth:`placement` would
+        place it there. Its release and predecessors are not read. Changes
+        nothing.
+        """
+        k = rec.machine
+        for start, pin in self._pins.get(k, ()):
+            if pin not in self.placed:  # the earliest unplaced pin
+                if pin == op_id:
+                    return True
+                setup_len = self.setups[k].between(self.ops[op_id], self.ops[pin])
+                return _earliest_legal(self.calendars[k], max(start, rec.completion + setup_len), setup_len) == start
+        return True
 
     def commit(self, op_id: int, rec: ScheduledOp) -> None:
         """Append the ready operation `op_id` to its machine with placement `rec`."""

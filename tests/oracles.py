@@ -204,9 +204,11 @@ def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
     """`solve_greedy` with nothing kept between steps: each step places every ready pair afresh.
 
     Each step also recomputes every machine's earliest unplaced pin from the
-    operations. Returns the schedule and the number of pairs the pin check
-    rejected over all steps; raises DecodeInfeasible when a step has no
-    candidate left.
+    operations, and rejects a pair after which that pin's setup would not fit
+    between the pair's completion and the pinned start, would overlap a
+    window, or the pinned start itself would be illegal. Returns the schedule
+    and the number of pairs the pin check rejected over all steps; raises
+    DecodeInfeasible when a step has no candidate left.
     """
     engine = PlacementEngine(inst)
     rejected = 0
@@ -224,17 +226,33 @@ def rescan_greedy(inst: Instance) -> tuple[Schedule, int]:
                 except DecodeInfeasible:
                     continue
                 pin = earliest_pin.get(k)
-                setup = inst.machines_by_id[k].setup
-                if (pin is not None and pin[1] != i
-                        and rec.completion + setup.between(inst.ops_by_id[i], inst.ops_by_id[pin[1]]) > pin[0]):
-                    rejected += 1
-                    continue
+                if pin is not None and pin[1] != i:
+                    mc = inst.machines_by_id[k]
+                    start, g = pin[0], mc.setup.between(inst.ops_by_id[i], inst.ops_by_id[pin[1]])
+                    if not (rec.completion + g <= start and start_legal(mc.windows, start)
+                            and setup_legal(mc.windows, start - g, start)):
+                        rejected += 1
+                        continue
                 if best is None or (rec.completion, i, k) < best[:3]:
                     best = (rec.completion, i, k, rec)
         if best is None:
             raise DecodeInfeasible("pinned starts block every candidate")
         engine.commit(best[1], best[3])
     return engine.schedule(), rejected
+
+
+def freeze(inst: Instance, sched: Schedule, t: int) -> Instance:
+    """`inst` with every operation that starts before `t` in `sched` pinned at its machine and start.
+
+    A pinned operation keeps only that machine in its eligible set; releases
+    and every other operation stay as they are.
+    """
+    def pinned(op):
+        so = sched.ops[op.id]
+        if so.start >= t:
+            return op
+        return dataclasses.replace(op, eligible={so.machine: op.eligible[so.machine]}, fixed=(so.machine, so.start))
+    return dataclasses.replace(inst, operations=tuple(pinned(op) for op in inst.operations))
 
 
 def decode(inst: Instance, assignment: dict[int, int], sequences: dict[int, Sequence[int]]) -> Schedule:

@@ -13,14 +13,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from flexshop.generator import GenParams, generate, params_for_class
-from flexshop.jsonio import dumps_instance, dumps_result, loads_instance, schedule_from_dict
+from flexshop.jsonio import dumps_instance, dumps_result, loads_instance, schedule_from_dict, schedule_to_dict
 from flexshop.milp import build_model, emit_lp, evaluate_schedule
 from flexshop.model import Instance, Schedule, SetupTable, makespan, validate_instance
 from flexshop.solvers import _Bounder, greedy_result, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from lputil import parse_lp
-from oracles import brute_force, decode, listed_violations, rescan_greedy, tabled
+from oracles import brute_force, decode, freeze, listed_violations, rescan_greedy, tabled
 from test_solvers import pinned_variant, reversed_ids
 
 classes = st.one_of(st.tuples(st.just("small"), st.integers(1, 30)),
@@ -41,6 +41,24 @@ def test_greedy_equals_a_rescan_on_drawn_instances(cls_k, seed):
                 solve_greedy(case)
             continue
         assert solve_greedy(case) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 30), seed=st.integers(1, 10**6), exact=st.booleans(), data=st.data())
+def test_the_greedy_solves_every_frozen_prefix_of_a_schedule(k, seed, exact, data):
+    # every operation a checker-clean schedule starts before t is pinned where it runs, so that
+    # schedule stays feasible and the greedy must find one; past the makespan, it finds that one
+    inst = generate(replace(params_for_class("small", k), seed=seed))
+    sched = solve_exact(inst, node_limit=300).schedule if exact else solve_greedy(inst)
+    assert check_schedule(inst, sched) == []
+    mk = makespan(sched)
+    assert freeze(inst, sched, 0) == inst
+    for t in (data.draw(st.integers(1, mk)), mk + 1):
+        frozen = freeze(inst, sched, t)
+        assert validate_instance(frozen) == []
+        got = solve_greedy(frozen)
+        assert check_schedule(frozen, got) == []
+    assert json.dumps(schedule_to_dict(got)) == json.dumps(schedule_to_dict(sched))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

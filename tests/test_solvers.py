@@ -1,3 +1,4 @@
+import functools
 import heapq
 import itertools
 import json
@@ -14,7 +15,8 @@ from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule,
 from flexshop.solvers import _Bounder, _search, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
-from oracles import brute_force, decode, full_pass_bound, plain_branch_and_bound, rescan_greedy, with_full_overlap
+from oracles import (brute_force, decode, freeze, full_pass_bound, plain_branch_and_bound, rescan_greedy,
+                     with_full_overlap)
 from test_timing import named_trail, serial_instance
 
 
@@ -307,6 +309,31 @@ def frontier_direct_pushes() -> list[Instance]:
     return [ahead, exhausted]
 
 
+@functools.cache
+def frozen_small_21() -> tuple[Instance, Instance]:
+    """Small 21 seed 21 with every operation its 20,000-node exact schedule (makespan 268) starts before 67, then 134, pinned.
+
+    Op 14 on machine 2 at [27, 51] completes in time for pin 2 at 65 there,
+    but pin 2's setup of 11 after it, over [54, 65], overlaps the window
+    (52, 57), so the greedy must refuse that pair.
+    """
+    inst = generate(replace(params_for_class("small", 21), seed=21))
+    res = solve_exact(inst, node_limit=20000)
+    assert (res.status, res.makespan) == ("limit", 268)
+    return freeze(inst, res.schedule, 67), freeze(inst, res.schedule, 134)
+
+
+def test_the_greedy_and_the_exact_search_solve_a_frozen_prefix():
+    # the greedy must refuse a pair after which the machine's earliest unplaced pin's setup
+    # would overlap a window, not only one that completes too late for it
+    for frozen in frozen_small_21():
+        assert validate_instance(frozen) == []
+        assert check_schedule(frozen, solve_greedy(frozen)) == []
+        res = solve_exact(frozen, node_limit=20000)
+        assert (res.status, res.makespan) == ("limit", 268)
+        assert check_schedule(frozen, res.schedule) == []
+
+
 def test_greedy_equals_a_rescan_from_scratch():
     # the greedy places a pair only when its lower-bound key reaches the top of
     # the heap and keeps the answer until a commit moves that machine's tail;
@@ -319,7 +346,8 @@ def test_greedy_equals_a_rescan_from_scratch():
               for name, k, seed in (("small", 16, 17), ("medium", 10, 2), ("medium", 17, 1),
                                     ("medium", 9, 7), ("large", 10, 7))]
     cases.append(reversed_ids(cases[-1]))  # every id tie-break flipped
-    assert len(cases) == 73
+    cases += frozen_small_21()
+    assert len(cases) == 75
     rejected = 0
     for inst in cases:
         try:

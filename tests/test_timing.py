@@ -10,7 +10,7 @@ from flexshop.rng import Rng
 from flexshop.solvers import _Bounder
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
-from oracles import decode, iter_one_unit_left_shifts, oracle_completion, oracle_earliest, start_legal
+from oracles import decode, iter_one_unit_left_shifts, oracle_completion, oracle_earliest, setup_legal, start_legal
 
 
 def rules_of(violations):
@@ -149,6 +149,34 @@ def test_earliest_start_agrees_with_unit_step_oracle():
         assert times(got) == want, (cal, ready, setup, proc, partial, pred)
         assert start_legal(cal, got.start)
         assert completion_at(cal, got.start, proc) == oracle_completion(cal, got.start, proc)
+
+
+def test_keeps_pin_agrees_with_unit_step_oracle():
+    # op 1 ends at c on machine 1, and op 2 is pinned there at P with setup g after op 1;
+    # op 3, pinned at 0, is placed first, so the method looks past it to op 2
+    rng = Rng(20261020)
+    outcomes = set()
+    for _ in range(400):
+        cal = random_calendar(rng)
+        c, g, pin = rng.uniform(0, 25), rng.uniform(0, 6), rng.uniform(0, 30)
+        inst = Instance(
+            num_machines=1,
+            operations=(Operation(1, 1, {1: 1}), Operation(2, 2, {1: 1}, fixed=(1, pin)),
+                        Operation(3, 3, {1: 1}, fixed=(1, 0))),
+            arcs=(),
+            machines=(Machine(1, windows=cal, setup=SetupTable(
+                {1: 0, 2: 0, 3: 0}, {(1, 2): g, (2, 1): 0, (1, 3): 0, (3, 1): 0, (2, 3): 0, (3, 2): 0})),))
+        engine = PlacementEngine(inst)
+        engine.commit(3, ScheduledOp(machine=1, setup_start=0, setup_len=0, start=0, partial_completion=0,
+                                     completion=0))
+        rec = ScheduledOp(machine=1, setup_start=c, setup_len=0, start=c, partial_completion=c, completion=c)
+        want = c + g <= pin and start_legal(cal, pin) and setup_legal(cal, pin - g, pin)
+        assert engine.keeps_pin(1, rec) == want, (cal, c, g, pin)
+        assert engine.keeps_pin(2, rec)  # the pin itself always keeps its own start
+        engine.commit(2, rec)
+        assert engine.keeps_pin(1, rec)  # no unplaced pin is left
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def placement_or_none(engine, i, k):
