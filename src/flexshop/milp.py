@@ -38,7 +38,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, starmap
-from typing import NamedTuple
 
 from .model import Instance, Schedule, makespan
 
@@ -54,6 +53,7 @@ class _View:
     def __iter__(self) -> Iterator:
         return self._make()
 
+    # bench/workloads.py counts milp-medium's rows with it (ROADMAP item 19)
     def __len__(self) -> int:
         return sum(1 for _ in self._make())
 
@@ -82,14 +82,8 @@ class RowViolation:
     rhs: int
 
 
-class BigM(NamedTuple):
-    m1: int
-    m2: int
-    m3: int
-
-
-def big_m_constants(inst: Instance) -> BigM:
-    """The three model constants, from the instance data alone.
+def big_m_constants(inst: Instance) -> tuple[int, int, int]:
+    """The three model constants (m1, m2, m3), from the instance data alone.
 
     m1 bounds every setup length. m3 bounds every unavailability-window end.
     m2 bounds any sensible schedule horizon: the latest of the last window
@@ -110,7 +104,7 @@ def big_m_constants(inst: Instance) -> BigM:
     for op in inst.operations:
         m2 += max((p + inst.machines_by_id[k].setup.worst_into(op, inst.eligible_ops[k])
                    for k, p in op.eligible.items()), default=0)
-    return BigM(m1=m1, m2=m2, m3=m3)
+    return m1, m2, m3
 
 
 def build_model(inst: Instance) -> MilpModel:
@@ -283,6 +277,7 @@ def lp_lines(model: MilpModel) -> Iterator[str]:
     yield "End\n"
 
 
+# export-lp streams lp_lines; bench/workloads.py times this in milp-medium (ROADMAP item 19)
 def emit_lp(model: MilpModel) -> str:
     """CPLEX-style LP text. Deterministic; every coefficient an integer.
 

@@ -198,6 +198,7 @@ class Instance:
 
     # -- setup dispatch ------------------------------------------------------
 
+    # no package module calls it; bench/spans.py wraps it when its tracer is built (ROADMAP item 19)
     def setup_between(self, machine_id: int, pred_id: int, succ_id: int) -> int:
         return self.machines_by_id[machine_id].setup.between(self.ops_by_id[pred_id], self.ops_by_id[succ_id])
 

@@ -45,15 +45,18 @@ class _Bounder(PlacementEngine):
     earlier than head plus its minimum processing time); and per machine the
     completion of its tail plus the processing still owed to it by unplaced
     operations eligible nowhere else.
-    The bound is kept rather than recomputed: :meth:`commit` and
-    :meth:`undo` extend the engine's, so the placement never changes
-    without it. A commit only ever raises heads, since a placed operation
-    starts at or after its head, so the first two parts stay one running
-    maximum that a commit folds the raised values into. A commit walks only
-    the descendants of the placed operation whose head rises, and the third
-    part reads the `tail` of each machine with single-machine operations.
-    Every head or `owed` entry a commit changes goes on one trail as (table,
-    key, value before), and an undo restores them.
+    `bound` is kept as one running maximum rather than recomputed:
+    :meth:`commit` and :meth:`undo` extend the engine's, so the placement
+    never changes without it. Along a branch no part ever falls. A commit
+    only ever raises heads, since a placed operation starts at or after its
+    head; and it raises its machine's tail by at least the operation's
+    processing time while lowering what the machine owes by at most that
+    much, leaving every other machine's tail + owed as it was. So a commit
+    folds in only the values it raised: the placed completion plus what its
+    machine still owes, and head + pmin of each descendant whose head rose,
+    found by walking only those descendants. Every head or `owed` entry a
+    commit changes goes on one trail as (table, key, value before), and an
+    undo restores them and the bound.
     The same recursion, run backwards, gives each operation's Q, the least
     time from its start to the last completion among it and its descendants:
     Q_i = max(pmin_i, pbmin_i + the largest Q over i's successors). `chain`
@@ -63,41 +66,44 @@ class _Bounder(PlacementEngine):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        # per operation: its topological rank, least processing time, least partial length and head;
-        # reach is the largest placed completion or unplaced head + pmin, and nothing is placed yet
-        rank, pmin, pbmin, head, reach = {}, {}, {}, {}, 0
+        # per operation: its topological rank, least processing time, least partial length and head
+        rank, pmin, pbmin, head = {}, {}, {}, {}
+        self.machine_order: dict[int, list[int]] = {}  # operation -> its eligible machines by (processing time, id)
         self.solo: dict[int, int] = {}  # operation eligible on one machine only -> its processing time there
         self.owed: dict[int, int] = {}  # machine -> processing owed to it by unplaced solo operations
+        bound = 0  # nothing is placed yet: the largest head + pmin, then the largest owed work (every tail is 0)
         order = topological_order(inst)
         for n, i in enumerate(order):  # a predecessor's entries come first
             op = self.ops[i]
-            k = min(op.eligible, key=op.eligible.get)
+            machines = self.machine_order[i] = sorted(sorted(op.eligible), key=op.eligible.get)  # stable: ties by id
+            k = machines[0]
             # partial_units never falls as p grows, so a machine of least p gives the least partial length
             rank[i], pmin[i], pbmin[i] = n, op.eligible[k], op.partial_units(k)
             head[i] = max([op.release, *(head[p] + pbmin[p] for p in self.preds[i])])
-            reach = max(reach, head[i] + pmin[i])
-            if len(op.eligible) == 1:
+            bound = max(bound, head[i] + pmin[i])
+            if len(machines) == 1:
                 self.solo[i] = pmin[i]
                 self.owed[k] = self.owed.get(k, 0) + pmin[i]
-        self.rank, self.pmin, self.pbmin, self.head, self.reach = rank, pmin, pbmin, head, reach
+        self.rank, self.pmin, self.pbmin, self.head = rank, pmin, pbmin, head
+        self.bound: int = max([bound, *self.owed.values()])
         q: dict[int, int] = {}
         self.chain: dict[int, int] = {}  # operation -> the largest Q over its successors, 0 without any
         for i in reversed(order):  # a successor's entries come first
             chain = max([q[s] for s in self.succs[i]], default=0)
             self.chain[i], q[i] = chain, max(pmin[i], pbmin[i] + chain)
         self._trail: list[tuple[dict[int, int], int, int]] = []  # (table, key, its value before a commit changed it)
-        self._frames: list[tuple[int, int]] = []  # per commit: trail length, reach before
+        self._frames: list[tuple[int, int]] = []  # per commit: trail length and bound before it
 
     def commit(self, i: int, rec: ScheduledOp) -> None:
         """Commit the ready operation `i` at `rec` and keep the bound, trailing each head and `owed` entry it changes."""
         head, pbmin, pmin, succs, rank, trail = self.head, self.pbmin, self.pmin, self.succs, self.rank, self._trail
         PlacementEngine.commit(self, i, rec)
-        self._frames.append((len(trail), self.reach))
+        self._frames.append((len(trail), self.bound))
         if i in self.solo:
             trail.append((self.owed, rec.machine, self.owed[rec.machine]))
             self.owed[rec.machine] -= self.solo[i]
 
-        reach = self.reach if self.reach > rec.completion else rec.completion
+        bound = max(self.bound, rec.completion + self.owed.get(rec.machine, 0))  # the machine's new tail + what it owes
         j, out = i, rec.partial_completion  # out: the earliest start j allows its successors
         queue: list[tuple[int, int]] = []  # raised descendants by topological rank
         queued: set[int] = set()
@@ -112,39 +118,29 @@ class _Bounder(PlacementEngine):
             if not queue:
                 break
             _, j = heapq.heappop(queue)  # every raise of j comes from a lower rank, so is in
-            if head[j] + pmin[j] > reach:
-                reach = head[j] + pmin[j]
+            if head[j] + pmin[j] > bound:
+                bound = head[j] + pmin[j]
             out = head[j] + pbmin[j]
-        self.reach = reach
+        self.bound = bound
 
     def child_bound(self, i: int, k: int, floors: Floors) -> int:
-        """From the `floors` of appending `i` to `k` alone, a bound at most :meth:`bound` after that commit.
+        """From the `floors` of appending `i` to `k` alone, a bound at most `bound` after that commit.
 
-        The placement completes no earlier than the start floor plus `i`'s
-        processing time, nor before the completion floor, and `k` then owes
-        what it owes now, less `i`'s processing if `i` is eligible on `k` only.
-        Nor can the chain after `i` end before the start floor plus `i`'s
-        partial length on `k` plus the largest Q over its successors: the
-        commit raises each successor's head to at least `i`'s partial completion.
+        The placement completes no earlier than the least completion the
+        floors carry, and `k` then owes what it owes now, less `i`'s
+        processing if `i` is eligible on `k` only. Nor can the chain after `i`
+        end before the start floor plus `i`'s partial length on `k` plus the
+        largest Q over its successors: the commit raises each successor's head
+        to at least `i`'s partial completion.
         """
-        _, start_floor, completion_floor = floors
-        op = self.ops[i]
-        c = start_floor + op.eligible[k]
-        lb = (c if c > completion_floor else completion_floor) + self.owed.get(k, 0) - self.solo.get(i, 0)
-        chain = start_floor + op.partial_units(k) + self.chain[i]
+        _, start_floor, least_completion = floors
+        lb = least_completion + self.owed.get(k, 0) - self.solo.get(i, 0)
+        chain = start_floor + self.ops[i].partial_units(k) + self.chain[i]
         return chain if chain > lb else lb
 
-    def bound(self) -> int:
-        """The bound of the current placement."""
-        lb, tail = self.reach, self.tail
-        for k, w in self.owed.items():
-            if tail[k] + w > lb:
-                lb = tail[k] + w
-        return lb
-
     def undo(self) -> None:
-        """Undo the latest commit, restoring the heads, `owed` and `reach` it changed."""
-        mark, self.reach = self._frames.pop()
+        """Undo the latest commit, restoring the heads, `owed` and the bound it changed."""
+        mark, self.bound = self._frames.pop()
         trail = self._trail
         while len(trail) > mark:
             table, key, value = trail.pop()
@@ -180,7 +176,7 @@ def solve_exact(inst: Instance, time_limit: float | None = None,
         incumbent = None
     incumbent, ub, nodes, exhausted = _search(bounder, incumbent, _INF if node_limit is None else node_limit, deadline)
     if not exhausted:
-        return _result("limit", t0, nodes, incumbent, bounder.bound())
+        return _result("limit", t0, nodes, incumbent, bounder.bound)
     if incumbent is None:
         return _result("infeasible", t0, nodes)
     return _result("optimal", t0, nodes, incumbent, ub)
@@ -207,8 +203,10 @@ def _search(bounder: _Bounder, incumbent: Schedule | None, cap: float, deadline:
     incumbent, never replace it. Skipped children are not nodes. The first
     frame follows no append of its own, so it skips none.
     The bound is kept incrementally (see :class:`_Bounder`): an append
-    updates it along the appended operation's descendants only and an undo
-    restores it from a trail, with no pass over every operation.
+    folds into it what it raised, along the appended operation's descendants
+    only, and an undo restores it from a trail, with no pass over every
+    operation or machine. Each operation's machines are sorted once, by the
+    bounder.
     One loop runs the search over a stack of frames, one per open node: its
     child iterator, over the ready set its commit left. A child is bounded
     before it is placed, from its floors alone (:meth:`_Bounder.child_bound`),
@@ -222,19 +220,18 @@ def _search(bounder: _Bounder, incumbent: Schedule | None, cap: float, deadline:
     still holds its node's commit, and the bounder undoes each of them.
     """
     ub: float = _INF if incumbent is None else makespan(incumbent)
-    machine_order = {i: sorted(op.eligible, key=lambda k: (op.eligible[k], k)) for i, op in bounder.ops.items()}
 
     def appends(ready: list[int], last: float, last_k: int | None):
         """The (operation, machine) children of the node that appended `last` to `last_k`, in visiting order."""
         for i in ready:
             commutes = i < last and last not in bounder.preds[i]
-            for k in machine_order[i]:
+            for k in bounder.machine_order[i]:
                 if commutes and k != last_k:
                     continue  # reached through the id-ascending order instead
                 yield i, k
 
     nodes = 0
-    stack = [appends(sorted(bounder.ready), -_INF, None)] if ub > bounder.bound() else []
+    stack = [appends(sorted(bounder.ready), -_INF, None)] if ub > bounder.bound else []
     while stack:
         for i, k in stack[-1]:
             if nodes >= cap or (deadline is not None and perf_counter() > deadline):
@@ -251,7 +248,7 @@ def _search(bounder: _Bounder, incumbent: Schedule | None, cap: float, deadline:
                 continue
             nodes += 1
             bounder.commit(i, rec)
-            lb = bounder.bound()
+            lb = bounder.bound
             if lb < ub:
                 if bounder.ready:  # the bounder refused a cycle, so an unplaced operation leaves one ready
                     stack.append(appends(sorted(bounder.ready), i, k))
@@ -295,23 +292,23 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     goes back as a floors entry. A floors entry holds the pair's
     :meth:`~flexshop.timing.PlacementEngine.floors`, which hold under its
     stamp since a ready operation's predecessors are all placed, and is keyed
-    by the larger of the start floor plus the processing time and the
-    completion floor; popped, it is placed from them, pin check included, and
-    goes back as a record entry, or is dropped if the placement raises or the
-    pin check rejects it. A record entry holds the placement and is keyed by
-    its completion; popped, it is committed. Each machine keeps its ready
-    operations sorted by (processing time, op), the order of their bound
-    keys under one stamp, and a cursor into that list: the heap holds one
-    cursor entry per machine, the least bound entry it still owes, and
-    popping it moves the cursor on and pushes the next one's. A commit takes
-    the operation out of every list, moving on each cursor held there, and
-    resets its machine's cursor. An operation that becomes ready joins the
-    list of each of its machines, and is pushed directly where it sorts
-    ahead of the cursor or the cursor is exhausted. No key exceeds its
-    pair's completion, so the first answer popped is the smallest
-    (completion, op, machine) over all live pairs, the pair a rescan of
-    every pair would commit. Each (op, machine, stamp) has at most one entry
-    at a time, so what the entries hold is never compared.
+    by the least completion they carry, the larger of the start floor plus
+    the processing time and the predecessors' latest completion; popped, it
+    is placed from them, pin check included, and goes back as a record entry,
+    or is dropped if the placement raises or the pin check rejects it. A
+    record entry holds the placement and is keyed by its completion; popped,
+    it is committed. Each machine keeps its ready operations sorted by
+    (processing time, op), the order of their bound keys under one stamp, and
+    a cursor into that list: the heap holds one cursor entry per machine, the
+    least bound entry it still owes, and popping it moves the cursor on and
+    pushes the next one's. A commit takes the operation out of every list,
+    moving on each cursor held there, and resets its machine's cursor. An
+    operation that becomes ready joins the list of each of its machines, and
+    is pushed directly where it sorts ahead of the cursor or the cursor is
+    exhausted. No key exceeds its pair's completion, so the first answer
+    popped is the smallest (completion, op, machine) over all live pairs, the
+    pair a rescan of every pair would commit. Each (op, machine, stamp) has
+    at most one entry at a time, so what the entries hold is never compared.
     """
     engine = PlacementEngine(inst)
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
@@ -340,11 +337,9 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
                 push_cursor(k, cursor[k] + 1)
             if i in placed:
                 continue
-            if held is None:  # a bound entry: key it again by its floors
+            if held is None:  # a bound entry: key it again by the least completion its floors carry
                 floors = engine.floors(i, k)
-                _, start_floor, completion_floor = floors
-                c = start_floor + ops[i].eligible[k]
-                heapq.heappush(heap, (c if c > completion_floor else completion_floor, i, k, n, floors))
+                heapq.heappush(heap, (floors[2], i, k, n, floors))
             elif isinstance(held, ScheduledOp):  # a record entry: the answer
                 rec = held
                 break
@@ -384,4 +379,4 @@ def greedy_result(inst: Instance) -> SolveResult:
     Raises DecodeInfeasible when the greedy finds no schedule.
     """
     t0 = perf_counter()
-    return _result("feasible", t0, 0, solve_greedy(inst), _Bounder(inst).bound())
+    return _result("feasible", t0, 0, solve_greedy(inst), _Bounder(inst).bound)

@@ -25,7 +25,7 @@ from typing import Sequence
 from .model import Instance, Schedule, ScheduledOp, Violation, refuse_unknown_ids
 
 Calendar = Sequence[tuple[int, int]]
-Floors = tuple[int, int, int]
+Floors = tuple[int, int, int]  # (setup length, start floor, least completion) of one append
 
 
 class DecodeInfeasible(ValueError):
@@ -109,8 +109,9 @@ class PlacementEngine:
     whose completion misses the floor is lifted to the first legal start past
     the latest start that completes before the floor; the placement stays
     left-tight. The floors come first, from :meth:`floors`, which reads no
-    calendar, so a caller may bound an append before it passes them to
-    :meth:`placement`.
+    calendar and folds the completion floor into the append's least
+    completion, so a caller may bound an append from one number before it
+    passes them to :meth:`placement`.
     """
 
     def __init__(self, inst: Instance):
@@ -129,11 +130,14 @@ class PlacementEngine:
         self.ready: set[int] = {i for i, n in self.pred_left.items() if n == 0}
 
     def floors(self, op_id: int, machine_id: int) -> Floors:
-        """(setup length, start floor, completion floor) of appending `op_id` to `machine_id`'s tail.
+        """(setup length, start floor, least completion) of appending `op_id` to `machine_id`'s tail.
 
         The start floor is the latest of the machine's tail plus the setup, the
-        release and the predecessors' partial completions, the completion floor
-        their latest completion; neither holds a pin. Changes nothing.
+        release and the predecessors' partial completions. The least
+        completion is the later of the predecessors' latest completion and the
+        start floor plus the processing time: windows only stretch the
+        processing, so every placement completes at or after it. Neither holds
+        a pin. Changes nothing.
         """
         op = self.ops[op_id]
         seq = self.seqs[machine_id]
@@ -150,7 +154,8 @@ class PlacementEngine:
                 start_floor = rec.partial_completion
             if rec.completion > completion_floor:
                 completion_floor = rec.completion
-        return setup_len, start_floor, completion_floor
+        least = start_floor + op.eligible[machine_id]
+        return setup_len, start_floor, completion_floor if completion_floor > least else least
 
     def placement(self, op_id: int, machine_id: int, floors: Floors) -> ScheduledOp:
         """Compute the earliest placement at `machine_id`'s tail; changes nothing.
@@ -158,10 +163,13 @@ class PlacementEngine:
         It starts from `floors`, the append's :meth:`floors` read in the
         current state. A pinned operation is placed as a free one whose start
         floor is raised to its pin. Raises DecodeInfeasible when its start then
-        misses the pin, or its completion misses the completion floor: a
-        pinned operation is never lifted.
+        misses the pin, or its completion misses the least completion: a
+        pinned operation is never lifted. A completion at or past the start
+        floor plus the processing time can miss the least completion only
+        where the predecessors' latest completion sets it, so that is the floor
+        a missed completion is lifted to.
         """
-        setup_len, start_floor, completion_floor = floors
+        setup_len, start_floor, least_completion = floors
         op = self.ops[op_id]
         calendar = self.calendars[machine_id]
         proc = op.eligible[machine_id]
@@ -175,12 +183,12 @@ class PlacementEngine:
             raise DecodeInfeasible(
                 f"operation {op_id} is pinned to start {pinned} but the earliest "
                 f"feasible start in this position is {s}")
-        if completion < completion_floor:
+        if completion < least_completion:
             if pinned is not None:  # a pinned operation is never lifted
                 raise DecodeInfeasible(
                     f"operation {op_id} is pinned to start {pinned} yet must not "
-                    f"complete before {completion_floor}")
-            s = _earliest_legal(calendar, _latest_start(calendar, completion_floor - 1, proc) + 1, setup_len)
+                    f"complete before {least_completion}")
+            s = _earliest_legal(calendar, _latest_start(calendar, least_completion - 1, proc) + 1, setup_len)
             completion = _finish(calendar, s, proc)
 
         return ScheduledOp(

@@ -1,8 +1,10 @@
 """Module boundaries: imports point down one layer order, no private names cross modules, only
 jsonio reads or writes JSON, no module-level import goes unused, no public name serves only
-the tests, and the README's library example runs."""
+the tests, every name the benchmark's tracer wraps exists, and the README's library example runs."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import flexshop
@@ -120,6 +122,19 @@ def test_every_public_name_serves_the_package_or_the_benchmark():
     unused = [f"{path.name}: {name}" for path in sources
               for name in public_definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
     assert unused == []
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/spans.py looks each wrapped function and method up by name when its tracer is built, so a
+    # name deleted from the package, such as Instance.setup_between or milp.emit_lp, fails here at once
+    run = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    names = next(ast.literal_eval(node.value) for node in run.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["MODULES"])
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer({name: importlib.import_module(f"flexshop.{name}") for name in names})
+    assert tracer.names == [entry[0] for entry in spans.FUNCTIONS + spans.METHODS]
 
 
 def test_the_readme_library_example_runs():

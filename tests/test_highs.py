@@ -66,7 +66,7 @@ def test_highs_proves_the_exact_optimum_and_the_root_bound_stays_below_it(k):
     assert abs(res.fun - optimum) < 1e-6
     exact = solve_exact(inst)
     assert (exact.status, exact.makespan) == ("optimal", optimum)
-    assert _Bounder(inst).bound() <= optimum
+    assert _Bounder(inst).bound <= optimum
 
 
 @pytest.mark.parametrize("k", KS)
@@ -129,7 +129,7 @@ def agree(label: str, inst: Instance, time_limit: float) -> str:
         assert check_schedule(inst, sched) == [] == evaluate_schedule(inst, sched), label
         assert exact.status == "optimal" and exact.makespan <= makespan(sched) <= res.fun + 1e-6, label
     if exact.status == "optimal":
-        assert _Bounder(inst).bound() <= exact.makespan, label
+        assert _Bounder(inst).bound <= exact.makespan, label
         assert res.mip_dual_bound is None or res.mip_dual_bound <= exact.makespan + 1e-6, label
         if status == "optimal":
             assert abs(res.fun - exact.makespan) < 1e-6, label

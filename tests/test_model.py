@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from flexshop.milp import BigM, big_m_constants
+from flexshop.milp import big_m_constants
 from flexshop.model import (CycleError, Instance, Machine, Operation, SetupRule, SetupTable, Violation,
                             topological_order, validate_instance)
 from flexshop.solvers import solve_exact
@@ -180,7 +180,7 @@ def test_pair_keys_are_checked_without_building_every_host_pair():
 
 def test_big_m_worked_example_with_window():
     inst = two_op_instance(machines=(Machine(1, windows=((4, 6),), setup=TWO_OP_TABLE),))
-    assert big_m_constants(inst) == BigM(m1=4, m2=20, m3=6)
+    assert big_m_constants(inst) == (4, 20, 6)
 
 
 @pytest.mark.parametrize("pin, m2", [(50, 94), (120, 134)])
@@ -190,13 +190,13 @@ def test_big_m_horizon_counts_from_the_latest_release_or_pin(pin, m2):
     inst = two_op_instance(operations=(Operation(1, 1, {1: 3}, fixed=(1, pin)), Operation(2, 1, {1: 5}, release=80)),
                            machines=(Machine(1, windows=((4, 6),), setup=TWO_OP_TABLE),))
     assert validate_instance(inst) == []
-    assert big_m_constants(inst) == BigM(m1=4, m2=m2, m3=6)
+    assert big_m_constants(inst) == (4, m2, 6)
 
 
 def test_big_m_worked_example_without_windows():
     inst = Instance(num_machines=1, operations=(Operation(1, 1, {1: 5}),), arcs=(),
                     machines=(Machine(1, setup=SetupTable({1: 2}, {})),))
-    assert big_m_constants(inst) == BigM(m1=2, m2=7, m3=0)
+    assert big_m_constants(inst) == (2, 7, 0)
 
 
 def test_big_m_rule_machine_uses_first_setup_as_worst_case():
@@ -204,9 +204,9 @@ def test_big_m_rule_machine_uses_first_setup_as_worst_case():
     inst = Instance(num_machines=1,
                     operations=(Operation(1, 1, {1: 5}, size=3), Operation(2, 1, {1: 7}, size=5)),
                     arcs=(), machines=(Machine(1, setup=rule),))
-    bm = big_m_constants(inst)
-    assert bm.m1 == rule.first(inst.operations[0]) == 9
-    assert bm.m2 == (5 + 9) + (7 + 9)
+    m1, m2, _ = big_m_constants(inst)
+    assert m1 == rule.first(inst.operations[0]) == 9
+    assert m2 == (5 + 9) + (7 + 9)
 
 
 def test_big_m_setup_bound_is_zero_without_setups():
@@ -214,7 +214,7 @@ def test_big_m_setup_bound_is_zero_without_setups():
                     operations=(Operation(1, 1, {1: 4}), Operation(2, 1, {1: 6})),
                     arcs=(),
                     machines=(Machine(1, setup=SetupTable({1: 0, 2: 0}, {(1, 2): 0, (2, 1): 0})),))
-    assert big_m_constants(inst) == BigM(m1=0, m2=10, m3=0)
+    assert big_m_constants(inst) == (0, 10, 0)
 
 
 def test_topological_order_without_arcs_sorts_ids():

@@ -188,11 +188,11 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
     bounder = _Bounder(inst)
     optimum = brute_force(inst).makespan
     if optimum is not None:
-        assert bounder.bound() <= optimum
+        assert bounder.bound <= optimum
     # a random feasible prefix, replayed in a second engine that the exhaustive search may walk;
     # at most 4 operations stay unplaced, to keep that search small
     replay = PlacementEngine(inst)
-    lb = bounder.bound()
+    lb = bounder.bound
     for _ in range(data.draw(st.integers(max(1, len(inst.operations) - 4), len(inst.operations)))):
         appends = []
         for i in sorted(bounder.ready):
@@ -205,7 +205,7 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
             break
         i, rec = data.draw(st.sampled_from(appends))
         bounder.commit(i, rec)
-        lb = bounder.bound()
+        lb = bounder.bound
         replay.commit(i, rec)
     best = best_completion(inst, replay)
     if best is not None:
@@ -240,7 +240,7 @@ def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
                     continue
                 child_lb = bounder.child_bound(i, k, floors)
                 bounder.commit(i, rec)
-                assert child_lb <= bounder.bound(), (i, k)
+                assert child_lb <= bounder.bound, (i, k)
                 bounder.undo()
                 appends.append((i, rec))
         if not appends:

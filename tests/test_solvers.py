@@ -197,7 +197,7 @@ def test_a_deadline_inside_the_greedy_stops_it_between_commits(monkeypatch):
     res = solve_exact(inst, time_limit=100.5)
     assert commits == 100 < len(inst.operations)
     assert (res.status, res.nodes, res.schedule, res.makespan, res.gap) == ("limit", 0, None, None, None)
-    assert res.lower_bound == _Bounder(inst).bound()
+    assert res.lower_bound == _Bounder(inst).bound
 
 
 def test_a_generous_time_limit_changes_nothing_at_a_node_limit():
@@ -470,7 +470,7 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
     Walks depth first; returns the nodes.
     """
     bounder = _Bounder(inst)
-    assert bounder.bound() == full_pass_bound(inst, bounder)
+    assert bounder.bound == full_pass_bound(inst, bounder)
     nodes = 0
 
     def descend() -> None:
@@ -484,13 +484,13 @@ def walk_every_append(inst: Instance, node_limit: int) -> int:
                     rec = bounder.placement(i, k, floors)
                 except DecodeInfeasible:
                     continue
-                before, child_lb = bounder.bound(), bounder.child_bound(i, k, floors)
+                before, child_lb = bounder.bound, bounder.child_bound(i, k, floors)
                 nodes += 1
                 bounder.commit(i, rec)
-                assert child_lb <= bounder.bound() == full_pass_bound(inst, bounder), (i, k)
+                assert child_lb <= bounder.bound == full_pass_bound(inst, bounder), (i, k)
                 descend()
                 bounder.undo()
-                assert bounder.bound() == before == full_pass_bound(inst, bounder), (i, k)
+                assert bounder.bound == before == full_pass_bound(inst, bounder), (i, k)
 
     descend()
     return nodes
@@ -543,8 +543,8 @@ def test_proof_set_needs_few_nodes():
 def bounder_state(bounder: _Bounder) -> tuple:
     """A copy of every table of the bounder's placement and bound; `placed` keeps its commit order."""
     return (list(bounder.placed.items()), {k: list(seq) for k, seq in bounder.seqs.items()}, dict(bounder.tail),
-            set(bounder.ready), dict(bounder.pred_left), dict(bounder.head), dict(bounder.owed), bounder.reach,
-            named_trail(bounder), list(bounder._frames), bounder.bound())
+            set(bounder.ready), dict(bounder.pred_left), dict(bounder.head), dict(bounder.owed),
+            named_trail(bounder), list(bounder._frames), bounder.bound)
 
 
 def test_the_search_leaves_the_bounder_where_it_started():

@@ -36,6 +36,9 @@ def place_one(calendar, ready, setup_len, proc, partial, pred=None, pinned=None)
     exactly for every proc <= 100. With `pred` = (partial completion,
     completion), a predecessor runs alone from time 0 on a window-free machine
     2, so these become the operation's start floor and completion floor.
+    Checks on the way that the floors' least completion is the later of that
+    completion and the start floor plus `proc`, and that the placement
+    completes no earlier.
     """
     ops = [Operation(1, 1, {1: proc}, theta_hundredths=100 * partial // proc, release=ready,
                      fixed=None if pinned is None else (1, pinned))]
@@ -50,7 +53,11 @@ def place_one(calendar, ready, setup_len, proc, partial, pred=None, pinned=None)
     if pred is not None:
         engine.commit(2, engine.placement(2, 2, engine.floors(2, 2)))
         assert times(engine.placed[2])[2:] == pred
-    return engine.placement(1, 1, engine.floors(1, 1))
+    floors = engine.floors(1, 1)
+    assert floors[2] == max(0 if pred is None else pred[1], floors[1] + proc)  # the least completion
+    so = engine.placement(1, 1, floors)
+    assert so.completion >= floors[2]
+    return so
 
 
 def random_pred(rng: Rng) -> tuple[int, int] | None:
@@ -239,8 +246,8 @@ def test_undo_restores_a_fresh_replay_of_the_prefix(engine):
             for j, k in pairs:
                 assert placement_or_none(state, j, k) == placement_or_none(replay, j, k)
             if engine is _Bounder:
-                assert (state.head, state.owed, state.reach, named_trail(state), state._frames, state.bound()) == (
-                    replay.head, replay.owed, replay.reach, named_trail(replay), replay._frames, replay.bound())
+                assert (state.head, state.owed, named_trail(state), state._frames, state.bound) == (
+                    replay.head, replay.owed, named_trail(replay), replay._frames, replay.bound)
                 trailed.update(name for name, _, _ in named_trail(state))
             undone += 1
     assert undone >= 100
