@@ -41,7 +41,10 @@ exit code 2, keeping it distinct from domain violations (exit 1). So two keys
 of one map never name the same id. A read tests each value's type once and
 builds a field's error context only to raise it: a value of type exactly int
 is taken as read, any other goes through the checks that name it, and an
-operation's eligible map builds one context for all its keys.
+operation's eligible map builds one context for all its keys. An instance's
+eligible keys repeat a few machine ids, so each distinct key is checked on
+its first read and looked up after that; a key that fails is never stored, so
+every message is the one a check of each key gives.
 """
 
 from __future__ import annotations
@@ -235,13 +238,20 @@ def instance_from_dict(data: Any) -> Instance:
         machines.append(Machine(id=mid, setup=setup, windows=tuple(windows)))
 
     operations = []
+    machine_keys: dict[str, int] = {}  # each eligible-map key read so far, checked by _int_key on its first read
     for idx, raw in enumerate(_need(data, "operations", "instance", list)):
         ctx = f"operation[{idx}]"
         eligible = _need(raw, "eligible", ctx)
         if not isinstance(eligible, dict) or not eligible:
             raise FormatError(f"{ctx}.eligible: expected a non-empty object")
         where = f"{ctx}.eligible"
-        eligible = {_int_key(k, where): p if type(p) is int else _as_int(p, where) for k, p in eligible.items()}
+        times = {}
+        for key, p in eligible.items():
+            k = machine_keys.get(key)
+            if k is None:
+                k = machine_keys[key] = _int_key(key, where)
+            times[k] = p if type(p) is int else _as_int(p, where)
+        eligible = times
         fixed = raw.get("fixed")
         if fixed is not None:
             fixed = (_as_int(_need(fixed, "machine", f"{ctx}.fixed"), f"{ctx}.fixed.machine"),

@@ -100,6 +100,11 @@ class PlacementEngine:
     (each operation record by id), `calendars` and `setups` (each machine's
     windows and setup object), the graph's `preds` and `succs`, and for
     :meth:`keeps_pin` each machine's pins, sorted by (start, op).
+    `pair_setups` is None, and then :meth:`floors` reads each pair setup from
+    the machine's setup object. A caller that reads the same pairs again and
+    again, as the exact search does in sibling subtrees, sets it to a dict:
+    :meth:`floors` then keys each pair setup by (last operation, operation,
+    machine) and reads the setup object only the first time.
 
     A placement honors, in one shot: the release time, window legality of the
     start, the non-resumable setup ending exactly at the start and beginning
@@ -123,6 +128,7 @@ class PlacementEngine:
         self._pins: dict[int, list[tuple[int, int]]] = {}  # machine -> every (pinned start, op) on it, ascending
         for k, start, i in sorted((*op.fixed, op.id) for op in inst.operations if op.fixed is not None):
             self._pins.setdefault(k, []).append((start, i))
+        self.pair_setups: dict[tuple[int, int, int], int] | None = None  # (last op, op, machine) -> setup length
         self.placed: dict[int, ScheduledOp] = {}
         self.seqs: dict[int, list[int]] = {mc.id: [] for mc in inst.machines}
         self.tail: dict[int, int] = dict.fromkeys(self.seqs, 0)
@@ -137,12 +143,20 @@ class PlacementEngine:
         completion is the later of the predecessors' latest completion and the
         start floor plus the processing time: windows only stretch the
         processing, so every placement completes at or after it. Neither holds
-        a pin. Changes nothing.
+        a pin. Changes nothing but `pair_setups`, when it is a dict and the
+        pair after the machine's last operation is new to it.
         """
         op = self.ops[op_id]
         seq = self.seqs[machine_id]
-        setups = self.setups[machine_id]
-        setup_len = setups.between(self.ops[seq[-1]], op) if seq else setups.first(op)
+        if not seq:
+            setup_len = self.setups[machine_id].first(op)
+        elif self.pair_setups is None:
+            setup_len = self.setups[machine_id].between(self.ops[seq[-1]], op)
+        else:
+            key = (seq[-1], op_id, machine_id)
+            setup_len = self.pair_setups.get(key)
+            if setup_len is None:
+                setup_len = self.pair_setups[key] = self.setups[machine_id].between(self.ops[seq[-1]], op)
         start_floor = self.tail[machine_id] + setup_len
         if op.release > start_floor:
             start_floor = op.release
@@ -167,7 +181,9 @@ class PlacementEngine:
         pinned operation is never lifted. A completion at or past the start
         floor plus the processing time can miss the least completion only
         where the predecessors' latest completion sets it, so that is the floor
-        a missed completion is lifted to.
+        a missed completion is lifted to. The record is built positionally,
+        in :class:`~flexshop.model.ScheduledOp`'s field order, which is
+        cheaper than by keyword.
         """
         setup_len, start_floor, least_completion = floors
         op = self.ops[op_id]
@@ -191,15 +207,9 @@ class PlacementEngine:
             s = _earliest_legal(calendar, _latest_start(calendar, least_completion - 1, proc) + 1, setup_len)
             completion = _finish(calendar, s, proc)
 
-        return ScheduledOp(
-            machine=machine_id,
-            setup_start=s - setup_len,
-            setup_len=setup_len,
-            start=s,
-            partial_completion=(completion if op.theta_hundredths == 100
-                                else _finish(calendar, s, op.partial_units(machine_id))),
-            completion=completion,
-        )
+        return ScheduledOp(machine_id, s - setup_len, setup_len, s,
+                           completion if op.theta_hundredths == 100 else _finish(calendar, s, op.partial_units(machine_id)),
+                           completion)
 
     def keeps_pin(self, op_id: int, rec: ScheduledOp) -> bool:
         """Whether `rec.machine`'s earliest unplaced pin could still start on time right after `op_id` at `rec`.

@@ -182,6 +182,12 @@ RECORD = {"id": 1, "machine": 1, "setup_start": 0, "setup_len": 0, "start": 0, "
      "operation[0].eligible: key '01' is not an integer written as str(n)"),
     (lambda d: d["arcs"].append([1, True]), "arc head: expected an integer, got True"),
     (lambda d: d["arcs"].append([1]), "instance.arcs: each arc is a [tail, head] pair"),
+    # a key read once is looked up after that: another spelling of the same id, or a bad value under a key
+    # already read, still raises at the later operation
+    (lambda d: d["operations"][1]["eligible"].__setitem__("01", 3),
+     "operation[1].eligible: key '01' is not an integer written as str(n)"),
+    (lambda d: d["operations"][1]["eligible"].__setitem__("1", True),
+     "operation[1].eligible: expected an integer, got True"),
 ])
 def test_malformed_instance_values_raise_their_whole_message(mutate, message):
     data = instance_to_dict(sample_instance())

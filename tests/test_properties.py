@@ -16,7 +16,7 @@ from flexshop.generator import GenParams, generate, params_for_class
 from flexshop.jsonio import dumps_instance, dumps_result, loads_instance, schedule_from_dict, schedule_to_dict
 from flexshop.milp import build_model, emit_lp, evaluate_schedule
 from flexshop.model import Instance, Schedule, SetupTable, makespan, validate_instance
-from flexshop.solvers import _Bounder, greedy_result, solve_exact, solve_greedy
+from flexshop.solvers import _Bounder, _search, greedy_result, solve_exact, solve_greedy
 from flexshop.timing import DecodeInfeasible, PlacementEngine, check_schedule
 
 from lputil import parse_lp
@@ -90,6 +90,7 @@ def test_instances_and_greedy_results_round_trip_through_json(cls_k, seed):
         assert loaded == replace(case, arcs=tuple(sorted(case.arcs)))
         result = greedy_result(case)
         assert schedule_from_dict(json.loads(dumps_result(result))["schedule"]) == result.schedule
+        assert result.lower_bound == _Bounder(case).bound
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -246,6 +247,41 @@ def test_the_pre_placement_bound_never_exceeds_the_push(inst, data):
         if not appends:
             break
         bounder.commit(*data.draw(st.sampled_from(appends)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(inst=pinned_overlapping_instances(), data=st.data())
+def test_the_search_tables_only_cache_values(inst, data):
+    # the bounder's partial lengths and the pair setups its floors memoize are copies: every value the
+    # search reads is what a fresh computation gives, so it walks the tree the uncached reads walk
+    inst = replace(inst, machines=tuple(table if data.draw(st.booleans()) else rule  # rule and table setups
+                                        for rule, table in zip(inst.machines, tabled(inst).machines)))
+    ops = inst.ops_by_id
+    try:
+        incumbent = solve_greedy(inst)
+    except DecodeInfeasible:
+        incumbent = None
+    cached, plain = _Bounder(inst), _Bounder(inst)
+    plain.pair_setups = None  # the engine's default: every setup read from the setup object
+    partial = {op.id: {k: op.partial_units(k) for k in op.eligible} for op in inst.operations}
+    assert cached.partial == partial
+    floors = cached.floors
+
+    def replayed(i, k):
+        # a fresh engine committed to the same records, which memoizes nothing, reads the same floors
+        fresh = PlacementEngine(inst)
+        for j, rec in cached.placed.items():
+            fresh.commit(j, rec)
+        got = floors(i, k)
+        assert got == fresh.floors(i, k), (i, k)
+        return got
+
+    cached.floors = replayed
+    cap = data.draw(st.integers(1, 400))
+    assert _search(cached, incumbent, cap, None) == _search(plain, incumbent, cap, None)
+    assert cached.partial == partial and plain.pair_setups is None
+    for (last, i, k), g in cached.pair_setups.items():
+        assert g == inst.machines_by_id[k].setup.between(ops[last], ops[i]), (last, i, k)
 
 
 pair_keys = st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, 5),
