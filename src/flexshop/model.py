@@ -14,6 +14,11 @@ branches on the form. Rule machines keep large generated instances compact:
 the pair map is quadratic in the number of eligible operations and is pure
 arithmetic anyway.
 
+Instances, machines and setups are frozen dataclasses. A schedule's
+records, :class:`ScheduledOp`, are slots dataclasses that compare by value
+but are neither frozen nor hashable, which makes them cheap to build; no
+package code assigns to their fields.
+
 A :class:`SolveResult` is what :func:`~flexshop.solvers.solve_exact` and
 :func:`~flexshop.solvers.greedy_result` report, its fields the result
 document's keys in order.
@@ -203,8 +208,18 @@ class Instance:
         return self.machines_by_id[machine_id].setup.between(self.ops_by_id[pred_id], self.ops_by_id[succ_id])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScheduledOp:
+    """Where and when one operation runs: its machine, its setup interval and its processing.
+
+    A slots record that compares by value, neither frozen nor hashable: a
+    frozen ``__init__`` sets each field through ``object.__setattr__``, about
+    three times the cost of the record the exact search builds at every
+    node. Records are still never changed once built, since a placement
+    engine, every schedule it returns and the search's incumbent share them;
+    a test fails on any package code that assigns to a field.
+    """
+
     machine: int
     setup_start: int
     setup_len: int

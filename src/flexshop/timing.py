@@ -252,7 +252,7 @@ class PlacementEngine:
         self.ready.add(op_id)
 
     def schedule(self) -> Schedule:
-        """A snapshot of the placed operations and the machine sequences."""
+        """A snapshot of the placed operations and the machine sequences; it shares the engine's records."""
         return Schedule(ops=dict(self.placed), sequences={k: tuple(s) for k, s in self.seqs.items()})
 
 

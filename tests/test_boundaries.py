@@ -1,13 +1,16 @@
 """Module boundaries: imports point down one layer order, no private names cross modules, only
 jsonio reads or writes JSON, no module-level import goes unused, no public name serves only
-the tests, every name the benchmark's tracer wraps exists, and the README's library example runs."""
+the tests, no package code assigns to a schedule record's fields, every name the benchmark's
+tracer wraps exists, and the README's library example runs."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
 
 import flexshop
+from flexshop.model import ScheduledOp
 
 SRC = pathlib.Path(flexshop.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -122,6 +125,39 @@ def test_every_public_name_serves_the_package_or_the_benchmark():
     unused = [f"{path.name}: {name}" for path in sources
               for name in public_definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
     assert unused == []
+
+
+def assigned_attributes(node: ast.AST) -> list[ast.Attribute]:
+    """The attributes an assignment, augmented or annotated assignment or ``del`` writes, unpacking included."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Delete):
+        targets = list(node.targets)
+    else:
+        return []
+    found = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, ast.Attribute):
+            found.append(target)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+    return found
+
+
+def test_no_package_code_assigns_to_a_schedule_record_field():
+    # ScheduledOp is not frozen, so that a record is cheap to build; an engine, every schedule it
+    # returns and the search's incumbent share record objects, so none may be changed once built
+    fields = {field.name for field in dataclasses.fields(ScheduledOp)}
+    offenders = [f"{path.name}:{attr.lineno} assigns .{attr.attr}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 for attr in assigned_attributes(node) if attr.attr in fields]
+    assert offenders == []
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():

@@ -215,11 +215,19 @@ def test_the_bound_never_exceeds_the_best_completion(inst, data):
 
 @st.composite
 def pinned_overlapping_instances(draw) -> Instance:
-    """A small instance, windows on every machine, θ below 1 before each arc and a pin where one is valid."""
+    """A small instance, windows on every machine, θ below 1 before each arc, and pins.
+
+    Mostly the greedy schedule's prefix up to a drawn time is frozen in place, so the instance
+    has a schedule; a drawn minority instead pins a source operation at a drawn start where
+    that is valid, which often leaves none.
+    """
     inst = generate(replace(params_for_class("small", draw(st.integers(1, 30))), seed=draw(st.integers(1, 10**6))))
     has_succ = {i for i, _ in inst.arcs}
     inst = replace(inst, operations=tuple(replace(op, theta_hundredths=draw(st.integers(50, 99)))
                                           if op.id in has_succ else op for op in inst.operations))
+    if draw(st.integers(0, 3)) < 3:
+        sched = solve_greedy(inst)
+        return freeze(inst, sched, draw(st.integers(0, makespan(sched))))
     pinned = pinned_variant(inst, draw(st.integers(0, 60)))
     return inst if validate_instance(pinned) else pinned
 
