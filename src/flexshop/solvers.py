@@ -11,7 +11,7 @@ returns the bare schedule, or None past its deadline.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from time import perf_counter
 
 from .model import Instance, Schedule, ScheduledOp, SolveResult, brief, makespan, topological_order
@@ -126,7 +126,14 @@ class _Bounder(PlacementEngine):
         self._frames: list[tuple[int, int]] = []  # per commit: trail length and bound before it
 
     def commit(self, i: int, rec: ScheduledOp) -> None:
-        """Commit the ready operation `i` at `rec` and keep the bound, trailing each head and `owed` entry it changes."""
+        """Commit the ready operation `i` at `rec` and keep the bound, trailing each head and `owed` entry it changes.
+
+        A descendant is queued once per raise of its head. The queue pops by
+        topological rank and every raise of an operation comes from a lower
+        rank, so each pop of it follows all of its raises and reads its final
+        head. A repeated pop folds in the bound already folded and raises no
+        successor, whose head the first pop left at least as high.
+        """
         head, pbmin, pmin, succs, rank, trail = self.head, self.pbmin, self.pmin, self.succs, self.rank, self._trail
         PlacementEngine.commit(self, i, rec)
         self._frames.append((len(trail), self.bound))
@@ -139,16 +146,13 @@ class _Bounder(PlacementEngine):
         if self.bound > bound:
             bound = self.bound
         j, out = i, rec.partial_completion  # out: the earliest start j allows its successors
-        queue: list[tuple[int, int]] = []  # raised descendants by topological rank
-        queued: set[int] = set()
+        queue: list[tuple[int, int]] = []  # raised descendants by topological rank, one entry per raise
         while True:
             for s in succs[j]:
                 if out > head[s]:
                     trail.append((head, s, head[s]))
                     head[s] = out
-                    if s not in queued:
-                        queued.add(s)
-                        heapq.heappush(queue, (rank[s], s))
+                    heapq.heappush(queue, (rank[s], s))
             if not queue:
                 break
             _, j = heapq.heappop(queue)  # every raise of j comes from a lower rank, so is in
@@ -339,32 +343,36 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
     record entry holds the placement and is keyed by its completion; popped,
     it is committed. Each machine keeps its ready operations sorted by
     (processing time, op), the order of their bound keys under one stamp, and
-    a cursor into that list: the heap holds one cursor entry per machine, the
-    least bound entry it still owes, and popping it moves the cursor on and
-    pushes the next one's. A commit takes the operation out of every list,
-    moving on each cursor held there, and resets its machine's cursor. An
-    operation that becomes ready joins the list of each of its machines, and
-    is pushed directly where it sorts ahead of the cursor or the cursor is
-    exhausted. No key exceeds its pair's completion, so the first answer
-    popped is the smallest (completion, op, machine) over all live pairs, the
-    pair a rescan of every pair would commit. Each (op, machine, stamp) has
-    at most one entry at a time, so what the entries hold is never compared.
+    a chain: the (p, op) element of that list whose bound entry is pending, or
+    None once the list is spent. Popping the chain's entry pushes the element
+    after it, found by value, so no change to the list moves a chain. A commit
+    takes the operation out of every list; a chain left on it keeps that
+    value, and its entry, keyed no higher than the elements after it, still
+    pushes the next one. The commit's own machine starts its chain over from
+    the front. An operation that becomes ready joins the list of each of its
+    machines, and is pushed directly only where it sorts before the chain or
+    the chain is spent; elsewhere the chain reaches it. No key exceeds its
+    pair's completion, so the first answer popped is the smallest (completion,
+    op, machine) over all live pairs, the pair a rescan of every pair would
+    commit. Each (op, machine, stamp) has at most one entry at a time, as
+    within a stamp a chain never moves back and a direct push happens only
+    before the chain, so what the entries hold is never compared.
     """
     engine = PlacementEngine(inst)
     ops, placed, seqs, tail = engine.ops, engine.placed, engine.seqs, engine.tail
 
     front = {k: sorted((ops[i].eligible[k], i) for i in inst.eligible_ops[k] if i in engine.ready)
              for k in seqs}  # machine -> its ready eligible (p, op), ascending
-    cursor = dict.fromkeys(seqs, 0)
-    heap = [(f[0][0], f[0][1], k, 0, None) for k, f in front.items() if f]  # every tail is 0
+    chain = {k: f[0] if f else None for k, f in front.items()}  # machine -> the (p, op) its pending bound entry is for
+    heap = [(*c, k, 0, None) for k, c in chain.items() if c]  # every tail is 0
     heapq.heapify(heap)
 
-    def push_cursor(k: int, c: int) -> None:
-        """Move `k`'s cursor to index `c` and push the bound entry of the operation there, if any."""
-        cursor[k] = c
-        if c < len(front[k]):
-            p, j = front[k][c]
-            heapq.heappush(heap, (tail[k] + p, j, k, len(seqs[k]), None))
+    def push_chain(k: int, at: int) -> None:
+        """Move `k`'s chain to the element at index `at` of its list and push its bound entry, or spend it past the end."""
+        f = front[k]
+        c = chain[k] = f[at] if at < len(f) else None
+        if c:
+            heapq.heappush(heap, (tail[k] + c[0], c[1], k, len(seqs[k]), None))
 
     while len(placed) < len(ops):
         if deadline is not None and perf_counter() > deadline:
@@ -373,8 +381,8 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             _, i, k, n, held = heapq.heappop(heap)
             if n != len(seqs[k]):
                 continue
-            if held is None and cursor[k] < len(front[k]) and front[k][cursor[k]][1] == i:  # the cursor entry
-                push_cursor(k, cursor[k] + 1)
+            if held is None and chain[k] and chain[k][1] == i:  # the chain entry: push the element after it
+                push_chain(k, bisect_right(front[k], chain[k]))
             if i in placed:
                 continue
             if held is None:  # a bound entry: key it again by the least completion its floors carry
@@ -395,20 +403,14 @@ def solve_greedy(inst: Instance, deadline: float | None = None) -> Schedule | No
             raise DecodeInfeasible(
                 f"no operation can be placed (pinned starts block every candidate) among {brief(stuck)}")
         engine.commit(i, rec)
-        for kj, p in ops[i].eligible.items():  # `i` leaves every list, and `k`'s cursor starts over
-            at = bisect_left(front[kj], (p, i))
-            del front[kj][at]
-            if kj == k or at == cursor[kj]:  # a reset, or `i` held the cursor: its entry is dead
-                push_cursor(kj, 0 if kj == k else at)
-            elif at < cursor[kj]:
-                cursor[kj] -= 1
+        for kj, p in ops[i].eligible.items():  # `i` leaves every list; other chains keep their values
+            del front[kj][bisect_left(front[kj], (p, i))]
+        push_chain(k, 0)  # `k`'s stamp moved, so its chain starts over
         for j in engine.succs[i]:
             if j in engine.ready:  # ready only now, since `i` was its unplaced predecessor
                 for kj, p in ops[j].eligible.items():
-                    at = bisect_left(front[kj], (p, j))
-                    front[kj].insert(at, (p, j))
-                    if at <= cursor[kj]:  # ahead of the cursor, or the cursor is exhausted
-                        cursor[kj] += 1
+                    insort(front[kj], (p, j))
+                    if chain[kj] is None or (p, j) < chain[kj]:  # before the chain, or the chain is spent
                         heapq.heappush(heap, (tail[kj] + p, j, kj, len(seqs[kj]), None))
     return engine.schedule()
 

@@ -10,7 +10,7 @@ share a bug. The search oracles are the exception: :func:`decode` grows a
 purpose, because they check the search (which structures it visits and
 which it prunes), not the placements. The search's bound, kept incrementally
 there, is recomputed from scratch here by :func:`full_pass_bound`, the
-greedy's heap, fed one cursor entry per machine from a frontier of ready
+greedy's heap, fed one chain entry per machine from a frontier of ready
 operations and placing pairs lazily, by :func:`rescan_greedy`, and the
 streamed MILP row check by :func:`listed_violations`.
 """

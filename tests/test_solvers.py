@@ -292,14 +292,14 @@ def two_pins_on_one_machine() -> Instance:
 def frontier_direct_pushes() -> list[Instance]:
     """Two instances in which an operation that becomes ready is pushed directly on another machine."""
     rule = SetupRule(0, 0, 0, 0)
-    # ahead of the cursor: when 1 commits, machine 2's cursor holds 3 (key 10),
-    # and 2, which 1 made ready, sorts ahead of it there (key 1) and wins
+    # before the chain: when 1 commits, machine 2's chain holds 3 (key 10),
+    # and 2, which 1 made ready, sorts before it there (key 1) and wins
     ahead = Instance(
         num_machines=2,
         operations=(Operation(1, 1, {1: 2}), Operation(2, 1, {1: 9, 2: 1}), Operation(3, 2, {2: 10})),
         arcs=((1, 2),), machines=(Machine(1, setup=rule), Machine(2, setup=rule)))
-    # the cursor exhausted: 3 (key 2) was popped on machine 2 and completes only
-    # at 22, after its release, so machine 2's cursor has run off its list when
+    # the chain spent: 3 (key 2) was popped on machine 2 and completes only
+    # at 22, after its release, so machine 2's chain has run off its list when
     # 1 commits; 2, which 1 made ready, sorts after 3 there and wins
     exhausted = Instance(
         num_machines=2,
@@ -391,18 +391,27 @@ def test_greedy_places_only_pairs_that_can_win(monkeypatch):
     # every ready pair on a machine after each commit to it made 19,603
     # placements on large 25, and placing each pair at its tail + p key made
     # 3,646, 9,759 and 54,338, the floor reads pinned here. Each machine
-    # pushes one cursor entry at a time; re-pushing every ready pair on a
+    # pushes one chain entry at a time; re-pushing every ready pair on a
     # machine after each commit to it pushed 21,736, 79,184 and 387,994
-    # entries. The exact (placements, floor reads, pushes) are pinned, so a
-    # rewrite of the greedy that places a different set of pairs, or pushes
-    # more, shows here
+    # entries, and a frontier position kept as an index into the list, which
+    # pushed the next entry when a commit on another machine took out the one
+    # it held, pushed 9,456, 24,808 and 128,049. Large 25 frozen at a quarter
+    # and at half of its makespan (158 and 268 pins) keeps the pin check in
+    # the count; the index pushed 7,033 and 5,530 entries there. The exact
+    # (makespan, placements, floor reads, pushes) are pinned, so a rewrite of
+    # the greedy that places a different set of pairs, or pushes more, shows
+    # here
+    large = {k: generate(replace(params_for_class("large", k), seed=7)) for k in (25, 50, 100)}
+    sched = solve_greedy(large[25])
+    cases = {**large, **{(25, t): freeze(large[25], sched, t) for t in (469, 939)}}
+    assert [sum(op.fixed is not None for op in cases[25, t].operations) for t in (469, 939)] == [158, 268]
     counts = count_greedy_work(monkeypatch)
     seen = {}
-    for k in (25, 50, 100):
+    for key, inst in cases.items():
         counts.update(placements=0, floors=0, pushes=0)
-        solve_greedy(generate(replace(params_for_class("large", k), seed=7)))
-        seen[k] = (counts["placements"], counts["floors"], counts["pushes"])
-    assert seen == {25: (931, 3646, 9456), 50: (2260, 9759, 24808), 100: (7378, 54338, 128049)}
+        seen[key] = (makespan(solve_greedy(inst)), counts["placements"], counts["floors"], counts["pushes"])
+    assert seen == {25: (1878, 931, 3646, 9173), 50: (3806, 2260, 9759, 24141), 100: (2801, 7378, 54338, 124320),
+                    (25, 469): (1878, 615, 2748, 6783), (25, 939): (1878, 530, 2097, 5342)}
 
 
 def one_machine(n: int) -> Instance:
@@ -421,9 +430,9 @@ def crowded_machine(n: int) -> Instance:
 
 
 def test_greedy_pushes_linearly_in_its_placements_on_one_machine(monkeypatch):
-    # each pop of the machine's cursor entry reads the pair's floors and
-    # pushes two entries, the next cursor entry and the floors entry, each
-    # placement pushes its answer and each commit resets the cursor; pushing
+    # each pop of the machine's chain entry reads the pair's floors and
+    # pushes two entries, the next chain entry and the floors entry, each
+    # placement pushes its answer and each commit restarts the chain; pushing
     # every ready operation at each commit pushed about n^2 / 2 entries, some
     # 5 million here. Without windows, releases, arcs or pins a floors key is
     # the completion, so each commit places one pair; keyed by tail + p the
